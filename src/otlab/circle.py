@@ -21,8 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .rational import format_rational
-
 # int64 index arithmetic multiplies an index by a step count; keep the
 # product clear of 2^63.
 _MAX_MODULUS = 3_000_000_000
@@ -80,8 +78,14 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 
 
 def default_search_cap() -> int:
+    """TDL_SEARCH_CAP when set, else 10^7."""
     env = os.environ.get("TDL_SEARCH_CAP")
-    return int(env) if env else 10_000_000
+    if not env:
+        return 10_000_000
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"TDL_SEARCH_CAP must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -294,42 +298,84 @@ def running_count_value(tower: ModulusTower, x: CircleIndex, steps: int) -> int:
 
 
 class StepFunction:
-    """Exact function constant on the M_n level-n intervals."""
+    """Exact function constant on the M_n level-n intervals, held as an
+    int64 array of its values."""
 
     __slots__ = ("level", "values")
 
-    def __init__(self, level: int, values):
+    def __init__(self, level: int, values: np.ndarray):
         self.level = level
-        if isinstance(values, np.ndarray):
-            self.values = values
-        else:
-            self.values = list(values)
+        self.values = values
 
     @property
     def modulus(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, l):
-        v = self.values[l]
-        return int(v) if isinstance(self.values, np.ndarray) else v
+    def __getitem__(self, l) -> int:
+        return int(self.values[l])
 
     def integral(self) -> Fraction:
-        if isinstance(self.values, np.ndarray):
-            total = int(self.values.sum(dtype=np.int64))
-        else:
-            total = sum(self.values, Fraction(0))
-        return Fraction(total, self.modulus) if not isinstance(total, Fraction) else total / self.modulus
+        return Fraction(int(self.values.sum(dtype=np.int64)), self.modulus)
 
     def to_csv(self) -> str:
-        """Plot-ready rows: index, left_endpoint, value (exact strings)."""
-        lines = ["index,left_endpoint,value"]
+        """Plot-ready rows: index, left_endpoint, value (exact strings).
+
+        Row l reads "l,p/q,v/1" with p/q = l/M in lowest terms (0/1 at
+        l = 0), the canonical form of `format_rational`.
+        """
         M = self.modulus
-        for l in range(M):
-            v = self[l]
-            lines.append(
-                f"{l},{format_rational(Fraction(l, M))},{format_rational(Fraction(v))}"
+        parts = ["index,left_endpoint,value\n"]
+        for lo in range(0, M, _CSV_CHUNK):
+            l = np.arange(lo, min(lo + _CSV_CHUNK, M), dtype=np.int64)
+            g = np.gcd(l, M)
+            rows = _render_rows(
+                (l, l // g, M // g, self.values[lo : lo + len(l)]),
+                (b",", b"/", b",", b"/1\n"),
             )
-        return "\n".join(lines) + "\n"
+            parts.append(str(rows.data, "ascii"))
+        return "".join(parts)
+
+
+# Rows per pass of to_csv: a chunk's character planes (about 30 bytes a
+# row) stay in cache while _render_rows reads them back row by row.
+_CSV_CHUNK = 1 << 15
+
+# 10^1 .. 10^18: an int64 magnitude m has 1 + #{p : p <= m} digits.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _render_rows(columns, seps) -> np.ndarray:
+    """ASCII text of the rows "c0 s0 c1 s1 ... ck sk" as a uint8 array.
+
+    Each column is an int64 array (one entry per row) written in decimal
+    with a leading '-' when negative; each separator is literal bytes
+    following its column.  Every character slot gets one plane of a
+    (slots, rows) matrix plus a mask of the rows that use it; the text is
+    the masked matrix read row by row.
+    """
+    fields = []
+    for c in columns:
+        if c.min() == np.iinfo(np.int64).min:
+            raise OverflowError("int64 minimum has no int64 magnitude")
+        mag = np.abs(c)
+        ndigits = 1 + np.searchsorted(_POW10, mag, side="right")
+        fields.append((c < 0, mag, ndigits, int(ndigits.max())))
+    slots = sum(1 + D + len(sep) for (*_, D), sep in zip(fields, seps))
+    text = np.empty((slots, len(columns[0])), dtype=np.uint8)
+    used = np.ones(text.shape, dtype=bool)
+    off = 0
+    for (neg, mag, ndigits, D), sep in zip(fields, seps):
+        text[off] = ord("-")
+        used[off] = neg
+        for k in range(D):  # k-th digit from the right
+            q = mag // 10
+            np.add(mag - 10 * q, ord("0"), out=text[off + D - k], casting="unsafe")
+            np.greater(ndigits, k, out=used[off + D - k])
+            mag = q
+        off += 1 + D
+        text[off : off + len(sep)] = np.frombuffer(sep, dtype=np.uint8)[:, None]
+        off += len(sep)
+    return text.T[used.T]
 
 
 def _orbit_weights(tower: ModulusTower, n: int):

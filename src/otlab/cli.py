@@ -12,8 +12,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
+
+import numpy as np
+
 from . import circle, duals, gap, serialize, tau
 from .finite_ot import (
+    DimensionMismatch,
     NoFinitePlan,
     InfeasibleMarginals,
     check_complementary_slackness,
@@ -38,12 +43,15 @@ def _progress(msg: str):
 def cmd_solve(args) -> int:
     try:
         cost, marg = load_instance(args.instance)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
         _progress(f"cannot parse instance: {e}")
         return EXIT_USAGE
     try:
         plan = solve_primal(cost, marg)
         pair = solve_dual(cost, marg)
+    except DimensionMismatch as e:
+        _progress(f"malformed instance: {e}")
+        return EXIT_USAGE
     except (NoFinitePlan, InfeasibleMarginals) as e:
         _progress(f"infeasible: {e}")
         return EXIT_INFEASIBLE
@@ -69,22 +77,33 @@ def cmd_solve(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _build_tower_args(args) -> circle.ModulusTower:
-    return circle.build_tower_mode(
-        args.m1, args.depth, args.mode, search_cap=args.search_cap
-    )
+def _tower_args_error(args, depth: int) -> Optional[str]:
+    """Why the tower flags can build no tower, or None.  Resolves
+    args.search_cap from TDL_SEARCH_CAP when the flag is absent."""
+    if args.m1 < 5 or args.m1 % 2 == 0 or not circle.is_probable_prime(args.m1):
+        return f"--m1 {args.m1} is not an odd prime >= 5"
+    if depth < 1:
+        return f"tower depth must be >= 1, got {depth}"
+    if args.search_cap is None:
+        try:
+            args.search_cap = circle.default_search_cap()
+        except ValueError as e:
+            return str(e)
+    return None
 
 
 def cmd_construct(args) -> int:
-    if args.m1 < 5 or args.m1 % 2 == 0 or not circle.is_probable_prime(args.m1):
-        _progress(f"--m1 {args.m1} is not an odd prime >= 5")
-        return EXIT_USAGE
+    error = _tower_args_error(args, args.depth)
     levels_wanted = args.levels or args.depth
-    if levels_wanted > args.depth:
-        _progress("--levels cannot exceed --depth")
+    if error is None and not 1 <= levels_wanted <= args.depth:
+        error = f"--levels must be in 1..{args.depth}"
+    if error is not None:
+        _progress(error)
         return EXIT_USAGE
     try:
-        tower = _build_tower_args(args)
+        tower = circle.build_tower_mode(
+            args.m1, args.depth, args.mode, search_cap=args.search_cap
+        )
         _progress(f"tower primes: {tower.primes} ({tower.mode})")
         levels = tau.build_levels(tower, levels_wanted)
     except (circle.SearchCapExceeded, tau.GrowthTooSmall) as e:
@@ -126,11 +145,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    if args.m1 < 5 or args.m1 % 2 == 0 or not circle.is_probable_prime(args.m1):
-        _progress(f"--m1 {args.m1} is not an odd prime >= 5")
-        return EXIT_USAGE
-    if args.M > args.jmax:
-        _progress("--M cannot exceed --jmax (one limit map per built row)")
+    error = _tower_args_error(args, args.jmax)
+    if error is None and not 1 <= args.M <= args.jmax:
+        error = f"--M must be in 1..{args.jmax} (one limit map per built row)"
+    if error is not None:
+        _progress(error)
         return EXIT_USAGE
     try:
         tower = circle.build_tower_mode(
@@ -163,9 +182,16 @@ def cmd_verify(args) -> int:
     except OSError as e:
         _progress(f"cannot read artifacts: {e}")
         return EXIT_USAGE
+    try:
+        cap = circle.default_search_cap()
+    except ValueError as e:
+        _progress(str(e))
+        return EXIT_USAGE
     primes = tw["primes"]
     floors = primes[1:]  # rebuild with each saved prime as its own floor
-    tower = circle.build_tower(primes[0], len(primes), growth_floor=floors or None)
+    tower = circle.build_tower(
+        primes[0], len(primes), growth_floor=floors or None, search_cap=cap
+    )
     if list(tower.primes) != primes:
         _progress(f"tower mismatch: rebuilt {tower.primes} vs saved {primes}")
         return EXIT_FAIL
@@ -184,13 +210,13 @@ def cmd_verify(args) -> int:
             else tau.extend_tau(levels[-1], tower)
         )
         levels.append(level)
-        if serialize.rle_decode(saved["tau_rle"]).tolist() != level.tau.tolist():
-            failures.append(f"level {n}: tau differs from a fresh build")
-        if (
-            serialize.rle_decode(saved["good_rle"]).astype(bool).tolist()
-            != level.good_mask.tolist()
+        for key, fresh, what in (
+            ("tau_rle", level.tau, "tau"),
+            ("good_rle", level.good_mask, "good set"),
+            ("singular_rle", level.singular_mask, "singular set"),
         ):
-            failures.append(f"level {n}: good set differs")
+            if not np.array_equal(serialize.rle_decode(saved[key]), fresh):
+                failures.append(f"level {n}: {what} differs from a fresh build")
         report = tau.verify_level(level, tower)
         if not report.hard_invariants_ok:
             failures.append(f"level {n}: invariant check failed: {report}")

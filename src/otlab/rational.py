@@ -59,13 +59,21 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_rational_str(s: str):
-    """Parse 'p/q', 'p', or 'inf' (case-insensitive)."""
+    """Parse 'p/q', 'p', or 'inf' (case-insensitive).
+
+    Raises ValueError on anything else, including a non-string (such as
+    a bare JSON number) and a zero denominator.
+    """
+    if not isinstance(s, str):
+        raise ValueError(f"expected a 'p/q' string, got {s!r}")
     t = s.strip()
     if t.lower() in ("inf", "+inf", "infinity"):
         return INF
     if "/" in t:
-        num, den = t.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in t.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     return Fraction(int(t))
 
 

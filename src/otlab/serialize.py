@@ -18,15 +18,13 @@ from .tau import TauLevel
 
 
 def rle_encode(values) -> list:
-    """[[value, run_length], ...] over the sequence."""
-    out = []
-    for v in values:
-        v = int(v)
-        if out and out[-1][0] == v:
-            out[-1][1] += 1
-        else:
-            out.append([v, 1])
-    return out
+    """[[value, run_length], ...] over the sequence, as Python ints."""
+    a = np.asarray(values, dtype=np.int64)
+    if a.size == 0:
+        return []
+    starts = np.concatenate(([0], np.flatnonzero(a[1:] != a[:-1]) + 1))
+    lengths = np.diff(starts, append=a.size)
+    return np.stack([a[starts], lengths], axis=1).tolist()
 
 
 def rle_decode(pairs) -> np.ndarray:
@@ -50,8 +48,8 @@ def tau_level_to_dict(level: TauLevel, tower: ModulusTower) -> dict:
         "modulus": level.modulus,
         "primes": list(tower.primes[: level.level]),
         "tau_rle": rle_encode(level.tau),
-        "good_rle": rle_encode(level.good_mask.astype(np.int64)),
-        "singular_rle": rle_encode(level.singular_mask.astype(np.int64)),
+        "good_rle": rle_encode(level.good_mask),
+        "singular_rle": rle_encode(level.singular_mask),
     }
 
 

@@ -117,6 +117,75 @@ def test_cli_verify_catches_tampering(tmp_path):
     assert main(["verify", str(d)]) == 1
 
 
+def test_cli_verify_catches_singular_set_tampering(tmp_path):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    tl = json.loads((d / "tau_level_2.json").read_text())
+    runs = tl["singular_rle"]
+    # move one cell across the boundary of the first two runs
+    runs[0][1] += 1
+    runs[1][1] -= 1
+    (d / "tau_level_2.json").write_text(json.dumps(tl))
+    assert main(["verify", str(d)]) == 1
+
+
+BAD_INSTANCES = {
+    "zero_denominator": {"cost": [["1/0", "1/1"], ["0/1", "0/1"]]},
+    "bare_number": {"cost": [[1, "1/1"], ["0/1", "0/1"]]},
+    "marginals_misfit": {"nu": ["1/3", "1/3", "1/3"]},
+    "cost_not_rows": {"cost": 5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_cli_solve_bad_instance_usage(tmp_path, capsys, case):
+    obj = {
+        "n": 2,
+        "cost": [["0/1", "1/1"], ["1/1", "0/1"]],
+        "mu": ["1/2", "1/2"],
+        "nu": ["1/2", "1/2"],
+    }
+    obj.update(BAD_INSTANCES[case])
+    p = tmp_path / f"{case}.json"
+    p.write_text(json.dumps(obj))
+    assert main(["solve", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--m1", "5", "--depth", "0"],
+        ["construct", "--m1", "5", "--depth", "2", "--levels", "-1"],
+        ["gap", "--m1", "5", "--jmax", "2", "--M", "0"],
+    ],
+)
+def test_cli_out_of_range_counts_usage(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--m1", "5", "--depth", "2"],
+        ["gap", "--m1", "5", "--jmax", "2", "--M", "1"],
+        ["verify", "ARTIFACTS"],
+    ],
+)
+def test_cli_non_integer_search_cap_env(tmp_path, monkeypatch, capsys, argv):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(d)]) == 0
+    capsys.readouterr()
+    argv = [str(d) if a == "ARTIFACTS" else a for a in argv]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TDL_SEARCH_CAP", "1e6")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "TDL_SEARCH_CAP must be an integer, got '1e6'\n"
+
+
 def test_cli_bad_m1_usage():
     assert main(["construct", "--m1", "4", "--depth", "1"]) == 2
 
