@@ -170,8 +170,6 @@ def build_tower(m1: int, depth: int, growth_floor=None, search_cap=None) -> Modu
             raise SearchCapExceeded(
                 f"no qualifying prime for level {j} below cap {cap}"
             )
-        if cand > cap:
-            raise SearchCapExceeded(f"no qualifying prime for level {j} below cap {cap}")
         primes.append(cand)
         M.append(M[-1] * cand)
         P.append(P[-1] * cand + 1)
@@ -273,7 +271,7 @@ def orbit_visit_balance(tower: ModulusTower, x: CircleIndex, steps: int):
     if abs(steps) > M:
         raise ValueError(f"|steps| must be <= {M}")
     P = tower.step(n)
-    mid = (M - 1) // 2
+    mid = tower.middle_index(n)
     if steps >= 0:
         window = range(0, steps)
     else:
@@ -382,7 +380,7 @@ def _orbit_weights(tower: ModulusTower, n: int):
     """Orbit order arrays: index at step i, and the L/R weight there."""
     M = tower.modulus(n)
     P = tower.step(n)
-    mid = (M - 1) // 2
+    mid = tower.middle_index(n)
     orbit = (np.arange(M, dtype=np.int64) * P) % M
     w = np.where(orbit < mid, 1, np.where(orbit == mid, 0, -1)).astype(np.int64)
     return orbit, w
@@ -424,7 +422,15 @@ def one_step_quasi_cost(tower: ModulusTower, n: int, phi: Optional[StepFunction]
     M = tower.modulus(n)
     P = tower.step(n)
     idx = (np.arange(M, dtype=np.int64) + P) % M
-    return StepFunction(n, 1 + phi.values - phi.values[idx])
+    return StepFunction(n, quasi_cost_values(phi.values, idx))
+
+
+def quasi_cost_values(phi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """1 + phi - phi o sigma: the quasi-cost phi(l) + psi(sigma(l)) of the
+    index map sigma under the pair (phi, psi = 1 - phi), as a fresh array."""
+    q = phi - phi[sigma]
+    q += 1
+    return q
 
 
 @dataclass

@@ -215,7 +215,12 @@ def cmd_verify(args) -> int:
             ("good_rle", level.good_mask, "good set"),
             ("singular_rle", level.singular_mask, "singular set"),
         ):
-            if not np.array_equal(serialize.rle_decode(saved[key]), fresh):
+            try:
+                stored = serialize.rle_decode(saved[key])
+            except ValueError as e:
+                failures.append(f"level {n}: malformed {key}: {e}")
+                continue
+            if not np.array_equal(stored, fresh):
                 failures.append(f"level {n}: {what} differs from a fresh build")
         report = tau.verify_level(level, tower)
         if not report.hard_invariants_ok:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import ModulusTower, phi_level
+from .circle import ModulusTower, phi_level, quasi_cost_values
 from .tau import TauLevel, quasi_cost, refinement_deviation, singular_ledger
 
 ZERO = Fraction(0)
@@ -31,7 +31,7 @@ def _one_step_cost(tower: ModulusTower, n: int):
     2-valued side so the bound is the weaker of its two limit values.
     """
     M = tower.modulus(n)
-    mid = (M - 1) // 2
+    mid = tower.middle_index(n)
     c = np.full(M, 2, dtype=np.int64)
     c[:mid] = 0
     return c
@@ -122,7 +122,8 @@ def verify_feasibility(
     diag = phi + psi
     diag_bad = np.nonzero(diag > 1)[0]
 
-    pair_rot = phi + psi[(idx + P) % M]
+    rot = (idx + P) % M
+    pair_rot = phi + psi[rot]
     c_rot = _one_step_cost(tower, n)
     rot_bad = np.nonzero(pair_rot > c_rot)[0]
 
@@ -132,8 +133,7 @@ def verify_feasibility(
 
     # Tightness against the graded (step-count) one-step values, which
     # differ from the bound only on the middle interval.
-    phi_arr = phi_level(tower, n).values
-    one_step_graded = 1 + phi_arr - phi_arr[(idx + P) % M]
+    one_step_graded = quasi_cost_values(phi_level(tower, n).values, rot)
     tight = (diag == 1) & (pair_rot == one_step_graded)
     eq_measure = Fraction(int(tight.sum()), M)
 

@@ -75,9 +75,7 @@ def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
     pair = strong_monotone_potentials(support, cost)
     if pair is None:  # the optimal support is always cyclically monotone
         raise AssertionError("optimal support failed the monotonicity check")
-    value = sum((p * m for p, m in zip(pair.phi, marg.mu)), ZERO) + sum(
-        (p * m for p, m in zip(pair.psi, marg.nu)), ZERO
-    )
+    value = pair.pair_value(marg)
     if value != plan.value:
         raise AssertionError(f"duality gap {plan.value - value} in exact solver")
     return DualPair(pair.phi, pair.psi, value)

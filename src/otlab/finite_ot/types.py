@@ -116,7 +116,19 @@ class Marginals:
         return sum(self.nu, Fraction(0))
 
 
-class TransportPlan:
+class _PlanEntries:
+    """Row and column sums of a plan's `entries` table of Fractions."""
+
+    __slots__ = ()
+
+    def row_sums(self):
+        return tuple(sum(row, Fraction(0)) for row in self.entries)
+
+    def col_sums(self):
+        return tuple(sum(col, Fraction(0)) for col in zip(*self.entries))
+
+
+class TransportPlan(_PlanEntries):
     """Nonnegative matrix with prescribed marginals and its exact cost."""
 
     __slots__ = ("entries", "value")
@@ -140,17 +152,6 @@ class TransportPlan:
             for j, v in enumerate(row)
             if v > 0
         }
-
-    def row_sums(self):
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
-
-    def col_sums(self):
-        n = self.n_cols
-        sums = [Fraction(0)] * n
-        for row in self.entries:
-            for j, v in enumerate(row):
-                sums[j] += v
-        return tuple(sums)
 
     def check_marginals(self, marg: Marginals) -> bool:
         return self.row_sums() == marg.mu and self.col_sums() == marg.nu
@@ -181,7 +182,7 @@ class DualPair:
         return True
 
 
-class PartialPlan:
+class PartialPlan(_PlanEntries):
     """Sub-coupling: row sums <= mu and column sums <= nu."""
 
     __slots__ = ("entries", "mass")
@@ -189,17 +190,6 @@ class PartialPlan:
     def __init__(self, entries):
         self.entries = tuple(tuple(as_fraction(v) for v in row) for row in entries)
         self.mass = sum((v for row in self.entries for v in row), Fraction(0))
-
-    def row_sums(self):
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
-
-    def col_sums(self):
-        n = len(self.entries[0])
-        sums = [Fraction(0)] * n
-        for row in self.entries:
-            for j, v in enumerate(row):
-                sums[j] += v
-        return tuple(sums)
 
     def dominated_by(self, marg: Marginals) -> bool:
         return all(r <= m for r, m in zip(self.row_sums(), marg.mu)) and all(

@@ -4,7 +4,9 @@ A grid of interval permutations tau_{n,j} (1 <= n <= j): row n is seeded
 at column n by a fresh within-block shuffle at scale n (built with a
 positive singular mass: the quasi-cost vanishes on the long bulk runs
 and spikes to about m_n/(2*M_{n-1}) on 2*M_{n-1} sub-blocks per block),
-and each later column refines the row by the keep-and-fill rule.  The
+and each later column refines the row by the keep-and-fill rule.  Every
+cell is a mask-free `tau.TauLevel`, and the column step is
+`tau.extend_tau`, which keeps and fills every block of such a cell.  The
 limit maps behind the truncated costs are the deepest column of each
 row; together with the identity and the one-step rotation they carry the
 finite costs whose primal and dual values are exactly one at every
@@ -20,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .circle import ModulusTower, phi_level
+from .circle import ModulusTower, phi_level, quasi_cost_values
 from .finite_ot import (
     CostMatrix,
     Marginals,
@@ -32,9 +34,13 @@ from .finite_ot import (
 from .rational import INF, format_rational
 from .tau import (
     GrowthTooSmall,
+    TauLevel,
     _avoidance_step,
+    _require_permutation,
     build_tau_level1,
-    keep_and_fill_block,
+    extend_tau,
+    is_permutation,
+    sigma_of,
 )
 
 ZERO = Fraction(0)
@@ -42,27 +48,6 @@ ZERO = Fraction(0)
 
 class GraphOverlapInconsistency(Exception):
     """The same cell received two different clipped costs."""
-
-
-@dataclass
-class GridCell:
-    """One map tau_{n,j}: row n refined to level j."""
-
-    row: int
-    level: int
-    tau: np.ndarray
-    sigma: np.ndarray
-    changed_from_prev: Optional[np.ndarray] = None
-
-    @property
-    def modulus(self) -> int:
-        return int(self.tau.shape[0])
-
-
-def _sigma_of(tau, tower: ModulusTower, j: int):
-    M = tower.M[j - 1]
-    P = tower.P[j - 1]
-    return (np.arange(M, dtype=np.int64) + tau * P) % M
 
 
 def _invert(tau, sigma):
@@ -73,7 +58,7 @@ def _invert(tau, sigma):
     return tau_inv
 
 
-def _diagonal_seed(tower: ModulusTower, j: int) -> GridCell:
+def _diagonal_seed(tower: ModulusTower, j: int) -> TauLevel:
     """Fresh row-j map: inverse of the within-block shuffle that moves
     the bulk outward by M_{j-1} sub-blocks and throws the 2*M_{j-1}
     boundary sub-blocks onto the central gaps."""
@@ -81,15 +66,14 @@ def _diagonal_seed(tower: ModulusTower, j: int) -> GridCell:
     M = tower.M[j - 1]
     M_prev = tower.M[j - 2] if j >= 2 else 1
     Pinv = tower.step_inverse(j)
-    mid = (M - 1) // 2
+    mid = tower.middle_index(j)
     half = (m - 1) // 2
 
     if j == 1:
         # scale-1 seed: inverse of the level-1 construction map
         base = build_tau_level1(tower)
         tau = _invert(base.tau, base.sigma)
-        sigma = _sigma_of(tau, tower, 1)
-        return GridCell(row=1, level=1, tau=tau, sigma=sigma)
+        return TauLevel(1, tau, sigma_of(tower, 1, tau))
 
     if m < 2 * M_prev + 1:
         raise GrowthTooSmall(f"m_{j} = {m} < 2*M_{j-1}+1 = {2 * M_prev + 1}")
@@ -116,35 +100,10 @@ def _diagonal_seed(tower: ModulusTower, j: int) -> GridCell:
         for s, d in zip(bnd, gaps):
             tau_fwd[lo + s] = _avoidance_step(M, Pinv, mid, lo + int(s), lo + int(d))
 
-    sigma_fwd = _sigma_of(tau_fwd, tower, j)
-    counts = np.bincount(sigma_fwd, minlength=M)
-    if not (counts == 1).all():
-        raise GrowthTooSmall(f"diagonal seed at level {j} is not a permutation")
+    sigma_fwd = sigma_of(tower, j, tau_fwd)
+    _require_permutation(sigma_fwd, f"diagonal seed at level {j}")
     tau = _invert(tau_fwd, sigma_fwd)
-    return GridCell(row=j, level=j, tau=tau, sigma=_sigma_of(tau, tower, j))
-
-
-def _refine_cell(cell: GridCell, tower: ModulusTower) -> GridCell:
-    """Column step: keep tau inside every block, fill the gaps."""
-    j = cell.level + 1
-    tower.require_level(j)
-    m = tower.primes[j - 1]
-    M = tower.M[j - 1]
-    M_prev = tower.M[j - 2]
-    Pinv = tower.step_inverse(j)
-    mid = (M - 1) // 2
-
-    tau = np.zeros(M, dtype=np.int64)
-    for p in range(M_prev):
-        keep_and_fill_block(
-            tau, p * m, m, int(cell.tau[p]), int(cell.sigma[p]), M, Pinv, mid
-        )
-    sigma = _sigma_of(tau, tower, j)
-    counts = np.bincount(sigma, minlength=M)
-    if not (counts == 1).all():
-        raise GrowthTooSmall(f"refinement to level {j} lost bijectivity")
-    changed = tau != np.repeat(cell.tau, m)
-    return GridCell(row=cell.row, level=j, tau=tau, sigma=sigma, changed_from_prev=changed)
+    return TauLevel(j, tau, sigma_of(tower, j, tau))
 
 
 @dataclass
@@ -153,10 +112,10 @@ class GapFamily:
 
     tower: ModulusTower
     j_max: int
-    grid: Dict[Tuple[int, int], GridCell]
+    grid: Dict[Tuple[int, int], TauLevel]
     eta_closed: Dict[int, Fraction]
 
-    def cell(self, n: int, j: int) -> GridCell:
+    def cell(self, n: int, j: int) -> TauLevel:
         return self.grid[(n, j)]
 
     def limit_tau(self, n: int):
@@ -170,23 +129,17 @@ class GapFamily:
         return self.grid[(n, self.j_max)].tau
 
     def limit_sigma(self, n: int):
-        tau = self.limit_tau(n)
-        return _sigma_of(tau, self.tower, self.j_max)
-
-
-def quasi_cost_of(tau, sigma, tower: ModulusTower, j: int):
-    phi = phi_level(tower, j).values
-    return 1 + phi - phi[sigma]
+        return sigma_of(self.tower, self.j_max, self.limit_tau(n))
 
 
 def build_gap_family(tower: ModulusTower, j_max: int) -> GapFamily:
     if j_max < 1 or j_max > tower.depth:
         raise ValueError(f"j_max must be in 1..{tower.depth}")
-    grid: Dict[Tuple[int, int], GridCell] = {}
+    grid: Dict[Tuple[int, int], TauLevel] = {}
     eta_closed: Dict[int, Fraction] = {}
     for j in range(1, j_max + 1):
         for n in range(1, j):
-            grid[(n, j)] = _refine_cell(grid[(n, j - 1)], tower)
+            grid[(n, j)] = extend_tau(grid[(n, j - 1)], tower)
         grid[(j, j)] = _diagonal_seed(tower, j)
         M_prev = tower.M[j - 2] if j >= 2 else 1
         eta_closed[j] = Fraction(2 * M_prev + 1, tower.primes[j - 1])
@@ -217,10 +170,9 @@ def verify_row_map(family: GapFamily, n: int, j: int) -> RowReport:
     tower = family.tower
     cell = family.cell(n, j)
     M = cell.modulus
-    counts = np.bincount(cell.sigma, minlength=M)
-    permutation_ok = bool((counts == 1).all())
+    permutation_ok = is_permutation(cell.sigma)
 
-    q = quasi_cost_of(cell.tau, cell.sigma, tower, j)
+    q = quasi_cost_values(phi_level(tower, j).values, cell.sigma)
     mean_one = int(q.sum(dtype=np.int64)) == M
 
     eta = family.eta_closed[n]
@@ -276,9 +228,10 @@ def materialize_cost(family: GapFamily, M_graphs: int, j: int) -> TruncatedCost:
     Mj = tower.M[j - 1]
     entries = [[INF] * Mj for _ in range(Mj)]
     finite = 0
+    phi = phi_level(tower, j).values
     for k in range(0, M_graphs + 1):
         sigma = family.limit_sigma(k)
-        q = quasi_cost_of(family.limit_tau(k), sigma, tower, j)
+        q = quasi_cost_values(phi, sigma)
         for l in range(Mj):
             tgt = int(sigma[l])
             val = Fraction(max(int(q[l]), 0))
@@ -437,9 +390,9 @@ def gap_demonstration(family: GapFamily, M_graphs: int, j: int) -> dict:
     eta_realized = {}
     witness_cost = {}
     witness_mass = {}
+    phi = phi_level(tower, family.j_max).values
     for n in range(1, family.j_max + 1):
-        cell = family.cell(n, family.j_max)
-        q = quasi_cost_of(cell.tau, cell.sigma, tower, family.j_max)
+        q = quasi_cost_values(phi, family.cell(n, family.j_max).sigma)
         zero = int((q == 0).sum())
         eta_realized[n] = Fraction(Mj - zero, Mj)
         witness_mass[n] = Fraction(zero, Mj)

@@ -28,9 +28,16 @@ def rle_encode(values) -> list:
 
 
 def rle_decode(pairs) -> np.ndarray:
+    """Inverse of rle_encode; ValueError unless pairs is a list of
+    [value, run_length] integer pairs with non-negative run lengths."""
     if not pairs:
         return np.zeros(0, dtype=np.int64)
-    return np.concatenate([np.full(c, v, dtype=np.int64) for v, c in pairs])
+    a = np.asarray(pairs)
+    if a.dtype.kind != "i" or a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError("RLE must be a list of [value, run_length] integer pairs")
+    if (a[:, 1] < 0).any():
+        raise ValueError(f"RLE run length {int(a[:, 1].min())} is negative")
+    return np.repeat(a[:, 0].astype(np.int64), a[:, 1])
 
 
 def tower_to_dict(tower: ModulusTower) -> dict:

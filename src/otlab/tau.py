@@ -12,6 +12,11 @@ sigma(l) = l + tau(l) * P_n (mod M_n).  Wherever a sub-block is assigned
 a target, the step count is the unique representative in (-M_n, M_n)
 whose full rotation orbit (endpoints included) avoids the middle index;
 existence is checked, never assumed.
+
+`TauLevel` is the package's one interval-permutation type: it holds the
+construction levels built here and, without good/singular masks, the
+cells tau_{n,j} of the gap grid (`gap`), which `extend_tau` refines
+column by column with the same keep-and-fill rule.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import ModulusTower, StepFunction, phi_level
+from .circle import ModulusTower, StepFunction, phi_level, quasi_cost_values
 
 
 class GrowthTooSmall(Exception):
@@ -42,23 +47,6 @@ def _avoidance_step(M: int, Pinv: int, mid: int, src: int, dst: int) -> int:
             f"cannot route {src} -> {dst} around the middle index {mid}"
         )
     return t0 if istar > t0 else t0 - M
-
-
-def keep_and_fill_block(tau, lo, m, t, q_block, M, Pinv, mid):
-    """Write tau on one parent block: keep the parent's step t on the
-    interior, route the overflowing boundary sub-blocks onto the gaps at
-    the opposite end of the image block (order-preserving)."""
-    tau[lo : lo + m] = t
-    if t > 0:
-        srcs = range(m - t, m)
-        dsts = range(q_block * m, q_block * m + t)
-    elif t < 0:
-        srcs = range(0, -t)
-        dsts = range(q_block * m + m + t, q_block * m + m)
-    else:
-        return
-    for s, d in zip(srcs, dsts):
-        tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + s, d)
 
 
 def _avoidance_violations(tau, P_inv: int, mid: int):
@@ -82,27 +70,30 @@ class SingularLedger:
     change_measure: Fraction
 
 
+@dataclass(frozen=True, eq=False)
 class TauLevel:
-    """A level-n interval permutation with its good/singular bookkeeping.
+    """A level-n interval permutation of Z/M_nZ.
 
-    tau, sigma are int64 arrays over Z/M_nZ; good/singular are disjoint
-    boolean masks excluding the level-1 middle block, whose indices keep
-    tau = 0 at every level.
+    tau, sigma are int64 arrays.  Construction levels carry disjoint
+    good/singular boolean masks excluding the level-1 middle block, whose
+    indices keep tau = 0 at every level; gap-grid cells carry no masks.
+    A refined level records its parent and where tau changed against it.
+    Every array is read-only.
     """
 
-    def __init__(self, level, tau, sigma, good_mask, singular_mask,
-                 changed_mask=None, parent: Optional["TauLevel"] = None):
-        self.level = level
-        self.tau = tau
-        self.sigma = sigma
-        self.good_mask = good_mask
-        self.singular_mask = singular_mask
-        self.changed_mask = changed_mask
-        self.parent = parent
-        for arr in (tau, sigma, good_mask, singular_mask):
-            arr.setflags(write=False)
-        if changed_mask is not None:
-            changed_mask.setflags(write=False)
+    level: int
+    tau: np.ndarray
+    sigma: np.ndarray
+    good_mask: Optional[np.ndarray] = None
+    singular_mask: Optional[np.ndarray] = None
+    changed_mask: Optional[np.ndarray] = None
+    parent: Optional["TauLevel"] = None
+
+    def __post_init__(self):
+        for arr in (self.tau, self.sigma, self.good_mask, self.singular_mask,
+                    self.changed_mask):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def modulus(self) -> int:
@@ -119,7 +110,23 @@ class TauLevel:
         M = self.modulus
         span = M // tower.M[0]
         digit = np.arange(M, dtype=np.int64) // span
-        return digit == (tower.M[0] - 1) // 2
+        return digit == tower.middle_index(1)
+
+
+def sigma_of(tower: ModulusTower, n: int, tau):
+    """The induced map sigma(l) = l + tau(l) * P_n (mod M_n)."""
+    M, P = tower.modulus(n), tower.step(n)
+    return (np.arange(M, dtype=np.int64) + tau * P) % M
+
+
+def is_permutation(sigma) -> bool:
+    """Does sigma map 0..M-1 one-to-one onto itself (M = len(sigma))?"""
+    return bool((np.bincount(sigma, minlength=sigma.shape[0]) == 1).all())
+
+
+def _require_permutation(sigma, what: str):
+    if not is_permutation(sigma):
+        raise GrowthTooSmall(f"{what} is not a permutation")
 
 
 def build_tau_level1(tower: ModulusTower) -> TauLevel:
@@ -128,14 +135,13 @@ def build_tau_level1(tower: ModulusTower) -> TauLevel:
     tower.require_level(1)
     M = tower.M[0]
     half = (M - 3) // 2
-    mid = (M - 1) // 2
+    mid = tower.middle_index(1)
     tau = np.zeros(M, dtype=np.int64)
     tau[0] = half
     tau[1 : mid] = -1
     tau[mid] = 0
     tau[mid + 1 : M - 1] = 1
     tau[M - 1] = -half
-    sigma = (np.arange(M, dtype=np.int64) + tau * tower.P[0]) % M
 
     good = np.zeros(M, dtype=bool)
     good[1:mid] = True
@@ -143,40 +149,37 @@ def build_tau_level1(tower: ModulusTower) -> TauLevel:
     singular = np.zeros(M, dtype=bool)
     singular[0] = singular[M - 1] = True
 
-    level = TauLevel(1, tau, sigma, good, singular)
-    _require_permutation(level)
+    level = TauLevel(1, tau, sigma_of(tower, 1, tau), good, singular)
+    _require_permutation(level.sigma, "sigma at level 1")
     bad = _avoidance_violations(tau, tower.step_inverse(1), mid)
     if bad.size:
         raise GrowthTooSmall(f"middle avoidance fails at level 1: {bad[:5]}")
     return level
 
 
-def _require_permutation(level: TauLevel):
-    counts = np.bincount(level.sigma, minlength=level.modulus)
-    if not (counts == 1).all():
-        clash = np.nonzero(counts > 1)[0][:1]
-        src = np.nonzero(level.sigma == clash[0])[0] if clash.size else []
-        raise GrowthTooSmall(
-            f"sigma is not a permutation at level {level.level}; "
-            f"image {clash} hit by {list(src)[:4]}"
-        )
-
-
 def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
-    """Refine a level-(n-1) permutation to level n."""
+    """Refine a level-(n-1) permutation to level n.
+
+    A parent block keeps its step on the interior and re-routes its
+    overflowing boundary sub-blocks onto the gaps at the opposite end of
+    the image block (keep-and-fill), unless it is singular with a strict
+    potential drop, in which case it splits.  A parent without masks (a
+    gap-grid cell) keeps and fills every block and yields a child
+    without masks.
+    """
     n = prev.level + 1
     tower.require_level(n)
     m = tower.primes[n - 1]
     M = tower.M[n - 1]
-    P = tower.P[n - 1]
     Pinv = tower.step_inverse(n)
-    mid = (M - 1) // 2
+    mid = tower.middle_index(n)
     M_prev = tower.M[n - 2]
     phi_prev = phi_level(tower, n - 1).values
 
+    masked = prev.singular_mask is not None
     tau = np.zeros(M, dtype=np.int64)
-    good = np.zeros(M, dtype=bool)
-    singular = np.zeros(M, dtype=bool)
+    good = np.zeros(M, dtype=bool) if masked else None
+    singular = np.zeros(M, dtype=bool) if masked else None
     half_sub = (m - 1) // 2
 
     def fill_gaps(block_lo, srcs, dsts):
@@ -189,7 +192,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
         q = int(prev.sigma[p])
         lo = p * m
         block = slice(lo, lo + m)
-        is_singular_parent = bool(prev.singular_mask[p])
+        is_singular_parent = masked and bool(prev.singular_mask[p])
         dphi = int(phi_prev[q]) - int(phi_prev[p]) if is_singular_parent else 0
 
         if is_singular_parent and dphi < 0:
@@ -198,8 +201,12 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
             )
 
         if not is_singular_parent or dphi == 0:
-            keep_and_fill_block(tau, lo, m, t, q, M, Pinv, mid)
-            if prev.good_mask[p] or is_singular_parent:
+            tau[block] = t
+            if t > 0:
+                fill_gaps(lo, range(m - t, m), range(q * m, q * m + t))
+            elif t < 0:
+                fill_gaps(lo, range(-t), range(q * m + m + t, q * m + m))
+            if masked and (prev.good_mask[p] or is_singular_parent):
                 good[block] = True
             continue
 
@@ -234,9 +241,9 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
 
     changed = tau != np.repeat(prev.tau, m)
 
-    sigma = (np.arange(M, dtype=np.int64) + tau * P) % M
-    level = TauLevel(n, tau, sigma, good, singular, changed, parent=prev)
-    _require_permutation(level)
+    level = TauLevel(n, tau, sigma_of(tower, n, tau), good, singular, changed,
+                     parent=prev)
+    _require_permutation(level.sigma, f"sigma at level {n}")
     bad = _avoidance_violations(tau, Pinv, mid)
     if bad.size:
         raise GrowthTooSmall(
@@ -249,13 +256,14 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:
     """q(l) = phi(l) + psi(sigma(l)) = 1 + phi(l) - phi(sigma(l))."""
     phi = phi_level(tower, level.level).values
-    return StepFunction(level.level, 1 + phi - phi[level.sigma])
+    return StepFunction(level.level, quasi_cost_values(phi, level.sigma))
 
 
 def potential_drop(level: TauLevel, tower: ModulusTower):
     """phi - phi o sigma as an int64 array (quasi-cost minus one)."""
-    phi = phi_level(tower, level.level).values
-    return phi - phi[level.sigma]
+    drop = quasi_cost_values(phi_level(tower, level.level).values, level.sigma)
+    drop -= 1
+    return drop
 
 
 def singular_mass(level: TauLevel, tower: ModulusTower) -> Fraction:
@@ -333,11 +341,11 @@ class LevelReport:
 def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
     n = level.level
     M = level.modulus
-    mid = (M - 1) // 2
-    counts = np.bincount(level.sigma, minlength=M)
-    permutation_ok = bool((counts == 1).all())
+    permutation_ok = is_permutation(level.sigma)
 
-    bad = _avoidance_violations(level.tau, tower.step_inverse(n), mid)
+    bad = _avoidance_violations(
+        level.tau, tower.step_inverse(n), tower.middle_index(n)
+    )
     middle_avoidance_ok = bad.size == 0
 
     if level.parent is not None:

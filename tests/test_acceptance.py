@@ -25,7 +25,6 @@ from otlab.finite_ot import (
 from otlab.gap import (
     build_gap_family,
     gap_demonstration,
-    quasi_cost_of,
     verify_row_map,
     verify_truncated_duality,
 )
@@ -241,7 +240,7 @@ def test_criterion_08_singular_buildup(tower_7c, levels_7c):
 def test_criterion_09_gap_family(tower_5_11, family_5_11, family_5_31):
     for fam in (family_5_11, family_5_31):
         for (n, j), cell in sorted(fam.grid.items()):
-            q = quasi_cost_of(cell.tau, cell.sigma, fam.tower, j)
+            q = quasi_cost(cell, fam.tower).values
             assert int(q.sum()) == cell.modulus
     r2 = verify_row_map(family_5_11, 2, 2)
     assert r2.displacement_max < F(1, 5)

@@ -8,12 +8,11 @@ from otlab.gap import (
     build_gap_family,
     gap_demonstration,
     materialize_cost,
-    quasi_cost_of,
     verify_row_map,
     verify_truncated_duality,
 )
 from otlab.finite_ot import solve_dual, solve_primal
-from otlab.tau import build_tau_level1
+from otlab.tau import TauLevel, build_tau_level1, quasi_cost
 
 
 @pytest.fixture(scope="module")
@@ -41,14 +40,14 @@ def test_seed_quasi_cost_multiset():
     # the sign-flipped seed: zero on the bulk, (M-1)/2 on two blocks
     t = build_tower(7, 1)
     fam = build_gap_family(t, 1)
-    q = quasi_cost_of(fam.cell(1, 1).tau, fam.cell(1, 1).sigma, t, 1)
+    q = quasi_cost(fam.cell(1, 1), t).values
     assert sorted(q.tolist()) == [0, 0, 0, 0, 1, 3, 3]
     assert int(q.sum()) == 7
 
 
 def test_all_cells_mean_one(tower, family):
     for (n, j), cell in sorted(family.grid.items()):
-        q = quasi_cost_of(cell.tau, cell.sigma, tower, j)
+        q = quasi_cost(cell, tower).values
         assert int(q.sum()) == cell.modulus
 
 
@@ -57,10 +56,24 @@ def test_all_cells_permutations(tower, family):
         assert sorted(cell.sigma.tolist()) == list(range(cell.modulus))
 
 
+def test_grid_cells_are_read_only(family, family31):
+    # cells are mask-free TauLevels whose arrays are frozen
+    for fam in (family, family31):
+        for (n, j), cell in sorted(fam.grid.items()):
+            assert cell.good_mask is None and cell.singular_mask is None
+            arrays = [cell.tau, cell.sigma]
+            if n < j:
+                arrays.append(cell.changed_mask)
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
+
+
 def test_stabilization_bound(tower, family):
     # refinement changes tau on at most |tau| <= M_{j-1} children per block
     cell = family.cell(1, 2)
-    counts = cell.changed_from_prev.reshape(5, 11).sum(axis=1)
+    counts = cell.changed_mask.reshape(5, 11).sum(axis=1)
     assert (counts <= 5).all()
 
 
@@ -155,14 +168,12 @@ def test_gap_report_eta_trend_on_grown_tower(family31):
 def test_row_map_negative_control(tower, family):
     import copy
 
-    from otlab.gap import GridCell
-
     cell = family.cell(1, 2)
     tau = cell.tau.copy()
     tau.setflags(write=True)
     tau[3] += 1
     sigma = (np.arange(55, dtype=np.int64) + tau * tower.P[1]) % 55
-    broken = GridCell(row=1, level=2, tau=tau, sigma=sigma)
+    broken = TauLevel(2, tau, sigma)
     fam2 = copy.copy(family)
     fam2.grid = dict(family.grid)
     fam2.grid[(1, 2)] = broken
@@ -190,6 +201,6 @@ def test_diagonal_zero_set_case_count(m1, m2):
     assert t.primes == (m1, m2)
     fam = build_gap_family(t, 2)
     cell = fam.cell(2, 2)
-    q = quasi_cost_of(cell.tau, cell.sigma, t, 2)
+    q = quasi_cost(cell, t).values
     zero_measure = F(int((q == 0).sum()), cell.modulus)
     assert zero_measure == 1 - fam.eta_closed[2]

@@ -1,10 +1,14 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import otlab
 from otlab.cli import main
 from otlab.finite_ot import (
     CostMatrix,
@@ -39,6 +43,12 @@ def test_rle_round_trip():
     rng = random.Random(2)
     vals = [rng.randint(-3, 3) for _ in range(200)]
     assert rle_decode(rle_encode(vals)).tolist() == vals
+
+
+@pytest.mark.parametrize("pairs", [[[1, -3]], [[1, 2.5]], [[1, "2"]], [[1, 2, 3]], [1, 2]])
+def test_rle_decode_rejects_malformed(pairs):
+    with pytest.raises(ValueError):
+        rle_decode(pairs)
 
 
 def test_cli_solve_identity(tmp_path):
@@ -127,6 +137,26 @@ def test_cli_verify_catches_singular_set_tampering(tmp_path):
     runs[1][1] -= 1
     (d / "tau_level_2.json").write_text(json.dumps(tl))
     assert main(["verify", str(d)]) == 1
+
+
+def test_cli_verify_malformed_rle_fails_cleanly(tmp_path):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    tl = json.loads((d / "tau_level_2.json").read_text())
+    tl["good_rle"][0][1] = -3
+    (d / "tau_level_2.json").write_text(json.dumps(tl))
+    src = str(Path(otlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-m", "otlab.cli", "verify", str(d)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        "level 2: malformed good_rle: RLE run length -3 is negative"
+    ]
 
 
 BAD_INSTANCES = {
