@@ -1,15 +1,20 @@
-"""SHA-256 pins of the `construct` artifacts.
+"""SHA-256 pins of the `construct` artifacts and the `gap` reports.
 
-The digests were taken from the per-element writers that predate the
-vectorised ones, so a writer change that alters a single byte of any
-artifact fails here.
+The construct digests were taken from the per-element writers that
+predate the vectorised ones, and the gap digests from the bisection over
+dense-simplex feasibility probes that predates the closed-form
+separation radius, so a change that alters a single byte of any
+artifact or report fails here.
 """
 
 import hashlib
 
 import pytest
 
+from otlab import serialize
+from otlab.circle import build_tower
 from otlab.cli import main
+from otlab.gap import build_gap_family, gap_demonstration
 
 DIGESTS = {
     "5_11": {
@@ -46,3 +51,20 @@ def test_construct_artifact_digests(tmp_path, tower):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in d.iterdir()
     }
     assert got == DIGESTS[tower]
+
+
+# sha256 of serialize.dumps(gap_demonstration(family, 2, 2)) at jmax = 2;
+# the (5, 11) tower is the default one, (5, 31) needs a growth floor
+GAP_DIGESTS = {
+    "5_11": (None, "9ffc0b0e0bf5541340009bcf1f41169f28826ba490e8ac729fb6b370da4f3b74"),
+    "5_31": ([31], "04291e91c4218932e88d64d8892f4e1449171e08c44250e8d378bb6d8786dc08"),
+}
+
+
+@pytest.mark.parametrize("tower", sorted(GAP_DIGESTS))
+def test_gap_report_digests(tower):
+    floor, digest = GAP_DIGESTS[tower]
+    t = build_tower(5, 2, growth_floor=floor)
+    assert "_".join(map(str, t.primes)) == tower
+    text = serialize.dumps(gap_demonstration(build_gap_family(t, 2), 2, 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
