@@ -238,11 +238,11 @@ class HalfCirclePartition:
 
     @property
     def left_range(self) -> range:
-        return range(0, (self.modulus - 1) // 2)
+        return range(0, self.middle)
 
     @property
     def right_range(self) -> range:
-        return range((self.modulus + 1) // 2, self.modulus)
+        return range(self.middle + 1, self.modulus)
 
     def weight(self, index: int) -> int:
         """+1 on L^n, 0 on the middle interval, -1 on R^n."""

@@ -171,27 +171,56 @@ def cmd_gap(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _saved_level_failures(path: str, level) -> list:
+    """Failed checks of the saved tau_level JSON at path against a fresh
+    build of its level, one line each."""
+    n = level.level
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            saved = json.load(fh)
+    except ValueError as e:
+        return [f"level {n}: unreadable {os.path.basename(path)}: {e}"]
+    failures = []
+    for key, fresh, what in (
+        ("tau_rle", level.tau, "tau"),
+        ("good_rle", level.good_mask, "good set"),
+        ("singular_rle", level.singular_mask, "singular set"),
+    ):
+        try:
+            stored = serialize.rle_decode(saved[key])
+        except KeyError:
+            failures.append(f"level {n}: missing {key}")
+        except (TypeError, ValueError) as e:
+            failures.append(f"level {n}: malformed {key}: {e}")
+        else:
+            if not np.array_equal(stored, fresh):
+                failures.append(f"level {n}: {what} differs from a fresh build")
+    return failures
+
+
 def cmd_verify(args) -> int:
     """Rebuild the construction from the saved tower and compare the
     saved tau vectors and index sets cell by cell, then re-run the level
     invariant checks."""
     outdir = args.artifacts
     try:
-        with open(os.path.join(outdir, "tower.json"), "r", encoding="utf-8") as fh:
-            tw = json.load(fh)
-    except OSError as e:
-        _progress(f"cannot read artifacts: {e}")
-        return EXIT_USAGE
-    try:
         cap = circle.default_search_cap()
     except ValueError as e:
         _progress(str(e))
         return EXIT_USAGE
-    primes = tw["primes"]
-    floors = primes[1:]  # rebuild with each saved prime as its own floor
-    tower = circle.build_tower(
-        primes[0], len(primes), growth_floor=floors or None, search_cap=cap
-    )
+    try:
+        with open(os.path.join(outdir, "tower.json"), "r", encoding="utf-8") as fh:
+            primes = json.load(fh)["primes"]
+        floors = primes[1:]  # rebuild with each saved prime as its own floor
+        tower = circle.build_tower(
+            primes[0], len(primes), growth_floor=floors or None, search_cap=cap
+        )
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as e:
+        _progress(f"cannot read artifacts: {e}")
+        return EXIT_USAGE
+    except circle.SearchCapExceeded as e:
+        _progress(f"construction failed: {e}")
+        return EXIT_CONSTRUCTION
     if list(tower.primes) != primes:
         _progress(f"tower mismatch: rebuilt {tower.primes} vs saved {primes}")
         return EXIT_FAIL
@@ -200,28 +229,15 @@ def cmd_verify(args) -> int:
     levels = []
     failures = []
     while os.path.exists(os.path.join(outdir, f"tau_level_{n}.json")):
-        with open(
-            os.path.join(outdir, f"tau_level_{n}.json"), "r", encoding="utf-8"
-        ) as fh:
-            saved = json.load(fh)
         level = (
             tau.build_tau_level1(tower)
             if n == 1
             else tau.extend_tau(levels[-1], tower)
         )
         levels.append(level)
-        for key, fresh, what in (
-            ("tau_rle", level.tau, "tau"),
-            ("good_rle", level.good_mask, "good set"),
-            ("singular_rle", level.singular_mask, "singular set"),
-        ):
-            try:
-                stored = serialize.rle_decode(saved[key])
-            except ValueError as e:
-                failures.append(f"level {n}: malformed {key}: {e}")
-                continue
-            if not np.array_equal(stored, fresh):
-                failures.append(f"level {n}: {what} differs from a fresh build")
+        failures += _saved_level_failures(
+            os.path.join(outdir, f"tau_level_{n}.json"), level
+        )
         report = tau.verify_level(level, tower)
         if not report.hard_invariants_ok:
             failures.append(f"level {n}: invariant check failed: {report}")

@@ -25,7 +25,6 @@ from .types import (
     Marginals,
     NegativeEpsilon,
     NoFinitePlan,
-    PartialPlan,
     TransportPlan,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "Marginals",
     "TransportPlan",
     "DualPair",
-    "PartialPlan",
     "FiniteOTError",
     "InfeasibleMarginals",
     "NoFinitePlan",

@@ -27,29 +27,35 @@ def _is_neg(a):
 
 def _perfect_finite_matching(ext_cost, n):
     """Kuhn's algorithm on the finite cells of a square instance; None
-    when no perfect finite matching exists."""
-    import sys
-
+    when no perfect finite matching exists.  The augmenting-path search
+    is a depth-first search on an explicit stack of (row, column
+    iterator) frames."""
     adj = [[j for j in range(n) if ext_cost[i][j][0] == 0] for i in range(n)]
     match_col = [-1] * n
 
-    def augment(i, seen):
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_col[j] < 0 or augment(match_col[j], seen):
-                    match_col[j] = i
-                    return True
+    def augment(root, seen):
+        frames = [(root, iter(adj[root]))]
+        via = []  # via[t]: the column frame t went through to frame t+1
+        while frames:
+            for j in frames[-1][1]:
+                if not seen[j]:
+                    seen[j] = True
+                    via.append(j)
+                    if match_col[j] < 0:
+                        for (i, _), jj in zip(frames, via):
+                            match_col[jj] = i
+                        return True
+                    frames.append((match_col[j], iter(adj[match_col[j]])))
+                    break
+            else:
+                frames.pop()
+                if via:
+                    via.pop()
         return False
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 2 * n + 200))  # path depth is <= n
-    try:
-        for i in range(n):
-            if not augment(i, [False] * n):
-                return None
-    finally:
-        sys.setrecursionlimit(limit)
+    for i in range(n):
+        if not augment(i, [False] * n):
+            return None
     return match_col
 
 

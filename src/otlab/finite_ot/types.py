@@ -116,19 +116,7 @@ class Marginals:
         return sum(self.nu, Fraction(0))
 
 
-class _PlanEntries:
-    """Row and column sums of a plan's `entries` table of Fractions."""
-
-    __slots__ = ()
-
-    def row_sums(self):
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
-
-    def col_sums(self):
-        return tuple(sum(col, Fraction(0)) for col in zip(*self.entries))
-
-
-class TransportPlan(_PlanEntries):
+class TransportPlan:
     """Nonnegative matrix with prescribed marginals and its exact cost."""
 
     __slots__ = ("entries", "value")
@@ -144,6 +132,12 @@ class TransportPlan(_PlanEntries):
     @property
     def n_cols(self):
         return len(self.entries[0])
+
+    def row_sums(self):
+        return tuple(sum(row, Fraction(0)) for row in self.entries)
+
+    def col_sums(self):
+        return tuple(sum(col, Fraction(0)) for col in zip(*self.entries))
 
     def support(self):
         return {
@@ -180,18 +174,3 @@ class DualPair:
             if self.phi[i] + self.psi[j] > cost[i, j]:
                 return False
         return True
-
-
-class PartialPlan(_PlanEntries):
-    """Sub-coupling: row sums <= mu and column sums <= nu."""
-
-    __slots__ = ("entries", "mass")
-
-    def __init__(self, entries):
-        self.entries = tuple(tuple(as_fraction(v) for v in row) for row in entries)
-        self.mass = sum((v for row in self.entries for v in row), Fraction(0))
-
-    def dominated_by(self, marg: Marginals) -> bool:
-        return all(r <= m for r, m in zip(self.row_sums(), marg.mu)) and all(
-            c <= m for c, m in zip(self.col_sums(), marg.nu)
-        )

@@ -12,6 +12,12 @@ row; together with the identity and the one-step rotation they carry the
 finite costs whose primal and dual values are exactly one at every
 truncation, while the witness transports make the relaxed values
 collapse in the limit.
+
+The separation radius beta of a cheap partial plan (mass >= 2/3, cost
+<= 1/2) is the largest radius inside which the plan has no completion.
+The plan uses each row and each column at most once, so a completion is
+a perfect matching of its free rows onto its free columns, and beta*M_j
+is the bottleneck of that circular matching.
 """
 
 from __future__ import annotations
@@ -23,14 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .circle import ModulusTower, phi_level, quasi_cost_values
-from .finite_ot import (
-    CostMatrix,
-    Marginals,
-    NoFinitePlan,
-    PartialPlan,
-    solve_dual,
-    solve_primal,
-)
+from .finite_ot import CostMatrix, Marginals, solve_dual, solve_primal
 from .rational import INF, format_rational
 from .tau import (
     GrowthTooSmall,
@@ -253,45 +252,26 @@ def materialize_cost(family: GapFamily, M_graphs: int, j: int) -> TruncatedCost:
     )
 
 
-def _circle_far_cost(Mj: int, radius: int):
-    """0 on cells with circle distance < radius (in index units), INF
-    elsewhere; the feasibility instrument for near-diagonal completions."""
-    entries = []
-    for a in range(Mj):
-        row = []
-        for b in range(Mj):
-            d = abs(a - b)
-            d = min(d, Mj - d)
-            row.append(Fraction(0) if d < radius else INF)
-        entries.append(row)
-    return CostMatrix(entries)
-
-
-def _completion_feasible(partial: PartialPlan, marg: Marginals, radius: int) -> bool:
-    """Does a partial transport extend to full marginals using only
-    cells within the given circle radius?"""
-    mu = [m - r for m, r in zip(marg.mu, partial.row_sums())]
-    nu = [m - c for m, c in zip(marg.nu, partial.col_sums())]
-    cost = _circle_far_cost(len(mu), radius)
-    try:
-        solve_primal(cost, Marginals(mu, nu))
-        return True
-    except NoFinitePlan:
-        return False
-
-
-def _plan_from_cells(cells, Mj: int) -> PartialPlan:
-    w = Fraction(1, Mj)
-    entries = [[ZERO] * Mj for _ in range(Mj)]
-    for (i, jj) in cells:
-        entries[i][jj] = w
-    return PartialPlan(entries)
+def _separation_radius(free_rows, free_cols, Mj: int) -> int:
+    """Bottleneck of the circle matching of the free rows onto the free
+    columns: the least, over perfect matchings, largest circle distance
+    (index units) of a matched pair; 0 when nothing is free.  A cyclic
+    shift of the two sorted lists attains it (Werman, Peleg, Melter and
+    Kong, J. Algorithms 7, 1986)."""
+    rows = np.sort(np.asarray(free_rows, dtype=np.int64))
+    cols = np.sort(np.asarray(free_cols, dtype=np.int64))
+    best = 0 if rows.size == 0 else Mj
+    for k in range(rows.size):
+        d = np.abs(rows - np.roll(cols, k))
+        best = min(best, int(np.minimum(d, Mj - d).max()))
+    return best
 
 
 def _cheap_partial_plans(family: GapFamily, trunc: TruncatedCost):
     """Greedy partial plans of mass >= 2/3 and cost <= 1/2 assembled from
     the zero-cost cells of the finite graphs, topped up with diagonal
-    mass; two row orders give two samples."""
+    mass; two row orders give two samples.  Each plan is a list of cells
+    carrying mass 1/Mj, paired with its cost."""
     Mj = trunc.cost.n_rows
     w = Fraction(1, Mj)
     zero_cells = [
@@ -316,10 +296,10 @@ def _cheap_partial_plans(family: GapFamily, trunc: TruncatedCost):
                 used_rows.add(i)
                 used_cols.add(i)
                 cost += w
-        plans.append((_plan_from_cells(cells, Mj), cost))
+        plans.append((cells, cost))
     # the full diagonal plan: mass 1 at cost 1, fails the cost gate and
     # is carried along so the report shows it excluded
-    plans.append((_plan_from_cells([(i, i) for i in range(Mj)], Mj), Fraction(1)))
+    plans.append(([(i, i) for i in range(Mj)], Fraction(1)))
     return plans
 
 
@@ -346,26 +326,24 @@ def verify_truncated_duality(family: GapFamily, M_graphs: int, j: int) -> Separa
 
     samples = []
     thresholds = []
-    for partial, cost in _cheap_partial_plans(family, trunc):
-        assert partial.dominated_by(trunc.marginals)
-        if not (partial.mass >= Fraction(2, 3) and cost <= Fraction(1, 2)):
-            samples.append({"mass": partial.mass, "cost": cost, "excluded": True})
+    everything = np.arange(Mj)
+    for cells, cost in _cheap_partial_plans(family, trunc):
+        rows = np.array([i for i, _ in cells], dtype=np.int64)
+        cols = np.array([jj for _, jj in cells], dtype=np.int64)
+        # each row and column is used at most once, so every residual
+        # marginal is 0 or 1/Mj and a completion is a perfect matching
+        if not np.unique(rows).size == np.unique(cols).size == len(cells):
+            raise AssertionError("a partial plan uses a row or column twice")
+        mass = Fraction(len(cells), Mj)
+        if not (mass >= Fraction(2, 3) and cost <= Fraction(1, 2)):
+            samples.append({"mass": mass, "cost": cost, "excluded": True})
             continue
-        # binary search for the largest radius with NO feasible
-        # completion (feasibility is monotone in the radius)
-        lo, hi = 1, Mj // 2 + 1
-        best_sep = 0
-        while lo < hi:
-            mid_r = (lo + hi) // 2
-            if _completion_feasible(partial, trunc.marginals, mid_r):
-                hi = mid_r
-            else:
-                best_sep = mid_r
-                lo = mid_r + 1
-        beta = Fraction(best_sep, Mj)
-        samples.append(
-            {"mass": partial.mass, "cost": cost, "beta": beta, "excluded": False}
-        )
+        # the largest radius with NO completion inside circle distance
+        # < radius is the matching bottleneck itself
+        free_rows = np.setdiff1d(everything, rows)
+        free_cols = np.setdiff1d(everything, cols)
+        beta = Fraction(_separation_radius(free_rows, free_cols, Mj), Mj)
+        samples.append({"mass": mass, "cost": cost, "beta": beta, "excluded": False})
         thresholds.append(beta)
 
     return SeparationReport(

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,13 +7,22 @@ import pytest
 
 from otlab.circle import build_tower
 from otlab.gap import (
+    _cheap_partial_plans,
+    _separation_radius,
     build_gap_family,
     gap_demonstration,
     materialize_cost,
     verify_row_map,
     verify_truncated_duality,
 )
-from otlab.finite_ot import solve_dual, solve_primal
+from otlab.finite_ot import (
+    CostMatrix,
+    Marginals,
+    NoFinitePlan,
+    solve_dual,
+    solve_primal,
+)
+from otlab.rational import INF
 from otlab.tau import TauLevel, build_tau_level1, quasi_cost
 
 
@@ -204,3 +215,79 @@ def test_diagonal_zero_set_case_count(m1, m2):
     q = quasi_cost(cell, t).values
     zero_measure = F(int((q == 0).sum()), cell.modulus)
     assert zero_measure == 1 - fam.eta_closed[2]
+
+
+def _circle_distance(a, b, Mj):
+    d = abs(a - b)
+    return min(d, Mj - d)
+
+
+def _bisected_radius(cells, Mj):
+    """Largest radius with no completion of the partial plan (mass 1/Mj
+    on each cell) inside circle distance < radius: a bisection over
+    dense-simplex feasibility probes, feasibility being monotone in the
+    radius."""
+    w = F(1, Mj)
+    mu, nu = [w] * Mj, [w] * Mj
+    for i, jj in cells:
+        mu[i] -= w
+        nu[jj] -= w
+
+    def feasible(radius):
+        cost = CostMatrix(
+            [
+                [F(0) if _circle_distance(a, b, Mj) < radius else INF for b in range(Mj)]
+                for a in range(Mj)
+            ]
+        )
+        try:
+            solve_primal(cost, Marginals(mu, nu))
+            return True
+        except NoFinitePlan:
+            return False
+
+    lo, hi = 1, Mj // 2 + 1
+    best = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            best = mid
+            lo = mid + 1
+    return best
+
+
+@pytest.mark.parametrize("M_graphs", [1, 2])
+def test_separation_radius_matches_bisection(family, M_graphs):
+    trunc = materialize_cost(family, M_graphs, 2)
+    Mj = trunc.cost.n_rows
+    plans = _cheap_partial_plans(family, trunc)
+    assert len(plans) == 3
+    for cells, _ in plans:
+        free_rows = sorted(set(range(Mj)) - {i for i, _ in cells})
+        free_cols = sorted(set(range(Mj)) - {jj for _, jj in cells})
+        assert _separation_radius(free_rows, free_cols, Mj) == _bisected_radius(cells, Mj)
+
+
+def _brute_bottleneck(rows, cols, Mj):
+    return min(
+        max((_circle_distance(a, b, Mj) for a, b in zip(rows, perm)), default=0)
+        for perm in itertools.permutations(cols)
+    )
+
+
+def test_separation_radius_matches_brute_force():
+    rng = random.Random(20260418)
+    cases = [([], [], 1), ([], [], 9), ([4], [4], 9), ([0, 3, 5], [0, 3, 5], 7)]
+    for _ in range(400):
+        Mj = rng.randint(1, 40)
+        n = rng.randint(0, min(6, Mj))
+        rows = rng.sample(range(Mj), n)
+        cols = list(rows) if rng.random() < 0.1 else rng.sample(range(Mj), n)
+        cases.append((rows, cols, Mj))
+    for rows, cols, Mj in cases:
+        expected = _brute_bottleneck(rows, cols, Mj)
+        assert _separation_radius(rows, cols, Mj) == expected, (rows, cols, Mj)
+        if rows == cols:
+            assert expected == 0

@@ -139,24 +139,64 @@ def test_cli_verify_catches_singular_set_tampering(tmp_path):
     assert main(["verify", str(d)]) == 1
 
 
+def _verify_in_child(d):
+    src = str(Path(otlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "otlab.cli", "verify", str(d)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_cli_verify_malformed_rle_fails_cleanly(tmp_path):
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
     tl = json.loads((d / "tau_level_2.json").read_text())
     tl["good_rle"][0][1] = -3
     (d / "tau_level_2.json").write_text(json.dumps(tl))
-    src = str(Path(otlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-m", "otlab.cli", "verify", str(d)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    out = _verify_in_child(d)
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
     assert out.stderr.splitlines() == [
         "level 2: malformed good_rle: RLE run length -3 is negative"
     ]
+
+
+def _truncate(text):
+    return text[: len(text) // 2]
+
+
+def _drop_good_rle(text):
+    saved = json.loads(text)
+    del saved["good_rle"]
+    return json.dumps(saved)
+
+
+# file, rewrite of its text, exit code, start of the one stderr line
+BAD_ARTIFACTS = {
+    "tower_truncated": ("tower.json", _truncate, 2, "cannot read artifacts: "),
+    "tower_not_json": ("tower.json", lambda t: "primes: 5, 11", 2, "cannot read artifacts: "),
+    "tower_no_primes": ("tower.json", lambda t: "{}", 2, "cannot read artifacts: "),
+    "tower_prime_not_int": (
+        "tower.json", lambda t: '{"primes": [5, "x"]}', 2, "cannot read artifacts: "
+    ),
+    "level_no_good_rle": ("tau_level_2.json", _drop_good_rle, 1, "level 2: "),
+    "level_truncated": ("tau_level_2.json", _truncate, 1, "level 2: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
+def test_cli_verify_bad_artifacts_fail_cleanly(tmp_path, case):
+    name, rewrite, code, prefix = BAD_ARTIFACTS[case]
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    (d / name).write_text(rewrite((d / name).read_text()))
+    out = _verify_in_child(d)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == code
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
 
 
 BAD_INSTANCES = {

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from otlab.finite_ot import (
     solve_dual,
     solve_primal,
 )
+from otlab.finite_ot import simplex
 from otlab.rational import INF
 
 
@@ -154,3 +156,89 @@ def test_slackness_dimension_mismatch():
     plan = solve_primal(cost, Marginals.uniform(2))
     with pytest.raises(DimensionMismatch):
         check_complementary_slackness(plan, DualPair([0], [0]), cost)
+
+
+def _recursive_kuhn(ext_cost, n):
+    """The recursive augmenting-path form of Kuhn's algorithm, kept as
+    the oracle for the explicit-stack search in the simplex start."""
+    adj = [[j for j in range(n) if ext_cost[i][j][0] == 0] for i in range(n)]
+    match_col = [-1] * n
+
+    def augment(i, seen):
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_col[j] < 0 or augment(match_col[j], seen):
+                    match_col[j] = i
+                    return True
+        return False
+
+    for i in range(n):
+        if not augment(i, [False] * n):
+            return None
+    return match_col
+
+
+def _chain_ext(n):
+    """Row i < n-1 is finite on columns i and i+1, row n-1 only on column
+    0: the last row's augmenting path runs through every earlier row."""
+    fin, inf = (0, F(0)), (1, F(0))
+    ext = [[inf] * n for _ in range(n)]
+    for i in range(n - 1):
+        ext[i][i] = ext[i][i + 1] = fin
+    ext[n - 1][0] = fin
+    return ext
+
+
+def test_matching_agrees_with_recursive_kuhn():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        p = rng.choice([0.2, 0.4, 0.7])
+        ext = [
+            [(0 if rng.random() < p else 1, F(0)) for _ in range(n)]
+            for _ in range(n)
+        ]
+        assert simplex._perfect_finite_matching(ext, n) == _recursive_kuhn(ext, n)
+    ext = _chain_ext(9)
+    assert simplex._perfect_finite_matching(ext, 9) == _recursive_kuhn(ext, 9)
+
+
+def test_matching_deeper_than_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    match_col = simplex._perfect_finite_matching(_chain_ext(n), n)
+    assert match_col == [n - 1] + list(range(n - 1))
+
+
+def test_matching_start_leaves_recursion_limit_alone(monkeypatch):
+    # the matching start must not touch process-global interpreter state
+    n = 10
+    rng = random.Random(3)
+    chain = _chain_ext(n)
+    cost = CostMatrix(
+        [
+            [F(rng.randint(0, 9)) if chain[i][j][0] == 0 or rng.random() < 0.3 else INF
+             for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    marg = Marginals.uniform(n)
+    starts = []
+    matching_start = simplex._matching_start
+
+    def recording_start(*args):
+        starts.append(matching_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(simplex, "_matching_start", recording_start)
+
+    def refuse(limit):
+        raise AssertionError("sys.setrecursionlimit called")
+
+    with monkeypatch.context() as m:
+        m.setattr(sys, "setrecursionlimit", refuse)
+        plan = solve_primal(cost, marg)
+    assert starts and starts[-1] is not None
+    monkeypatch.setattr(simplex, "_perfect_finite_matching", _recursive_kuhn)
+    reference = solve_primal(cost, marg)
+    assert plan.entries == reference.entries and plan.value == reference.value
