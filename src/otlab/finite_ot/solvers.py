@@ -1,9 +1,17 @@
 """Primal/dual transport solves and their certificates.
 
-The primal runs on the transportation simplex; the dual is recovered as
-strong-monotonicity potentials of the optimal support, which makes the
-support equality (complementary slackness) exact by construction.  The
-budgeted relaxed dual is a general-form exact LP.
+Both run one transportation simplex on the rows and columns with positive
+mass.  The simplex pivots on integers (finite costs and masses scaled by
+the LCMs of their denominators, an INF cell encoded as an integer BIG
+above every finite part a reduced cost can reach, so the integer order is
+the lexicographic (inf_units, finite) order) and hands back the plan and
+its optimal tree potentials in exact Fractions.  The dual is those tree
+potentials, extended to zero-mass rows and columns by a c-transform; only
+when the optimal tree crosses an INF cell, so that a potential carries an
+infinity unit, does it fall back to the strong-monotonicity potentials of
+the optimal support.  Either way the potentials are checked exactly:
+feasible on every finite cell, with the plan's value.  The budgeted
+relaxed dual is a general-form exact LP.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .types import (
 )
 
 ZERO = Fraction(0)
+_INF_PAIR = (1, ZERO)  # one shared (inf_units, finite) pair for every INF cell
 
 
 def _check_dims(cost: CostMatrix, marg: Marginals):
@@ -37,8 +46,10 @@ def _check_dims(cost: CostMatrix, marg: Marginals):
         )
 
 
-def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
-    """Exactly optimal plan; InfeasibleMarginals / NoFinitePlan on failure."""
+def _solve(cost: CostMatrix, marg: Marginals):
+    """The optimal plan, and the optimal tree potentials of the rows and
+    columns with positive mass as (inf_units, Fraction) pairs keyed by
+    their index; InfeasibleMarginals / NoFinitePlan on failure."""
     _check_dims(cost, marg)
     if marg.total_mu() != marg.total_nu():
         raise InfeasibleMarginals(
@@ -49,32 +60,73 @@ def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
     rows = [i for i, v in enumerate(marg.mu) if v > 0]
     cols = [j for j, v in enumerate(marg.nu) if v > 0]
     full = [[ZERO] * cost.n_cols for _ in range(cost.n_rows)]
-    if rows and cols:
-        ext = [
-            [(1, ZERO) if is_inf(cost[i, j]) else (0, cost[i, j]) for j in cols]
-            for i in rows
-        ]
-        supply = [marg.mu[i] for i in rows]
-        demand = [marg.nu[j] for j in cols]
-        flow, value, _, _ = solve_transport(ext, supply, demand)
-        if value[0] > 0:
-            raise NoFinitePlan("every admissible plan meets an infinite cost cell")
-        for (a, b), f in flow.items():
-            if f > 0:
-                full[rows[a]][cols[b]] = f
-        total = value[1]
-    else:
-        total = ZERO
-    return TransportPlan(full, total)
+    if not (rows and cols):
+        return TransportPlan(full, ZERO), {}, {}
+    ext = [
+        [_INF_PAIR if is_inf(cost[i, j]) else (0, cost[i, j]) for j in cols]
+        for i in rows
+    ]
+    supply = [marg.mu[i] for i in rows]
+    demand = [marg.nu[j] for j in cols]
+    flow, value, u, v = solve_transport(ext, supply, demand)
+    if value[0] > 0:
+        raise NoFinitePlan("every admissible plan meets an infinite cost cell")
+    for (a, b), f in flow.items():
+        if f > 0:
+            full[rows[a]][cols[b]] = f
+    return TransportPlan(full, value[1]), dict(zip(rows, u)), dict(zip(cols, v))
+
+
+def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
+    """Exactly optimal plan; InfeasibleMarginals / NoFinitePlan on failure."""
+    return _solve(cost, marg)[0]
+
+
+def _c_transform_fill(cost: CostMatrix, phi, psi):
+    """Give the rows and columns the solve dropped (zero mass, None here)
+    the largest potentials feasible against the others: columns first,
+    against the solved rows, then rows, against every column."""
+    m, n = cost.n_rows, cost.n_cols
+    for j in range(n):
+        if psi[j] is None:
+            psi[j] = min(
+                (cost[i, j] - phi[i] for i in range(m)
+                 if phi[i] is not None and not is_inf(cost[i, j])),
+                default=ZERO,
+            )
+    for i in range(m):
+        if phi[i] is None:
+            phi[i] = min(
+                (cost[i, j] - psi[j] for j in range(n) if not is_inf(cost[i, j])),
+                default=ZERO,
+            )
 
 
 def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
-    """Optimal potentials; value equals the primal value exactly."""
-    plan = solve_primal(cost, marg)
-    support = sorted(plan.support())
-    pair = strong_monotone_potentials(support, cost)
-    if pair is None:  # the optimal support is always cyclically monotone
-        raise AssertionError("optimal support failed the monotonicity check")
+    """Optimal potentials; value equals the primal value exactly.
+
+    One simplex solve gives the plan and its optimal tree potentials.
+    When no tree potential carries an infinity unit (the optimal tree
+    uses finite cells only), they are the dual solution, extended to
+    zero-mass rows and columns by a c-transform.  Otherwise the
+    potentials come from `strong_monotone_potentials` on the optimal
+    support.  Either way they are checked exactly: phi+psi <= c on every
+    finite cell and a value equal to the plan value.
+    """
+    plan, u, v = _solve(cost, marg)
+    if any(p[0] for p in u.values()) or any(p[0] for p in v.values()):
+        pair = strong_monotone_potentials(sorted(plan.support()), cost)
+        if pair is None:  # the optimal support is always cyclically monotone
+            raise AssertionError("optimal support failed the monotonicity check")
+        phi, psi = pair.phi, pair.psi
+    else:
+        phi = [u[i][1] if i in u else None for i in range(cost.n_rows)]
+        psi = [v[j][1] if j in v else None for j in range(cost.n_cols)]
+        _c_transform_fill(cost, phi, psi)
+    for i, j in cost.finite_cells():
+        if phi[i] + psi[j] > cost[i, j]:
+            raise AssertionError(f"potentials infeasible at cell {(i, j)}")
+    pair = DualPair(phi, psi)
     value = pair.pair_value(marg)
     if value != plan.value:
         raise AssertionError(f"duality gap {plan.value - value} in exact solver")
@@ -98,8 +150,9 @@ def check_complementary_slackness(
 ) -> SlacknessReport:
     """List cells breaking pi > 0 => phi+psi = c, and infeasible cells.
 
-    Both lists empty iff plan and potentials are simultaneously optimal
-    (given each is feasible on its own).
+    A charged INF cell is a support violation: no finite potentials are
+    tight on it.  Both lists empty iff plan and potentials are
+    simultaneously optimal (given each is feasible on its own).
     """
     if plan.n_rows != cost.n_rows or plan.n_cols != cost.n_cols:
         raise DimensionMismatch("plan does not fit cost matrix")
@@ -107,12 +160,17 @@ def check_complementary_slackness(
         raise DimensionMismatch("potentials do not fit cost matrix")
     support_bad = []
     feas_bad = []
-    for i, j in cost.finite_cells():
-        s = cost[i, j] - duals.phi[i] - duals.psi[j]
-        if s < 0:
-            feas_bad.append((i, j))
-        elif s > 0 and plan.entries[i][j] > 0:
-            support_bad.append((i, j))
+    for i, row in enumerate(cost.entries):
+        for j, c in enumerate(row):
+            if is_inf(c):
+                if plan.entries[i][j] > 0:
+                    support_bad.append((i, j))
+                continue
+            s = c - duals.phi[i] - duals.psi[j]
+            if s < 0:
+                feas_bad.append((i, j))
+            elif s > 0 and plan.entries[i][j] > 0:
+                support_bad.append((i, j))
     return SlacknessReport(support_bad, feas_bad)
 
 
@@ -183,7 +241,9 @@ def fenchel_value(f, g, cost: CostMatrix):
     """Minimal transport cost between prescribed margins f, g (or INF).
 
     Infeasibility (unequal totals, or no finite-cost coupling) is encoded
-    as +INF per the convex-analysis convention; never raises.
+    as +INF per the convex-analysis convention.  Only malformed margins
+    raise: DimensionMismatch when they do not fit the cost matrix, and
+    ValueError when an entry is negative.
     """
     marg = Marginals(f, g)
     if marg.total_mu() != marg.total_nu():

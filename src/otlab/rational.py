@@ -2,7 +2,9 @@
 
 Everything downstream (solvers, constructions, reports) works in
 `fractions.Fraction`; infinity is the singleton `INF`, never a large
-sentinel number.  Serialization is the canonical "p/q" form with q > 0
+sentinel number.  Inside the transport simplex alone an INF cell is
+encoded exactly as an integer larger than any finite part a reduced cost
+can reach (see `finite_ot.simplex`); nothing encoded leaves the solver.  Serialization is the canonical "p/q" form with q > 0
 and gcd(p, q) = 1, so byte-identical inputs give byte-identical outputs.
 """
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -242,3 +243,271 @@ def test_matching_start_leaves_recursion_limit_alone(monkeypatch):
     monkeypatch.setattr(simplex, "_perfect_finite_matching", _recursive_kuhn)
     reference = solve_primal(cost, marg)
     assert plan.entries == reference.entries and plan.value == reference.value
+
+
+# --- the integer simplex against the Fraction simplex and networkx ---
+
+import fraction_simplex  # noqa: E402  (tests/fraction_simplex.py)
+from otlab.finite_ot import DualPair, solvers  # noqa: E402
+
+
+def _ext(cost):
+    return [
+        [(1, F(0)) if v is INF else (0, v) for v in row] for row in cost.entries
+    ]
+
+
+def _oracle_instances(seed):
+    """Seeded (cost, marginals, kind) triples: uniform square instances
+    (the matching start), with and without INF cells, non-uniform and
+    rectangular ones (the north-west start), and zero-mass rows and
+    columns."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(160):
+        kind = ("uniform", "uniform_inf", "nonuniform", "nonuniform_inf", "zero_mass")[k % 5]
+        m = rng.randint(1, 9)
+        n = m if kind.startswith("uniform") else rng.randint(1, 9)
+        p_inf = 0.3 if kind.endswith("inf") or kind == "zero_mass" else 0.0
+        cost = CostMatrix(
+            [
+                [INF if rng.random() < p_inf else F(rng.randint(0, 40), rng.randint(1, 4))
+                 for _ in range(n)]
+                for _ in range(m)
+            ]
+        )
+        if kind.startswith("uniform"):
+            marg = Marginals.uniform(n)
+        else:
+            low = 0 if kind == "zero_mass" else 1
+            mu = [F(rng.randint(low, 9), rng.randint(1, 3)) for _ in range(m)]
+            nu = [F(rng.randint(low, 9)) for _ in range(n)]
+            if sum(mu) == 0 or sum(nu) == 0:
+                mu[0] += 1
+                nu[-1] += 1
+            nu = [v * sum(mu) / sum(nu) for v in nu]
+            marg = Marginals(mu, nu)
+        out.append((cost, marg, kind))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_simplex_matches_fraction_simplex(seed):
+    starts = {"matching": 0, "north_west": 0}
+    for cost, marg, kind in _oracle_instances(seed):
+        if kind == "zero_mass":
+            continue
+        ext = _ext(cost)
+        supply, demand = list(marg.mu), list(marg.nu)
+        if simplex._matching_start(ext, supply, demand) is None:
+            starts["north_west"] += 1
+        else:
+            starts["matching"] += 1
+        flow, value, u, v = simplex.solve_transport(ext, supply, demand)
+        ref_flow, ref_value, ref_u, ref_v = fraction_simplex.solve_transport(ext, supply, demand)
+        assert flow == ref_flow
+        assert value == ref_value
+        assert u == ref_u and v == ref_v
+    assert starts["matching"] >= 20 and starts["north_west"] >= 20
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_primal_plans_match_fraction_simplex(seed, monkeypatch):
+    """Whole solve_primal, zero-mass elimination and NoFinitePlan
+    included, with either simplex underneath."""
+    instances = _oracle_instances(seed)
+    plans = []
+    for cost, marg, _ in instances:
+        try:
+            plans.append(solve_primal(cost, marg))
+        except NoFinitePlan:
+            plans.append(None)
+    monkeypatch.setattr(solvers, "solve_transport", fraction_simplex.solve_transport)
+    infeasible = 0
+    for (cost, marg, kind), plan in zip(instances, plans):
+        try:
+            ref = solve_primal(cost, marg)
+        except NoFinitePlan:
+            assert plan is None
+            infeasible += 1
+            continue
+        assert plan is not None
+        assert plan.entries == ref.entries and plan.value == ref.value
+    assert 0 < infeasible < len(instances) // 2
+
+
+def _network_simplex_value(cost, marg):
+    """networkx's min-cost flow on the finite cells, costs and masses
+    scaled to integers; None when no finite plan exists."""
+    nx = pytest.importorskip("networkx")
+
+    cost_scale = math.lcm(*(v.denominator for row in cost.entries for v in row if v is not INF))
+    mass_scale = math.lcm(*(x.denominator for x in marg.mu + marg.nu))
+    g = nx.DiGraph()
+    for i, x in enumerate(marg.mu):
+        g.add_node(("r", i), demand=-int(x * mass_scale))
+    for j, x in enumerate(marg.nu):
+        g.add_node(("c", j), demand=int(x * mass_scale))
+    for i, j in cost.finite_cells():
+        g.add_edge(("r", i), ("c", j), weight=int(cost[i, j] * cost_scale))
+    try:
+        flow_cost, _ = nx.network_simplex(g)
+    except nx.NetworkXUnfeasible:
+        return None
+    return F(flow_cost, cost_scale * mass_scale)
+
+
+@pytest.mark.parametrize("n", [3, 8, 16, 40])
+def test_values_match_networkx_network_simplex(n):
+    rng = random.Random(500 + n)
+    for k in range(6 if n < 40 else 1):
+        p_inf = (0.0, 0.4, 0.85)[k % 3]
+        cost = CostMatrix(
+            [
+                [INF if rng.random() < p_inf else F(rng.randint(0, 60), rng.randint(1, 6))
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        )
+        if k % 2:
+            mu = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+            nu = [F(rng.randint(1, 9)) for _ in range(n)]
+            nu = [v * sum(mu) / sum(nu) for v in nu]
+            marg = Marginals(mu, nu)
+        else:
+            marg = Marginals.uniform(n)
+        expected = _network_simplex_value(cost, marg)
+        if expected is None:
+            with pytest.raises(NoFinitePlan):
+                solve_primal(cost, marg)
+            continue
+        plan = solve_primal(cost, marg)
+        assert plan.value == expected
+        assert plan.check_marginals(marg)
+        assert all(cost.is_finite(i, j) for i, j in plan.support())
+
+
+# --- solve_dual: tree potentials from the one solve ---
+
+
+def _assert_certified(cost, marg, pair):
+    plan = solve_primal(cost, marg)
+    for i, j in cost.finite_cells():
+        assert pair.phi[i] + pair.psi[j] <= cost[i, j], (i, j)
+    for i, j in plan.support():
+        assert pair.phi[i] + pair.psi[j] == cost[i, j], (i, j)
+    assert pair.value == pair.pair_value(marg) == plan.value
+    assert check_complementary_slackness(plan, pair, cost).passed
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("unexpected call")
+
+
+def test_solve_dual_zero_mass_rows_and_columns(monkeypatch):
+    cost = CostMatrix([[1, 2, INF], [3, 0, 5], [INF, 1, 1]])
+    marg = Marginals([0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)])
+    monkeypatch.setattr(solvers, "strong_monotone_potentials", _refuse)
+    pair = solve_dual(cost, marg)
+    monkeypatch.undo()
+    assert pair.value == 2
+    _assert_certified(cost, marg, pair)
+
+
+def test_solve_dual_zero_mass_seeded():
+    instances = [(c, m) for c, m, kind in _oracle_instances(4) if kind == "zero_mass"]
+    checked = 0
+    for cost, marg in instances:
+        if 0 not in marg.mu and 0 not in marg.nu:
+            continue
+        try:
+            pair = solve_dual(cost, marg)
+        except NoFinitePlan:
+            continue
+        _assert_certified(cost, marg, pair)
+        checked += 1
+    assert checked >= 10
+
+
+def _tree_crosses_inf(cost, marg):
+    _, u, v = solvers._solve(cost, marg)
+    return any(p[0] for p in u.values()) or any(p[0] for p in v.values())
+
+
+def test_solve_dual_falls_back_when_the_tree_crosses_an_inf_cell(monkeypatch):
+    rng = random.Random(8)
+    fallbacks = []
+    smp = solvers.strong_monotone_potentials
+
+    def recording(support, cost):
+        fallbacks.append(support)
+        return smp(support, cost)
+
+    monkeypatch.setattr(solvers, "strong_monotone_potentials", recording)
+    crossing = 0
+    while crossing < 8:
+        n = rng.randint(2, 7)
+        cost = CostMatrix(
+            [[INF if rng.random() < 0.5 else F(rng.randint(0, 9)) for _ in range(n)]
+             for _ in range(n)]
+        )
+        marg = Marginals.uniform(n)
+        try:
+            crosses = _tree_crosses_inf(cost, marg)
+        except NoFinitePlan:
+            continue
+        before = len(fallbacks)
+        pair = solve_dual(cost, marg)
+        assert len(fallbacks) == before + crosses
+        crossing += crosses
+        _assert_certified(cost, marg, pair)
+
+
+def test_solve_dual_runs_one_simplex_and_no_primal_solve(monkeypatch):
+    calls = []
+    transport = solvers.solve_transport
+
+    def counting(*args):
+        calls.append(1)
+        return transport(*args)
+
+    monkeypatch.setattr(solvers, "solve_primal", _refuse)
+    monkeypatch.setattr(solvers, "solve_transport", counting)
+    rng = random.Random(9)
+    pairs = []
+    for n in range(1, 9):
+        cost = random_cost(rng, n)
+        marg = Marginals.uniform(n)
+        pairs.append((cost, marg, solve_dual(cost, marg)))
+    assert len(calls) == len(pairs)
+    monkeypatch.undo()
+    for cost, marg, pair in pairs:
+        _assert_certified(cost, marg, pair)
+
+
+def test_solve_dual_on_finite_costs_skips_the_monotonicity_fallback(monkeypatch):
+    monkeypatch.setattr(solvers, "strong_monotone_potentials", _refuse)
+    rng = random.Random(10)
+    pairs = []
+    for k in range(30):
+        n = 2 + k % 8
+        cost = random_cost(rng, n)
+        mu = [F(rng.randint(1, 9)) for _ in range(n)]
+        nu = [F(rng.randint(1, 9)) for _ in range(n)]
+        nu = [v * sum(mu) / sum(nu) for v in nu]
+        marg = Marginals(mu, nu) if k % 2 else Marginals.uniform(n)
+        pairs.append((cost, marg, solve_dual(cost, marg)))
+    monkeypatch.undo()
+    for cost, marg, pair in pairs:
+        _assert_certified(cost, marg, pair)
+
+
+def test_slackness_reports_charged_inf_cells():
+    cost = CostMatrix([[0, INF], [INF, 0]])
+    anti = TransportPlan([[0, F(1, 2)], [F(1, 2), 0]], 0)
+    report = check_complementary_slackness(anti, DualPair([0, 0], [0, 0]), cost)
+    assert not report.passed
+    assert report.support_violations == ((0, 1), (1, 0))
+    assert report.feasibility_violations == ()
+    diag = TransportPlan([[F(1, 2), 0], [0, F(1, 2)]], 0)
+    assert check_complementary_slackness(diag, DualPair([0, 0], [0, 0]), cost).passed
