@@ -12,6 +12,7 @@ correspond to k_j = digit_j(l) + 1 in mixed radix (m_1, ..., m_n).
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from functools import lru_cache
@@ -315,28 +316,73 @@ class StepFunction:
     def integral(self) -> Fraction:
         return Fraction(int(self.values.sum(dtype=np.int64)), self.modulus)
 
-    def to_csv(self) -> str:
-        """Plot-ready rows: index, left_endpoint, value (exact strings).
-
-        Row l reads "l,p/q,v/1" with p/q = l/M in lowest terms (0/1 at
-        l = 0), the canonical form of `format_rational`.
-        """
+    def write_csv(self, fh):
+        """Write the plot-ready rows to the binary file fh, one index
+        chunk at a time (see `csv_blocks`)."""
         M = self.modulus
-        parts = ["index,left_endpoint,value\n"]
-        for lo in range(0, M, _CSV_CHUNK):
-            l = np.arange(lo, min(lo + _CSV_CHUNK, M), dtype=np.int64)
-            g = np.gcd(l, M)
-            rows = _render_rows(
-                (l, l // g, M // g, self.values[lo : lo + len(l)]),
-                (b",", b"/", b",", b"/1\n"),
-            )
-            parts.append(str(rows.data, "ascii"))
-        return "".join(parts)
+        chunks = ((lo, self.values[lo:hi]) for lo, hi in index_chunks(M))
+        for block in csv_blocks(M, chunks):
+            fh.write(block)
+
+    def to_csv(self) -> str:
+        """The text `write_csv` writes, as one string."""
+        buf = io.BytesIO()
+        self.write_csv(buf)
+        return buf.getvalue().decode("ascii")
 
 
-# Rows per pass of to_csv: a chunk's character planes (about 30 bytes a
-# row) stay in cache while _render_rows reads them back row by row.
-_CSV_CHUNK = 1 << 15
+# Indices per chunk of every level-sized pass: a chunk's int64 temporaries
+# and the character planes of its CSV rows (about 30 bytes a row) stay in
+# cache, and no pass holds a level-sized temporary.
+_CHUNK = 1 << 15
+
+
+def index_chunks(M: int):
+    """Consecutive index ranges (lo, hi) of at most _CHUNK indices that
+    cover 0..M-1 in order."""
+    step = _CHUNK
+    for lo in range(0, M, step):
+        yield lo, min(lo + step, M)
+
+
+_CSV_HEADER = b"index,left_endpoint,value\n"
+
+
+def csv_blocks(M: int, chunks):
+    """Bytes of the plot-ready CSV of a level step function on Z/MZ: the
+    header, then one block of rows per (lo, values) chunk.
+
+    Row l reads "l,p/q,v/1" with p/q = l/M in lowest terms (0/1 at
+    l = 0), the canonical form of `format_rational`; the chunks must
+    cover 0..M-1 in order.
+    """
+    yield _CSV_HEADER
+    powers = _prime_powers(M)
+    for lo, values in chunks:
+        l = np.arange(lo, lo + len(values), dtype=np.int64)
+        g = np.ones(len(l), dtype=np.int64)  # gcd(l, M), one pass per p^k | M
+        for p, pk in powers:
+            g[l % pk == 0] *= p
+        rows = _render_rows((l, l // g, M // g, values), (b",", b"/", b",", b"/1\n"))
+        yield rows.tobytes()
+
+
+@lru_cache(maxsize=16)
+def _prime_powers(M: int) -> tuple:
+    """(p, p^k) for every prime power p^k > 1 dividing M, by trial
+    division; a tower modulus has one per prime of the tower."""
+    out, rest, p = [], M, 2
+    while p * p <= rest:
+        pk = p
+        while rest % p == 0:
+            rest //= p
+            out.append((p, pk))
+            pk *= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        out.append((rest, rest))
+    return tuple(out)
+
 
 # 10^1 .. 10^18: an int64 magnitude m has 1 + #{p : p <= m} digits.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -356,45 +402,50 @@ def _render_rows(columns, seps) -> np.ndarray:
         if c.min() == np.iinfo(np.int64).min:
             raise OverflowError("int64 minimum has no int64 magnitude")
         mag = np.abs(c)
-        ndigits = 1 + np.searchsorted(_POW10, mag, side="right")
-        fields.append((c < 0, mag, ndigits, int(ndigits.max())))
+        D = 1 + int(np.searchsorted(_POW10, mag.max(), side="right"))
+        fields.append((c < 0, mag, D))
     slots = sum(1 + D + len(sep) for (*_, D), sep in zip(fields, seps))
     text = np.empty((slots, len(columns[0])), dtype=np.uint8)
     used = np.ones(text.shape, dtype=bool)
     off = 0
-    for (neg, mag, ndigits, D), sep in zip(fields, seps):
+    for (neg, mag, D), sep in zip(fields, seps):
         text[off] = ord("-")
         used[off] = neg
-        for k in range(D):  # k-th digit from the right
-            q = mag // 10
-            np.add(mag - 10 * q, ord("0"), out=text[off + D - k], casting="unsafe")
-            np.greater(ndigits, k, out=used[off + D - k])
-            mag = q
+        for k in range(D):  # k-th digit from the right; mag = |c| // 10^k
+            if k:
+                np.greater(mag, 0, out=used[off + D - k])
+            mag, digit = np.divmod(mag, 10)
+            np.add(digit, ord("0"), out=text[off + D - k], casting="unsafe")
         off += 1 + D
         text[off : off + len(sep)] = np.frombuffer(sep, dtype=np.uint8)[:, None]
         off += len(sep)
     return text.T[used.T]
 
 
-def _orbit_weights(tower: ModulusTower, n: int):
-    """Orbit order arrays: index at step i, and the L/R weight there."""
+def _orbit_weights(tower: ModulusTower, n: int, lo: int, hi: int):
+    """Orbit steps lo..hi-1: the index at step i, and the L/R weight
+    there (+1 on L^n, 0 on the middle interval, -1 on R^n)."""
     M = tower.modulus(n)
-    P = tower.step(n)
-    mid = tower.middle_index(n)
-    orbit = (np.arange(M, dtype=np.int64) * P) % M
-    w = np.where(orbit < mid, 1, np.where(orbit == mid, 0, -1)).astype(np.int64)
-    return orbit, w
+    orbit = np.arange(lo, hi, dtype=np.int64)
+    orbit *= tower.step(n)
+    orbit %= M
+    return orbit, np.sign(tower.middle_index(n) - orbit)
 
 
 @lru_cache(maxsize=16)
 def _phi_values(tower: ModulusTower, n: int):
-    orbit, w = _orbit_weights(tower, n)
+    """phi at the orbit index of step i is the sum of the weights of
+    steps 0..i-1, accumulated chunk by chunk with a carry."""
     M = tower.modulus(n)
-    partial = np.empty(M, dtype=np.int64)
-    partial[0] = 0
-    np.cumsum(w[:-1], out=partial[1:])
     phi = np.empty(M, dtype=np.int64)
-    phi[orbit] = partial
+    carry = 0
+    for lo, hi in index_chunks(M):
+        orbit, w = _orbit_weights(tower, n, lo, hi)
+        partial = np.cumsum(w)
+        partial -= w
+        partial += carry
+        phi[orbit] = partial
+        carry = int(partial[-1] + w[-1])
     phi.setflags(write=False)
     return phi
 
@@ -425,10 +476,11 @@ def one_step_quasi_cost(tower: ModulusTower, n: int, phi: Optional[StepFunction]
     return StepFunction(n, quasi_cost_values(phi.values, idx))
 
 
-def quasi_cost_values(phi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def quasi_cost_values(phi: np.ndarray, sigma: np.ndarray, lo: int = 0) -> np.ndarray:
     """1 + phi - phi o sigma: the quasi-cost phi(l) + psi(sigma(l)) of the
-    index map sigma under the pair (phi, psi = 1 - phi), as a fresh array."""
-    q = phi - phi[sigma]
+    index map sigma under the pair (phi, psi = 1 - phi), as a fresh array.
+    sigma may be the chunk of the map on indices lo, lo+1, ..."""
+    q = phi[lo : lo + len(sigma)] - phi[sigma]
     q += 1
     return q
 
@@ -492,7 +544,7 @@ def verify_oscillations(tower: ModulusTower, n: int) -> OscillationReport:
     visit_balance_bound = None
     if n == 2:
         # windowed orbit sums over m_2 - 2 steps, all starting points
-        _, w = _orbit_weights(tower, n)
+        _, w = _orbit_weights(tower, n, 0, M)
         S = np.concatenate([[0], np.cumsum(np.concatenate([w, w]))])
         k = m_n - 2
         D = S[k : k + M] - S[:M]

@@ -19,22 +19,75 @@ from typing import Optional
 import numpy as np
 
 from .circle import ModulusTower, phi_level, quasi_cost_values
-from .tau import TauLevel, quasi_cost, refinement_deviation, singular_ledger
+from .tau import (
+    LedgerSums,
+    SingularLedger,
+    TauLevel,
+    fold_quasi_cost,
+    quasi_cost,
+    refinement_deviation,
+    singular_ledger,
+)
 
 ZERO = Fraction(0)
 
 
-def _one_step_cost(tower: ModulusTower, n: int):
-    """Level-n cost on the one-step graph: 0 on L^n, 2 on middle u R^n.
+def _one_step_cost(tower: ModulusTower, n: int, lo: int = 0, hi: Optional[int] = None):
+    """Level-n cost on the one-step graph at indices lo..hi-1 (default
+    all): 0 on L^n, 2 on middle u R^n.
 
     The middle interval straddles the half point; it is grouped with the
     2-valued side so the bound is the weaker of its two limit values.
     """
-    M = tower.modulus(n)
-    mid = tower.middle_index(n)
-    c = np.full(M, 2, dtype=np.int64)
-    c[:mid] = 0
-    return c
+    hi = tower.modulus(n) if hi is None else hi
+    idx = np.arange(lo, hi, dtype=np.int64)
+    return np.where(idx < tower.middle_index(n), 0, 2)
+
+
+def _correction(level: TauLevel, tower: ModulusTower, phi, lo: int, q):
+    """phi_raw - phi_corrected at indices lo..lo+len(q)-1: the positive
+    parts of the constraint excess of (phi, psi = 1 - phi) on the
+    diagonal, the one-step graph and the constructed graph."""
+    n = level.level
+    hi = lo + len(q)
+    ph = phi[lo:hi]
+    term_diag = np.maximum(ph + (1 - ph) - 1, 0)
+    rot = np.arange(lo, hi, dtype=np.int64)
+    rot += tower.step(n)
+    rot %= level.modulus
+    pair_rot = ph + (1 - phi[rot])
+    term_rot = np.maximum(pair_rot - _one_step_cost(tower, n, lo, hi), 0)
+    pair_tau = ph + (1 - phi[level.sigma[lo:hi]])
+    term_tau = np.maximum(pair_tau - q, 0)
+    return term_diag + term_rot + term_tau
+
+
+class _CorrectionSums:
+    """Chunk sums of the correction and of the corrected pair; fills
+    phi_corrected when given an array for it."""
+
+    def __init__(self, level: TauLevel, tower: ModulusTower, phi_corrected=None):
+        self.level = level
+        self.tower = tower
+        self.phi = phi_level(tower, level.level).values
+        self.phi_corrected = phi_corrected
+        self.correction = 0
+        self.pair = 0
+
+    def add(self, lo: int, q):
+        hi = lo + len(q)
+        ph = self.phi[lo:hi]
+        corr = _correction(self.level, self.tower, self.phi, lo, q)
+        phi_corr = ph - corr
+        if self.phi_corrected is not None:
+            self.phi_corrected[lo:hi] = phi_corr
+        self.correction += int(corr.sum(dtype=np.int64))
+        self.pair += int(phi_corr.sum(dtype=np.int64)) + int((1 - ph).sum(dtype=np.int64))
+
+    def result(self):
+        """(dual value, correction norm)."""
+        M = self.level.modulus
+        return Fraction(self.pair, M), Fraction(self.correction, M)
 
 
 @dataclass
@@ -57,22 +110,9 @@ class DualPairLevel:
 
 def corrected_pair(level: TauLevel, tower: ModulusTower) -> DualPairLevel:
     n = level.level
-    M = level.modulus
-    P = tower.step(n)
     phi = phi_level(tower, n).values
-    psi = 1 - phi
-
-    idx = np.arange(M, dtype=np.int64)
-    term_diag = np.maximum(phi + psi - 1, 0)
-    pair_rot = phi + psi[(idx + P) % M]
-    term_rot = np.maximum(pair_rot - _one_step_cost(tower, n), 0)
-    q = quasi_cost(level, tower).values
-    pair_tau = phi + psi[level.sigma]
-    term_tau = np.maximum(pair_tau - q, 0)
-
-    correction = term_diag + term_rot + term_tau
-    phi_corr = phi - correction
-    norm = Fraction(int(correction.sum(dtype=np.int64)), M)
+    phi_corr = np.empty_like(phi)
+    _, norm = fold_quasi_cost(level, tower, _CorrectionSums(level, tower, phi_corr))[0]
 
     drift = None
     if n < tower.depth:
@@ -81,7 +121,7 @@ def corrected_pair(level: TauLevel, tower: ModulusTower) -> DualPairLevel:
     return DualPairLevel(
         level=n,
         phi_raw=phi,
-        psi=psi,
+        psi=1 - phi,
         phi_corrected=phi_corr,
         correction_norm=norm,
         good_deviation=singular_ledger(level, tower).good_deviation,
@@ -176,41 +216,70 @@ def default_delta_grid(M: int):
     return grid or [Fraction(2, M)]
 
 
+class _DiagnosticSums:
+    """Chunk sums of the singular build-up diagnostic; only the negative
+    entries of q are kept, and sorted once at the end."""
+
+    def __init__(self, level: TauLevel, delta_grid=None):
+        self.level = level
+        self.delta_grid = delta_grid
+        self.negatives = [np.zeros(0, dtype=np.int64)]
+        self.plus = self.minus = 0
+
+    def add(self, lo: int, q):
+        self.negatives.append(q[q < 0])
+        self.plus += int(np.where(q > 1, q - 1, 0).sum(dtype=np.int64))
+        self.minus += int(np.where(q < 1, 1 - q, 0).sum(dtype=np.int64))
+
+    def result(self) -> SingularDiagnostic:
+        M = self.level.modulus
+        neg = np.sort(np.concatenate(self.negatives))
+        prefix = np.concatenate([[0], np.cumsum(neg, dtype=np.int64)])
+        grid = self.delta_grid if self.delta_grid is not None else default_delta_grid(M)
+        sup = {}
+        for d in grid:
+            dM = Fraction(d) * M
+            k = int(dM) - 1 if dM.denominator == 1 else int(dM)  # largest k/M < d
+            k = min(max(k, 0), len(neg))  # only negative entries help
+            sup[Fraction(d)] = Fraction(-int(prefix[k]), M)
+        return SingularDiagnostic(
+            level=self.level.level,
+            negative_mass=Fraction(int(prefix[-1]), M),
+            carrier_measure=Fraction(len(neg), M),
+            singular_set_measure=Fraction(int(np.count_nonzero(self.level.singular_mask)), M),
+            small_set_sup=sup,
+            mass_balance_ok=self.plus == self.minus,
+        )
+
+
 def singular_buildup(levels, tower: ModulusTower, delta_grid=None):
     """Per level: the negative mass of the quasi-cost, the measure of its
     carrier, and the greedy small-set suprema of -<(phi+psi)1_A, pi_tau>
     over sets of measure < delta."""
     out = []
     for level in levels:
-        M = level.modulus
-        q = quasi_cost(level, tower).values
-        neg = np.where(q < 0, q, 0)
-        negative_mass = Fraction(int(neg.sum(dtype=np.int64)), M)
-        carrier = Fraction(int((q < 0).sum()), M)
-        sing_meas = Fraction(int(level.singular_mask.sum()), M)
-
-        plus = int(np.where(q > 1, q - 1, 0).sum(dtype=np.int64))
-        minus = int(np.where(q < 1, 1 - q, 0).sum(dtype=np.int64))
-        balance_ok = plus == minus
-
-        grid = delta_grid if delta_grid is not None else default_delta_grid(M)
-        q_sorted = np.sort(q)
-        prefix = np.concatenate([[0], np.cumsum(q_sorted, dtype=np.int64)])
-        sup = {}
-        n_neg = int((q_sorted < 0).sum())
-        for d in grid:
-            dM = Fraction(d) * M
-            k = int(dM) - 1 if dM.denominator == 1 else int(dM)  # largest k/M < d
-            k = min(max(k, 0), n_neg)  # only negative entries help
-            sup[Fraction(d)] = Fraction(-int(prefix[k]), M)
-        out.append(
-            SingularDiagnostic(
-                level=level.level,
-                negative_mass=negative_mass,
-                carrier_measure=carrier,
-                singular_set_measure=sing_meas,
-                small_set_sup=sup,
-                mass_balance_ok=balance_ok,
-            )
-        )
+        level.require_masks("singular_buildup")
+        out += fold_quasi_cost(level, tower, _DiagnosticSums(level, delta_grid))
     return out
+
+
+@dataclass
+class LevelScalars:
+    """The per-level numbers `construct` records and `verify` re-checks."""
+
+    ledger: SingularLedger
+    diagnostic: SingularDiagnostic
+    dual_value: Fraction
+    correction_norm: Fraction
+
+
+def level_scalars(level: TauLevel, tower: ModulusTower) -> LevelScalars:
+    """The ledger, the singular diagnostic (default delta grid), and the
+    dual value and correction norm of the corrected pair, from one
+    chunked pass over the quasi-cost."""
+    level.require_masks("level_scalars")
+    ledger, diagnostic, (value, norm) = fold_quasi_cost(
+        level, tower,
+        LedgerSums(level, tower), _DiagnosticSums(level), _CorrectionSums(level, tower),
+    )
+    return LevelScalars(ledger, diagnostic, value, norm)

@@ -12,32 +12,43 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import ModulusTower
+from .circle import ModulusTower, index_chunks
 from .rational import format_rational
 from .tau import TauLevel
 
 
 def rle_encode(values) -> list:
-    """[[value, run_length], ...] over the sequence, as Python ints."""
-    a = np.asarray(values, dtype=np.int64)
+    """[[value, run_length], ...] over the sequence, as Python ints; run
+    starts are found one index chunk at a time."""
+    a = np.asarray(values)
     if a.size == 0:
         return []
-    starts = np.concatenate(([0], np.flatnonzero(a[1:] != a[:-1]) + 1))
+    starts = [np.zeros(1, dtype=np.int64)]
+    for lo, hi in index_chunks(a.size - 1):  # a[i + 1] against a[i]
+        starts.append(np.flatnonzero(a[lo + 1 : hi + 1] != a[lo:hi]) + (lo + 1))
+    starts = np.concatenate(starts)
     lengths = np.diff(starts, append=a.size)
-    return np.stack([a[starts], lengths], axis=1).tolist()
+    return np.stack([a[starts].astype(np.int64), lengths], axis=1).tolist()
 
 
-def rle_decode(pairs) -> np.ndarray:
-    """Inverse of rle_encode; ValueError unless pairs is a list of
-    [value, run_length] integer pairs with non-negative run lengths."""
+def rle_pairs(pairs) -> np.ndarray:
+    """The RLE as a (runs, 2) int64 array; ValueError unless pairs is a
+    list of [value, run_length] integer pairs with non-negative run
+    lengths."""
     if not pairs:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros((0, 2), dtype=np.int64)
     a = np.asarray(pairs)
     if a.dtype.kind != "i" or a.ndim != 2 or a.shape[1] != 2:
         raise ValueError("RLE must be a list of [value, run_length] integer pairs")
     if (a[:, 1] < 0).any():
         raise ValueError(f"RLE run length {int(a[:, 1].min())} is negative")
-    return np.repeat(a[:, 0].astype(np.int64), a[:, 1])
+    return a.astype(np.int64)
+
+
+def rle_decode(pairs) -> np.ndarray:
+    """Inverse of rle_encode; ValueError as `rle_pairs`."""
+    a = rle_pairs(pairs)
+    return np.repeat(a[:, 0], a[:, 1])
 
 
 def tower_to_dict(tower: ModulusTower) -> dict:
@@ -71,6 +82,16 @@ def ledger_to_dict(ledger) -> dict:
         "good_deviation": format_rational(ledger.good_deviation),
         "change_measure": format_rational(ledger.change_measure),
     }
+
+
+def artifact_json(obj) -> str:
+    """Text of a JSON artifact file (tower, tau level, ledger)."""
+    return dumps(obj) + "\n"
+
+
+def diagnostics_jsonl(records) -> str:
+    """Text of diagnostics.jsonl: one sorted-key JSON line per level."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def diagnostic_to_dict(diag, dual_value: Fraction, correction_norm: Fraction) -> dict:

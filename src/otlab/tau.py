@@ -27,7 +27,14 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import ModulusTower, StepFunction, phi_level, quasi_cost_values
+from .circle import (
+    ModulusTower,
+    StepFunction,
+    csv_blocks,
+    index_chunks,
+    phi_level,
+    quasi_cost_values,
+)
 
 
 class GrowthTooSmall(Exception):
@@ -52,12 +59,17 @@ def _avoidance_step(M: int, Pinv: int, mid: int, src: int, dst: int) -> int:
 def _avoidance_violations(tau, P_inv: int, mid: int):
     """Indices whose stored orbit (i = 0..tau or tau..0) hits the middle."""
     M = tau.shape[0]
-    idx = np.arange(M, dtype=np.int64)
-    istar = ((mid - idx) * P_inv) % M
-    pos = (tau > 0) & (istar <= tau)
-    neg = (tau < 0) & (istar >= M + tau)
-    zero_mid = (tau != 0) & (idx == mid)
-    return np.nonzero(pos | neg | zero_mid)[0]
+    bad = [np.zeros(0, dtype=np.int64)]
+    for lo, hi in index_chunks(M):
+        t = tau[lo:hi]
+        istar = mid - np.arange(lo, hi, dtype=np.int64)  # orbit step onto mid
+        istar *= P_inv
+        istar %= M
+        hit = ((t > 0) & (istar <= t)) | ((t < 0) & (istar >= M + t))
+        if lo <= mid < hi and t[mid - lo] != 0:
+            hit[mid - lo] = True
+        bad.append(np.flatnonzero(hit) + lo)
+    return np.concatenate(bad)
 
 
 @dataclass
@@ -99,29 +111,52 @@ class TauLevel:
     def modulus(self) -> int:
         return int(self.tau.shape[0])
 
+    def require_masks(self, what: str):
+        """ValueError unless this level carries the good/singular masks of
+        a construction level (gap-grid cells carry none)."""
+        missing = [k for k in ("good_mask", "singular_mask") if getattr(self, k) is None]
+        if missing:
+            raise ValueError(
+                f"{what} needs a construction level; this level-{self.level} "
+                f"permutation has no {' and no '.join(missing)}"
+            )
+
     def good_indices(self):
         return np.nonzero(self.good_mask)[0]
 
     def singular_indices(self):
         return np.nonzero(self.singular_mask)[0]
 
-    def middle1_mask(self, tower: ModulusTower):
-        """Indices below the level-1 middle block."""
-        M = self.modulus
-        span = M // tower.M[0]
-        digit = np.arange(M, dtype=np.int64) // span
-        return digit == tower.middle_index(1)
+    def middle1_block(self, tower: ModulusTower) -> slice:
+        """Indices below the level-1 middle interval, a contiguous block."""
+        span = self.modulus // tower.M[0]
+        mid1 = tower.middle_index(1)
+        return slice(mid1 * span, (mid1 + 1) * span)
 
 
 def sigma_of(tower: ModulusTower, n: int, tau):
     """The induced map sigma(l) = l + tau(l) * P_n (mod M_n)."""
     M, P = tower.modulus(n), tower.step(n)
-    return (np.arange(M, dtype=np.int64) + tau * P) % M
+    sigma = np.empty(M, dtype=np.int64)
+    for lo, hi in index_chunks(M):
+        s = sigma[lo:hi]
+        np.multiply(tau[lo:hi], P, out=s)
+        s += np.arange(lo, hi, dtype=np.int64)
+        s %= M
+    return sigma
 
 
 def is_permutation(sigma) -> bool:
-    """Does sigma map 0..M-1 one-to-one onto itself (M = len(sigma))?"""
-    return bool((np.bincount(sigma, minlength=sigma.shape[0]) == 1).all())
+    """Does sigma map 0..M-1 one-to-one onto itself (M = len(sigma))?
+    M images inside 0..M-1 that reach every index are one-to-one."""
+    M = sigma.shape[0]
+    seen = np.zeros(M, dtype=bool)
+    for lo, hi in index_chunks(M):
+        s = sigma[lo:hi]
+        if s.min() < 0 or s.max() >= M:
+            return False
+        seen[s] = True
+    return bool(seen.all())
 
 
 def _require_permutation(sigma, what: str):
@@ -239,7 +274,8 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
         good[lo + good_subs] = True
         singular[lo + sing_subs] = True
 
-    changed = tau != np.repeat(prev.tau, m)
+    changed = np.empty(M, dtype=bool)
+    np.not_equal(tau.reshape(M_prev, m), prev.tau[:, None], out=changed.reshape(M_prev, m))
 
     level = TauLevel(n, tau, sigma_of(tower, n, tau), good, singular, changed,
                      parent=prev)
@@ -253,25 +289,113 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     return level
 
 
+def quasi_cost_chunks(level: TauLevel, tower: ModulusTower):
+    """(lo, q[lo:hi]) over the index chunks of the level, for the
+    quasi-cost q = 1 + phi - phi o sigma; no level-sized array is made."""
+    phi = phi_level(tower, level.level).values
+    for lo, hi in index_chunks(level.modulus):
+        yield lo, quasi_cost_values(phi, level.sigma[lo:hi], lo)
+
+
+def fold_quasi_cost(level: TauLevel, tower: ModulusTower, *sums):
+    """One pass over the quasi-cost chunks of the level: every chunk goes
+    to each accumulator's add(lo, q); returns their result()s in order."""
+    for lo, q in quasi_cost_chunks(level, tower):
+        for s in sums:
+            s.add(lo, q)
+    return [s.result() for s in sums]
+
+
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:
     """q(l) = phi(l) + psi(sigma(l)) = 1 + phi(l) - phi(sigma(l))."""
-    phi = phi_level(tower, level.level).values
-    return StepFunction(level.level, quasi_cost_values(phi, level.sigma))
+    values = np.empty(level.modulus, dtype=np.int64)
+    for lo, q in quasi_cost_chunks(level, tower):
+        values[lo : lo + len(q)] = q
+    return StepFunction(level.level, values)
+
+
+def quasi_cost_csv(level: TauLevel, tower: ModulusTower):
+    """Byte blocks of the level's quasi-cost CSV artifact, chunk by chunk."""
+    return csv_blocks(level.modulus, quasi_cost_chunks(level, tower))
 
 
 def potential_drop(level: TauLevel, tower: ModulusTower):
     """phi - phi o sigma as an int64 array (quasi-cost minus one)."""
-    drop = quasi_cost_values(phi_level(tower, level.level).values, level.sigma)
+    drop = quasi_cost(level, tower).values
     drop -= 1
     return drop
+
+
+def _changed_per_parent(level: TauLevel, tower: ModulusTower):
+    """Number of changed children of each parent index."""
+    m = tower.primes[level.level - 1]
+    return level.changed_mask.reshape(-1, m).sum(axis=1)
+
+
+class LedgerSums:
+    """Chunk sums of the singular ledger: the potential drop q - 1 over
+    the singular set and |1 - drop| over the good set."""
+
+    def __init__(self, level: TauLevel, tower: ModulusTower):
+        self.level = level
+        self.tower = tower
+        self.singular_drop = 0
+        self.good_dev = 0
+
+    def add(self, lo: int, q):
+        hi = lo + len(q)
+        drop = q - 1
+        self.singular_drop += int(
+            drop[self.level.singular_mask[lo:hi]].sum(dtype=np.int64)
+        )
+        self.good_dev += int(
+            np.abs(1 - drop[self.level.good_mask[lo:hi]]).sum(dtype=np.int64)
+        )
+
+    def result(self) -> SingularLedger:
+        level = self.level
+        M = level.modulus
+        n_changed = 0
+        if level.changed_mask is not None and level.parent is not None:
+            ch = _changed_per_parent(level, self.tower)
+            n_changed = int(ch[level.parent.good_mask].sum())
+        return SingularLedger(
+            level=level.level,
+            singular_mass=Fraction(self.singular_drop, M),
+            good_deviation=Fraction(self.good_dev, M),
+            change_measure=Fraction(n_changed, M),
+        )
+
+
+class _RefinementSums:
+    """Chunk sums of |drop - parent drop| over the children of good
+    parents (zero without a parent)."""
+
+    def __init__(self, level: TauLevel, tower: ModulusTower):
+        self.level = level
+        self.total = 0
+        if level.parent is not None:
+            self.m = tower.primes[level.level - 1]
+            self.parent_drop = potential_drop(level.parent, tower)
+
+    def add(self, lo: int, q):
+        parent = self.level.parent
+        if parent is None:
+            return
+        parent_of = np.arange(lo, lo + len(q), dtype=np.int64) // self.m
+        gp = parent.good_mask[parent_of]
+        diff = q[gp] - 1 - self.parent_drop[parent_of[gp]]
+        self.total += int(np.abs(diff).sum(dtype=np.int64))
+
+    def result(self) -> Fraction:
+        return Fraction(self.total, self.level.modulus)
 
 
 def singular_mass(level: TauLevel, tower: ModulusTower) -> Fraction:
     """Exact total of (phi - phi o sigma)/M over the singular set;
     -1 + 3/M_1 at level 1."""
-    drop = potential_drop(level, tower)
-    total = int(drop[level.singular_mask].sum(dtype=np.int64))
-    return Fraction(total, level.modulus)
+    level.require_masks("singular_mass")
+    return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0].singular_mass
 
 
 def refinement_deviation(level: TauLevel, tower: ModulusTower) -> Fraction:
@@ -280,30 +404,12 @@ def refinement_deviation(level: TauLevel, tower: ModulusTower) -> Fraction:
     sub-blocks, and of order M^2/m at level 2."""
     if level.parent is None:
         return Fraction(0)
-    m = tower.primes[level.level - 1]
-    drop = potential_drop(level, tower)
-    parent_drop = potential_drop(level.parent, tower)
-    gp_children = np.repeat(level.parent.good_mask, m)
-    diff = np.abs(drop - np.repeat(parent_drop, m))[gp_children]
-    return Fraction(int(diff.sum(dtype=np.int64)), level.modulus)
+    return fold_quasi_cost(level, tower, _RefinementSums(level, tower))[0]
 
 
 def singular_ledger(level: TauLevel, tower: ModulusTower) -> SingularLedger:
-    drop = potential_drop(level, tower)
-    M = level.modulus
-    good_dev = int(np.abs(1 - drop[level.good_mask]).sum(dtype=np.int64))
-    if level.changed_mask is not None and level.parent is not None:
-        m = tower.primes[level.level - 1]
-        good_parent_children = np.repeat(level.parent.good_mask, m)
-        n_changed = int((level.changed_mask & good_parent_children).sum())
-    else:
-        n_changed = 0
-    return SingularLedger(
-        level=level.level,
-        singular_mass=singular_mass(level, tower),
-        good_deviation=Fraction(good_dev, M),
-        change_measure=Fraction(n_changed, M),
-    )
+    level.require_masks("singular_ledger")
+    return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0]
 
 
 @dataclass
@@ -338,68 +444,78 @@ class LevelReport:
         )
 
 
-def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
-    n = level.level
-    M = level.modulus
-    permutation_ok = is_permutation(level.sigma)
+class _LevelChecks:
+    """Chunk checks of verify_level: nesting under the parent map, the
+    good/singular/middle-block partition, and a non-positive drop on the
+    singular set."""
 
+    def __init__(self, level: TauLevel, tower: ModulusTower):
+        self.level = level
+        self.mid1 = level.middle1_block(tower)
+        if level.parent is not None:
+            self.m = tower.primes[level.level - 1]
+        self.nesting_ok = self.partition_ok = self.drop_nonpositive = True
+
+    def add(self, lo: int, q):
+        level = self.level
+        hi = lo + len(q)
+        good = level.good_mask[lo:hi]
+        sing = level.singular_mask[lo:hi]
+        mid1 = np.zeros(hi - lo, dtype=bool)
+        mid1[max(self.mid1.start - lo, 0) : max(self.mid1.stop - lo, 0)] = True
+        self.partition_ok &= bool(
+            not (good & sing).any() and ((good | sing) ^ mid1).all()
+        )
+        self.drop_nonpositive &= bool((q[sing] - 1 <= 0).all())
+        if level.parent is not None:
+            parent_of = np.arange(lo, hi, dtype=np.int64) // self.m
+            self.nesting_ok &= bool(
+                (level.sigma[lo:hi] // self.m == level.parent.sigma[parent_of]).all()
+            )
+
+    def result(self):
+        return self
+
+
+def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
+    level.require_masks("verify_level")
+    n = level.level
+    ledger, refinement, checks = fold_quasi_cost(
+        level, tower,
+        LedgerSums(level, tower), _RefinementSums(level, tower), _LevelChecks(level, tower),
+    )
     bad = _avoidance_violations(
         level.tau, tower.step_inverse(n), tower.middle_index(n)
     )
-    middle_avoidance_ok = bad.size == 0
-
-    if level.parent is not None:
-        m = tower.primes[n - 1]
-        parent_of = np.arange(M, dtype=np.int64) // m
-        nesting_ok = bool(
-            (level.sigma // m == level.parent.sigma[parent_of]).all()
-        )
-    else:
-        nesting_ok = True
-
-    mid1 = level.middle1_mask(tower)
-    tau_zero_on_middle1 = bool((level.tau[mid1] == 0).all())
-    overlap = level.good_mask & level.singular_mask
-    partition_ok = bool(
-        not overlap.any()
-        and ((level.good_mask | level.singular_mask) ^ mid1).all()
-    )
-
-    singular_count = int(level.singular_mask.sum())
+    singular_count = int(np.count_nonzero(level.singular_mask))
     if n == 1:
         singular_count_ok = singular_count == 2
     else:
         singular_count_ok = singular_count < 2 * tower.M[n - 2] ** 2
 
     if level.parent is not None:
-        m = tower.primes[n - 1]
-        M_prev = tower.M[n - 2]
-        ch = level.changed_mask.reshape(M_prev, m).sum(axis=1)
+        ch = _changed_per_parent(level, tower)
         change_per_good_parent_ok = bool(
-            (ch[level.parent.good_mask] <= M_prev).all()
+            (ch[level.parent.good_mask] <= tower.M[n - 2]).all()
         )
     else:
         change_per_good_parent_ok = True
 
-    drop = potential_drop(level, tower)
-    drop_nonpositive = bool((drop[level.singular_mask] <= 0).all())
-
-    ledger = singular_ledger(level, tower)
     return LevelReport(
         level=n,
-        permutation_ok=permutation_ok,
-        middle_avoidance_ok=middle_avoidance_ok,
-        nesting_ok=nesting_ok,
-        tau_zero_on_middle1=tau_zero_on_middle1,
-        partition_ok=partition_ok,
+        permutation_ok=is_permutation(level.sigma),
+        middle_avoidance_ok=bad.size == 0,
+        nesting_ok=checks.nesting_ok,
+        tau_zero_on_middle1=np.count_nonzero(level.tau[level.middle1_block(tower)]) == 0,
+        partition_ok=checks.partition_ok,
         singular_count=singular_count,
         singular_count_ok=singular_count_ok,
         change_per_good_parent_ok=change_per_good_parent_ok,
-        drop_nonpositive_on_singular=drop_nonpositive,
+        drop_nonpositive_on_singular=checks.drop_nonpositive,
         singular_mass=ledger.singular_mass,
         good_deviation=ledger.good_deviation,
         change_measure=ledger.change_measure,
-        refinement_deviation=refinement_deviation(level, tower),
+        refinement_deviation=refinement,
     )
 
 
@@ -408,11 +524,13 @@ def transport_cost_tau(level: TauLevel, tower: ModulusTower):
     fractions of the uniform measure.  total is always 1; positive_part
     is the plan cost under the clipped cost; good_part is the mass on
     good-and-middle indices that survives refinement."""
+    level.require_masks("transport_cost_tau")
     q = quasi_cost(level, tower).values
     M = level.modulus
     total = Fraction(int(q.sum(dtype=np.int64)), M)
     positive = Fraction(int(np.where(q > 0, q, 0).sum(dtype=np.int64)), M)
-    keep = level.good_mask | level.middle1_mask(tower)
+    keep = level.good_mask.copy()
+    keep[level.middle1_block(tower)] = True
     good_part = Fraction(int(q[keep].sum(dtype=np.int64)), M)
     return total, positive, good_part
 

@@ -40,7 +40,7 @@ def rle_oracle(values):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
 def test_to_csv_matches_fraction_rows(monkeypatch, chunk):
-    monkeypatch.setattr(circle, "_CSV_CHUNK", chunk)
+    monkeypatch.setattr(circle, "_CHUNK", chunk)
     rng = random.Random(chunk)
     for _ in range(60):
         M = rng.randint(1, 400)
@@ -68,7 +68,7 @@ def test_to_csv_refuses_int64_min():
 
 def test_to_csv_past_chunk_boundaries():
     M = 2 * 3 * 5 * 7 * 11 * 13 * 17  # many left endpoints reduce
-    chunk = circle._CSV_CHUNK
+    chunk = circle._CHUNK
     assert M > chunk
     rng = np.random.default_rng(5)
     values = rng.integers(-(10**6), 10**6, size=M, dtype=np.int64)

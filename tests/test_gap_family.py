@@ -23,7 +23,15 @@ from otlab.finite_ot import (
     solve_primal,
 )
 from otlab.rational import INF
-from otlab.tau import TauLevel, build_tau_level1, quasi_cost
+from otlab.tau import (
+    TauLevel,
+    build_tau_level1,
+    quasi_cost,
+    singular_ledger,
+    singular_mass,
+    transport_cost_tau,
+    verify_level,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +47,20 @@ def family(tower):
 @pytest.fixture(scope="module")
 def family31():
     return build_gap_family(build_tower(5, 2, growth_floor=[31]), 2)
+
+
+@pytest.mark.parametrize(
+    "fn", [singular_ledger, singular_mass, verify_level, transport_cost_tau],
+    ids=lambda fn: fn.__name__,
+)
+def test_mask_free_cells_refuse_mask_quantities(tower, family, fn):
+    # a gap-grid cell has no good/singular sets to sum or check over
+    with pytest.raises(ValueError) as e:
+        fn(family.cell(2, 2), tower)
+    assert str(e.value) == (
+        f"{fn.__name__} needs a construction level; this level-2 permutation "
+        "has no good_mask and no singular_mask"
+    )
 
 
 def test_seed_is_inverse_of_level1(tower, family):

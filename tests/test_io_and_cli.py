@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import otlab
+from otlab import cli
 from otlab.cli import main
 from otlab.finite_ot import (
     CostMatrix,
@@ -181,8 +182,42 @@ BAD_ARTIFACTS = {
     "tower_prime_not_int": (
         "tower.json", lambda t: '{"primes": [5, "x"]}', 2, "cannot read artifacts: "
     ),
+    "tower_mode": (
+        "tower.json",
+        lambda t: t.replace('"relaxed"', '"paper_compliant"'),
+        1,
+        "tower.json differs from a fresh build",
+    ),
+    "level_modulus": (
+        "tau_level_2.json",
+        lambda t: t.replace('"modulus": 55', '"modulus": 56'),
+        1,
+        "level 2: tau_level_2.json differs from a fresh build",
+    ),
     "level_no_good_rle": ("tau_level_2.json", _drop_good_rle, 1, "level 2: "),
     "level_truncated": ("tau_level_2.json", _truncate, 1, "level 2: "),
+    "csv_row1_value": (
+        "quasi_cost_level_2.csv",
+        lambda t: t.replace("\n0,0/1,0/1\n", "\n0,0/1,7/1\n", 1),
+        1,
+        "level 2: quasi_cost_level_2.csv differs from a fresh build",
+    ),
+    "csv_truncated": (
+        "quasi_cost_level_2.csv", _truncate, 1,
+        "level 2: quasi_cost_level_2.csv differs from a fresh build",
+    ),
+    "ledger_value": (
+        "singular_ledger.json",
+        lambda t: t.replace('"-4/11"', '"-3/11"', 1),
+        1,
+        "level 2: singular_ledger.json differs from a fresh build",
+    ),
+    "diagnostics_value": (
+        "diagnostics.jsonl",
+        lambda t: t.replace('"negative_mass": "-4/55"', '"negative_mass": "-3/55"', 1),
+        1,
+        "level 2: diagnostics.jsonl differs from a fresh build",
+    ),
 }
 
 
@@ -191,12 +226,25 @@ def test_cli_verify_bad_artifacts_fail_cleanly(tmp_path, case):
     name, rewrite, code, prefix = BAD_ARTIFACTS[case]
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
-    (d / name).write_text(rewrite((d / name).read_text()))
+    text = (d / name).read_text()
+    assert rewrite(text) != text
+    (d / name).write_text(rewrite(text))
     out = _verify_in_child(d)
     assert "Traceback" not in out.stderr
     assert out.returncode == code
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+
+
+def test_cli_verify_level_beyond_tower_fails_cleanly(tmp_path):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    (d / "tau_level_3.json").write_text((d / "tau_level_2.json").read_text())
+    out = _verify_in_child(d)
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [
+        "level 3: tau_level_3.json is deeper than the saved tower"
+    ]
 
 
 BAD_INSTANCES = {
@@ -254,6 +302,27 @@ def test_cli_non_integer_search_cap_env(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("TDL_SEARCH_CAP", "1e6")
     assert main(argv) == 2
     assert capsys.readouterr().err == "TDL_SEARCH_CAP must be an integer, got '1e6'\n"
+
+
+@pytest.mark.parametrize("verb", ["construct", "verify"])
+def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, verb):
+    # (5c) level 2 has M = 625,505 indices: about 24 MB at 40 bytes each
+    d = tmp_path / "artifacts"
+    args = ["--m1", "5", "--mode", "paper_compliant"]
+    if verb == "verify":
+        assert main(["construct", *args, "--outdir", str(d)]) == 0
+        args = [str(d)]
+    else:
+        args += ["--outdir", str(d)]
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 20)
+    monkeypatch.setattr(cli.tau, "build_levels", None)  # never reached
+    monkeypatch.setattr(cli.tau, "build_tau_level1", None)
+    assert main([verb, *args]) == 4
+    assert capsys.readouterr().err == (
+        "level modulus 625505 needs about 24 MB, "
+        "more than the 16 MB of physical memory\n"
+    )
 
 
 def test_cli_bad_m1_usage():
