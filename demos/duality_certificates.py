@@ -13,8 +13,7 @@ from otlab.finite_ot import (
     Marginals,
     check_complementary_slackness,
     is_cyclically_monotone,
-    solve_dual,
-    solve_primal,
+    solve_certified,
     strong_monotone_potentials,
 )
 
@@ -25,8 +24,7 @@ cost = CostMatrix(
 )
 marg = Marginals.uniform(N)
 
-plan = solve_primal(cost, marg)
-pair = solve_dual(cost, marg)
+plan, pair = solve_certified(cost, marg)
 print(f"primal value  {plan.value}")
 print(f"dual value    {pair.value}")
 print(f"strong duality holds exactly: {plan.value == pair.value}")

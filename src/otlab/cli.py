@@ -23,8 +23,7 @@ from .finite_ot import (
     check_complementary_slackness,
     is_cyclically_monotone,
     load_instance,
-    solve_dual,
-    solve_primal,
+    solve_certified,
 )
 from .rational import format_rational
 
@@ -39,6 +38,26 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _cannot_write(e: OSError, path: str):
+    _progress(f"cannot write {e.filename or path}: {e.strerror or e}")
+
+
+def _emit_report(report, out: Optional[str]) -> bool:
+    """Print the report, or write it to the file `out`; False, after one
+    stderr line, when that file cannot be written."""
+    text = serialize.dumps(report)
+    if not out:
+        print(text)
+        return True
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as e:
+        _cannot_write(e, out)
+        return False
+    return True
+
+
 def cmd_solve(args) -> int:
     try:
         cost, marg = load_instance(args.instance)
@@ -46,8 +65,7 @@ def cmd_solve(args) -> int:
         _progress(f"cannot parse instance: {e}")
         return EXIT_USAGE
     try:
-        plan = solve_primal(cost, marg)
-        pair = solve_dual(cost, marg)
+        plan, pair = solve_certified(cost, marg)
     except DimensionMismatch as e:
         _progress(f"malformed instance: {e}")
         return EXIT_USAGE
@@ -66,12 +84,8 @@ def cmd_solve(args) -> int:
         },
         "monotonicity": {"passed": mono, "witness": witness},
     }
-    text = serialize.dumps(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if not _emit_report(report, args.out):
+        return EXIT_USAGE
     ok = plan.value == pair.value and slack.passed and mono
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -97,6 +111,12 @@ def _tower_args_error(args, depth: int) -> Optional[str]:
 # smaller.  The level arrays (tau, sigma, phi, three masks) are 27 bytes.
 _BYTES_PER_INDEX = 40
 
+# Peak RSS of `gap` per cell of the dense M_j x M_j truncated cost,
+# rounded up: measured 86.6 bytes at (5, 311) (M_j = 1555) and 196 at
+# (5, 101) (M_j = 505), where the interpreter's 30 MB is most of it.
+# Above that share both grow by 74 bytes per cell.
+_BYTES_PER_CELL = 90
+
 
 def _physical_memory() -> Optional[int]:
     """Bytes of physical memory, or None where the OS does not say."""
@@ -106,14 +126,14 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def _memory_error(M: int) -> Optional[str]:
-    """Why levels up to modulus M would not fit in memory, or None."""
-    need = _BYTES_PER_INDEX * M
+def _memory_error(what: str, need: int) -> Optional[str]:
+    """Why `what`, needing about `need` bytes, would not fit in memory,
+    or None."""
     have = _physical_memory()
     if have is None or need <= have:
         return None
     return (
-        f"level modulus {M} needs about {math.ceil(need / 2**20)} MB, "
+        f"{what} needs about {math.ceil(need / 2**20)} MB, "
         f"more than the {have >> 20} MB of physical memory"
     )
 
@@ -139,7 +159,8 @@ def cmd_construct(args) -> int:
         tower = circle.build_tower_mode(
             args.m1, args.depth, args.mode, search_cap=args.search_cap
         )
-        error = _memory_error(tower.modulus(levels_wanted))
+        M = tower.modulus(levels_wanted)
+        error = _memory_error(f"level modulus {M}", _BYTES_PER_INDEX * M)
         if error is not None:
             _progress(error)
             return EXIT_CONSTRUCTION
@@ -149,7 +170,16 @@ def cmd_construct(args) -> int:
         _progress(f"construction failed: {e}")
         return EXIT_CONSTRUCTION
 
-    outdir = args.outdir
+    try:
+        _write_artifacts(args.outdir, tower, levels)
+    except OSError as e:
+        _cannot_write(e, args.outdir)
+        return EXIT_USAGE
+    _progress(f"wrote artifacts for levels 1..{levels_wanted} to {args.outdir}")
+    return EXIT_OK
+
+
+def _write_artifacts(outdir: str, tower, levels):
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "tower.json"), "w", encoding="utf-8") as fh:
         fh.write(serialize.artifact_json(serialize.tower_to_dict(tower)))
@@ -172,8 +202,6 @@ def cmd_construct(args) -> int:
         fh.write(serialize.artifact_json(ledgers))
     with open(os.path.join(outdir, "diagnostics.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(serialize.diagnostics_jsonl(diag_records))
-    _progress(f"wrote artifacts for levels 1..{levels_wanted} to {outdir}")
-    return EXIT_OK
 
 
 def cmd_gap(args) -> int:
@@ -187,18 +215,21 @@ def cmd_gap(args) -> int:
         tower = circle.build_tower_mode(
             args.m1, args.jmax, args.mode, search_cap=args.search_cap
         )
+        Mj = tower.modulus(args.jmax)
+        error = _memory_error(
+            f"truncated cost of {Mj} x {Mj} cells", _BYTES_PER_CELL * Mj * Mj
+        )
+        if error is not None:
+            _progress(error)
+            return EXIT_CONSTRUCTION
         _progress(f"tower primes: {tower.primes} ({tower.mode})")
         family = gap.build_gap_family(tower, args.jmax)
         report = gap.gap_demonstration(family, args.M, args.jmax)
     except (circle.SearchCapExceeded, tau.GrowthTooSmall) as e:
         _progress(f"construction failed: {e}")
         return EXIT_CONSTRUCTION
-    text = serialize.dumps(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if not _emit_report(report, args.out):
+        return EXIT_USAGE
     ok = report["primal"] == "1/1" and report["dual"] == "1/1"
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -308,7 +339,8 @@ def cmd_verify(args) -> int:
     if depth > tower.depth:
         _progress(f"level {depth}: tau_level_{depth}.json is deeper than the saved tower")
         return EXIT_FAIL
-    error = _memory_error(tower.modulus(depth))
+    M = tower.modulus(depth)
+    error = _memory_error(f"level modulus {M}", _BYTES_PER_INDEX * M)
     if error is not None:
         _progress(error)
         return EXIT_CONSTRUCTION

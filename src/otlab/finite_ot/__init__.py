@@ -10,6 +10,7 @@ from .monotonicity import is_cyclically_monotone, strong_monotone_potentials
 from .solvers import (
     check_complementary_slackness,
     fenchel_value,
+    solve_certified,
     solve_dual,
     solve_primal,
     solve_relaxed_dual,
@@ -41,6 +42,7 @@ __all__ = [
     "NegativeEpsilon",
     "InfiniteCostOnPi0Support",
     "solve_primal",
+    "solve_certified",
     "solve_dual",
     "check_complementary_slackness",
     "solve_relaxed_dual",

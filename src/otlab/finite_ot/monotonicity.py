@@ -1,10 +1,15 @@
 """Cyclical monotonicity certificates for support sets.
 
-A support set violates the cyclic improvement inequality iff the directed
-graph on its cells with arc weight c(i, j') - c(i, j) from (i, j) to
-(i', j') has a negative cycle; the cycle itself is the witness.  When no
-negative cycle exists, potentials with equality on the support come out
-of a shortest-path (difference constraint) computation.
+One Bellman-Ford on row/column nodes decides both questions.  Row i
+holds a(i) = -phi(i) and column node m+j holds psi(j); the arc i -> m+j
+of weight c(i, j) for every finite cell encodes phi(i)+psi(j) <= c(i, j),
+and the arc m+j -> i of weight -c(i, j) for every support cell the
+reverse inequality, so equality on the support.  A cycle alternates the
+two kinds, and its support cells (i_1, j_1), ..., (i_k, j_k), in cycle
+order, weigh sum_t c(i_t, j_{t+1}) - c(i_t, j_t): a negative cycle is
+exactly a violation of the closed-cycle inequality, and without one the
+shortest distances are the potentials (Rockafellar, Pacific J. Math. 17,
+1966).
 """
 
 from __future__ import annotations
@@ -27,47 +32,41 @@ def _check_support(support, cost: CostMatrix):
     return cells
 
 
-def is_cyclically_monotone(support, cost: CostMatrix):
-    """Return (True, None) or (False, witness_cycle_of_cells).
-
-    Bellman-Ford on the cell graph: nodes are support cells, the arc
-    (i,j) -> (i',j') costs c(i,j') - c(i,j) and exists iff c(i,j') is
-    finite.  A negative cycle is exactly a finite sequence violating the
-    closed-cycle inequality.
-    """
+def _bellman_ford(support, cost: CostMatrix):
+    """(dist, None) with the shortest distances from a virtual source at 0
+    to every node, or (None, witness) with the support cells of a
+    negative cycle in cycle order."""
     cells = _check_support(support, cost)
-    k = len(cells)
-    if k == 0:
-        return True, None
+    m, n = cost.n_rows, cost.n_cols
+    into = [[] for _ in range(m)]
+    for i, j in cells:
+        into[i].append((m + j, i, -cost[i, j]))
+    # Row by row, the support arcs into row i before the finite arcs out of
+    # it, so a pass relaxes a row's finite arcs right after the support arc
+    # that lowered it; on dense n = 16 optimal supports all finite arcs
+    # first is 1.5x slower.
     arcs = []
-    for a, (i, j) in enumerate(cells):
-        for b, (i2, j2) in enumerate(cells):
-            if a == b:
-                continue
-            cij2 = cost[i, j2]
-            if is_inf(cij2):
-                continue
-            arcs.append((a, b, cij2 - cost[i, j]))
+    for i, row in enumerate(cost.entries):
+        arcs += into[i]
+        arcs += [(i, m + j, c) for j, c in enumerate(row) if not is_inf(c)]
 
-    dist = [ZERO] * k
-    pred = [None] * k
-    cycle_node = None
-    for it in range(k):
-        changed = False
+    nn = m + n
+    dist = [ZERO] * nn
+    pred = [None] * nn
+    for _ in range(nn):
+        last = None
         for a, b, w in arcs:
-            if dist[a] + w < dist[b]:
-                dist[b] = dist[a] + w
+            d = dist[a] + w
+            if d < dist[b]:
+                dist[b] = d
                 pred[b] = a
-                changed = True
-                if it == k - 1:
-                    cycle_node = b
-        if not changed:
-            return True, None
-    if cycle_node is None:
-        return True, None
-    # Walk back k steps to land inside the cycle, then collect it.
-    node = cycle_node
-    for _ in range(k):
+                last = b
+        if last is None:
+            return dist, None
+    # Still relaxing after nn passes: walk back nn steps to land inside
+    # the cycle, then collect it.
+    node = last
+    for _ in range(nn):
         node = pred[node]
     cycle = [node]
     cur = pred[node]
@@ -75,46 +74,30 @@ def is_cyclically_monotone(support, cost: CostMatrix):
         cycle.append(cur)
         cur = pred[cur]
     cycle.reverse()
-    return False, [cells[a] for a in cycle]
+    # Each column -> row step of the cycle is a support cell.
+    return None, [
+        (cycle[(t + 1) % len(cycle)], col - m)
+        for t, col in enumerate(cycle)
+        if col >= m
+    ]
+
+
+def is_cyclically_monotone(support, cost: CostMatrix):
+    """Return (True, None) or (False, witness_cycle_of_cells).
+
+    A witness (i_1, j_1), ..., (i_k, j_k) has every c(i_t, j_{t+1})
+    finite and sum_t c(i_t, j_{t+1}) - c(i_t, j_t) < 0, indices mod k.
+    """
+    _, witness = _bellman_ford(support, cost)
+    return witness is None, witness
 
 
 def strong_monotone_potentials(support, cost: CostMatrix):
     """Potentials (phi, psi) with phi+psi <= c everywhere finite and
     equality on the support; None iff the support is not cyclically
-    monotone.
-
-    Difference-constraint system solved by Bellman-Ford on row/column
-    nodes: psi(j) - (-phi(i)) <= c(i,j) for finite cells and the reverse
-    inequality along support cells; negative cycles in this graph are the
-    same cyclic violations as above.
-    """
-    cells = _check_support(support, cost)
-    ok, _ = is_cyclically_monotone(support, cost)
-    if not ok:
+    monotone."""
+    dist, _ = _bellman_ford(support, cost)
+    if dist is None:
         return None
-
-    m, n = cost.n_rows, cost.n_cols
-    # Node ids: rows 0..m-1 hold a(i) = -phi(i), cols m..m+n-1 hold psi(j).
-    nn = m + n
-    arcs = []
-    for i, j in cost.finite_cells():
-        arcs.append((i, m + j, cost[i, j]))  # psi(j) - a(i) <= c(i,j)
-    for (i, j) in cells:
-        arcs.append((m + j, i, -cost[i, j]))  # a(i) - psi(j) <= -c(i,j)
-
-    dist = [ZERO] * nn  # virtual source at 0 to every node
-    for _ in range(nn):
-        changed = False
-        for a, b, w in arcs:
-            if dist[a] + w < dist[b]:
-                dist[b] = dist[a] + w
-                changed = True
-        if not changed:
-            break
-    else:
-        # Unreachable given the monotonicity check above.
-        return None
-
-    phi = [-dist[i] for i in range(m)]
-    psi = [dist[m + j] for j in range(n)]
-    return DualPair(phi, psi)
+    m = cost.n_rows
+    return DualPair([-d for d in dist[:m]], dist[m:])

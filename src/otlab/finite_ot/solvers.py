@@ -1,17 +1,18 @@
 """Primal/dual transport solves and their certificates.
 
-Both run one transportation simplex on the rows and columns with positive
-mass.  The simplex pivots on integers (finite costs and masses scaled by
-the LCMs of their denominators, an INF cell encoded as an integer BIG
-above every finite part a reduced cost can reach, so the integer order is
-the lexicographic (inf_units, finite) order) and hands back the plan and
-its optimal tree potentials in exact Fractions.  The dual is those tree
-potentials, extended to zero-mass rows and columns by a c-transform; only
-when the optimal tree crosses an INF cell, so that a potential carries an
-infinity unit, does it fall back to the strong-monotonicity potentials of
-the optimal support.  Either way the potentials are checked exactly:
-feasible on every finite cell, with the plan's value.  The budgeted
-relaxed dual is a general-form exact LP.
+`solve_primal` and `solve_certified` each run one transportation simplex
+on the rows and columns with positive mass; `solve_dual` is the second
+half of `solve_certified`.  The simplex pivots on integers (finite costs
+and masses scaled by the LCMs of their denominators, an INF cell encoded
+as an integer BIG above every finite part a reduced cost can reach, so
+the integer order is the lexicographic (inf_units, finite) order) and
+hands back the plan and its optimal tree potentials in exact Fractions.
+The dual is those tree potentials, extended to zero-mass rows and
+columns by a c-transform; only when the optimal tree crosses an INF
+cell, so that a potential carries an infinity unit, does it fall back to
+the strong-monotonicity potentials of the optimal support.  Either way
+the potentials are checked exactly: feasible on every finite cell, with
+the plan's value.  The budgeted relaxed dual is a general-form exact LP.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ def _c_transform_fill(cost: CostMatrix, phi, psi):
             )
 
 
-def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
-    """Optimal potentials; value equals the primal value exactly.
+def solve_certified(cost: CostMatrix, marg: Marginals):
+    """Exactly optimal (plan, potentials) from one simplex solve; the
+    potentials' value equals the plan value exactly.
 
-    One simplex solve gives the plan and its optimal tree potentials.
-    When no tree potential carries an infinity unit (the optimal tree
+    When no optimal tree potential carries an infinity unit (the tree
     uses finite cells only), they are the dual solution, extended to
     zero-mass rows and columns by a c-transform.  Otherwise the
     potentials come from `strong_monotone_potentials` on the optimal
@@ -118,19 +119,22 @@ def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
         pair = strong_monotone_potentials(sorted(plan.support()), cost)
         if pair is None:  # the optimal support is always cyclically monotone
             raise AssertionError("optimal support failed the monotonicity check")
-        phi, psi = pair.phi, pair.psi
     else:
         phi = [u[i][1] if i in u else None for i in range(cost.n_rows)]
         psi = [v[j][1] if j in v else None for j in range(cost.n_cols)]
         _c_transform_fill(cost, phi, psi)
-    for i, j in cost.finite_cells():
-        if phi[i] + psi[j] > cost[i, j]:
-            raise AssertionError(f"potentials infeasible at cell {(i, j)}")
-    pair = DualPair(phi, psi)
+        pair = DualPair(phi, psi)
+    if not pair.is_feasible(cost):
+        raise AssertionError("potentials infeasible on a finite cell")
     value = pair.pair_value(marg)
     if value != plan.value:
         raise AssertionError(f"duality gap {plan.value - value} in exact solver")
-    return DualPair(pair.phi, pair.psi, value)
+    return plan, DualPair(pair.phi, pair.psi, value)
+
+
+def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
+    """Optimal potentials of `solve_certified`."""
+    return solve_certified(cost, marg)[1]
 
 
 class SlacknessReport:

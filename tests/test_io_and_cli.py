@@ -140,14 +140,18 @@ def test_cli_verify_catches_singular_set_tampering(tmp_path):
     assert main(["verify", str(d)]) == 1
 
 
-def _verify_in_child(d):
+def _otlab_in_child(*argv, cwd=None):
     src = str(Path(otlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
-        [sys.executable, "-m", "otlab.cli", "verify", str(d)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-m", "otlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
+
+
+def _verify_in_child(d):
+    return _otlab_in_child("verify", str(d))
 
 
 def test_cli_verify_malformed_rle_fails_cleanly(tmp_path):
@@ -304,25 +308,59 @@ def test_cli_non_integer_search_cap_env(tmp_path, monkeypatch, capsys, argv):
     assert capsys.readouterr().err == "TDL_SEARCH_CAP must be an integer, got '1e6'\n"
 
 
-@pytest.mark.parametrize("verb", ["construct", "verify"])
+@pytest.mark.parametrize("verb", ["construct", "verify", "gap"])
 def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, verb):
-    # (5c) level 2 has M = 625,505 indices: about 24 MB at 40 bytes each
+    # (5c) level 2 has M = 625,505 indices: about 24 MB at 40 bytes each,
+    # and a dense truncated cost of 625,505^2 cells: about 35 TB at 90 each
     d = tmp_path / "artifacts"
     args = ["--m1", "5", "--mode", "paper_compliant"]
+    expected = (
+        "level modulus 625505 needs about 24 MB, "
+        "more than the 16 MB of physical memory\n"
+    )
     if verb == "verify":
         assert main(["construct", *args, "--outdir", str(d)]) == 0
         args = [str(d)]
+    elif verb == "gap":
+        args += ["--jmax", "2", "--M", "2"]
+        expected = (
+            "truncated cost of 625505 x 625505 cells needs about 33581816 MB, "
+            "more than the 16 MB of physical memory\n"
+        )
     else:
         args += ["--outdir", str(d)]
     capsys.readouterr()
     monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 20)
     monkeypatch.setattr(cli.tau, "build_levels", None)  # never reached
     monkeypatch.setattr(cli.tau, "build_tau_level1", None)
+    monkeypatch.setattr(cli.gap, "build_gap_family", None)
     assert main([verb, *args]) == 4
-    assert capsys.readouterr().err == (
-        "level modulus 625505 needs about 24 MB, "
-        "more than the 16 MB of physical memory\n"
+    assert capsys.readouterr().err == expected
+
+
+UNWRITABLE_OUTPUTS = {
+    "solve_out": (["solve", "inst.json", "--out", "missing/x.json"], "missing/x.json"),
+    "gap_out": (
+        ["gap", "--m1", "5", "--jmax", "2", "--M", "2", "--out", "missing/x.json"],
+        "missing/x.json",
+    ),
+    "construct_outdir_is_a_file": (
+        ["construct", "--m1", "5", "--depth", "1", "--outdir", "inst.json"], "inst.json"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, case):
+    argv, path = UNWRITABLE_OUTPUTS[case]
+    save_instance(
+        tmp_path / "inst.json", CostMatrix([[0, 1], [1, 0]]), Marginals.uniform(2)
     )
+    out = _otlab_in_child(*argv, cwd=tmp_path)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 2
+    errors = [l for l in out.stderr.splitlines() if not l.startswith("tower primes:")]
+    assert len(errors) == 1 and errors[0].startswith(f"cannot write {path}: "), out.stderr
 
 
 def test_cli_bad_m1_usage():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import cell_graph_monotonicity as cell_graph
 from otlab.finite_ot import (
     CostMatrix,
     InfiniteCostInSupport,
@@ -14,6 +15,7 @@ from otlab.finite_ot import (
     strong_monotone_potentials,
     TransportPlan,
 )
+from otlab.finite_ot import monotonicity
 from otlab.rational import INF
 
 
@@ -125,3 +127,61 @@ def test_monotone_mixtures_are_optimal():
         support = sorted(mixed.support())
         ok, _ = is_cyclically_monotone(support, cost)
         assert ok
+
+
+def _seeded_supports(count, seed=2024):
+    """Rectangular costs with about 25% INF cells and supports of up to 8
+    of their finite cells, the empty support included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cost = CostMatrix(
+            [[INF if rng.random() < 0.25 else F(rng.randint(0, 12), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(m)]
+        )
+        finite = list(cost.finite_cells())
+        yield cost, rng.sample(finite, rng.randint(0, min(8, len(finite))))
+
+
+def test_single_pass_agrees_with_the_cell_graph_oracle():
+    verdicts = {True: 0, False: 0}
+    empty = 0
+    for cost, support in _seeded_supports(2000):
+        ok, witness = is_cyclically_monotone(support, cost)
+        assert ok == cell_graph.is_cyclically_monotone(support, cost)[0]
+        pair = strong_monotone_potentials(support, cost)
+        verdicts[ok] += 1
+        empty += not support
+        if ok:
+            assert witness is None
+            ref = cell_graph.strong_monotone_potentials(support, cost)
+            assert (pair.phi, pair.psi) == (ref.phi, ref.psi)
+            continue
+        assert pair is None
+        k = len(witness)
+        assert len(set(witness)) == k and set(witness) <= set(support)
+        cross = [cost[witness[t][0], witness[(t + 1) % k][1]] for t in range(k)]
+        assert INF not in cross
+        assert sum(cross, F(0)) - sum((cost[c] for c in witness), F(0)) < 0
+    assert verdicts[True] >= 1000 and verdicts[False] >= 500 and empty >= 10
+
+
+def test_both_refuse_an_infinite_support_cell():
+    cost = CostMatrix([[0, INF, 2], [1, 3, INF]])
+    for check in (is_cyclically_monotone, strong_monotone_potentials):
+        with pytest.raises(InfiniteCostInSupport):
+            check({(0, 0), (1, 2)}, cost)
+        with pytest.raises(InfiniteCostInSupport):
+            check({(2, 0)}, cost)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("unexpected call")
+
+
+def test_potentials_run_no_separate_monotonicity_check(monkeypatch):
+    monkeypatch.setattr(monotonicity, "is_cyclically_monotone", _refuse)
+    cost = CostMatrix([[0, 1], [1, 0]])
+    assert strong_monotone_potentials({(0, 1), (1, 0)}, cost) is None
+    pair = strong_monotone_potentials({(0, 0), (1, 1)}, cost)
+    assert pair.phi == (0, 0) and pair.psi == (0, 0)

@@ -13,6 +13,7 @@ from otlab.finite_ot import (
     NoFinitePlan,
     TransportPlan,
     check_complementary_slackness,
+    solve_certified,
     solve_dual,
     solve_primal,
 )
@@ -475,14 +476,46 @@ def test_solve_dual_runs_one_simplex_and_no_primal_solve(monkeypatch):
     monkeypatch.setattr(solvers, "solve_transport", counting)
     rng = random.Random(9)
     pairs = []
+    plans = []
     for n in range(1, 9):
         cost = random_cost(rng, n)
         marg = Marginals.uniform(n)
         pairs.append((cost, marg, solve_dual(cost, marg)))
+        plan, pair = solve_certified(cost, marg)
+        plans.append(plan)
+        pairs.append((cost, marg, pair))
     assert len(calls) == len(pairs)
     monkeypatch.undo()
     for cost, marg, pair in pairs:
         _assert_certified(cost, marg, pair)
+    for (cost, marg, _), plan in zip(pairs[1::2], plans):
+        assert plan.entries == solve_primal(cost, marg).entries
+
+
+def test_cli_solve_and_gap_solve_each_instance_once(tmp_path, monkeypatch, capsys):
+    from otlab import gap
+    from otlab.circle import build_tower
+    from otlab.cli import main
+    from otlab.finite_ot import save_instance
+
+    calls = []
+    transport = solvers.solve_transport
+
+    def counting(*args):
+        calls.append(1)
+        return transport(*args)
+
+    monkeypatch.setattr(solvers, "solve_transport", counting)
+    rng = random.Random(11)
+    for n in range(2, 6):
+        path = tmp_path / f"inst{n}.json"
+        save_instance(path, random_cost(rng, n), Marginals.uniform(n))
+        assert main(["solve", str(path)]) == 0
+    assert len(calls) == 4
+    family = gap.build_gap_family(build_tower(5, 2), 2)
+    report = gap.verify_truncated_duality(family, 2, 2)
+    assert report.values_ok
+    assert len(calls) == 5
 
 
 def test_solve_dual_on_finite_costs_skips_the_monotonicity_fallback(monkeypatch):
