@@ -12,7 +12,6 @@ correspond to k_j = digit_j(l) + 1 in mixed radix (m_1, ..., m_n).
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from functools import lru_cache
@@ -46,7 +45,7 @@ def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24 (fixed base set)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -232,10 +231,7 @@ class HalfCirclePartition:
 
     level: int
     modulus: int
-
-    @property
-    def middle(self) -> int:
-        return (self.modulus - 1) // 2
+    middle: int
 
     @property
     def left_range(self) -> range:
@@ -247,16 +243,13 @@ class HalfCirclePartition:
 
     def weight(self, index: int) -> int:
         """+1 on L^n, 0 on the middle interval, -1 on R^n."""
-        mid = self.middle
-        if index < mid:
-            return 1
-        if index == mid:
-            return 0
-        return -1
+        return int(_half_weights(self.middle, index))
 
 
 def half_partition(tower: ModulusTower, n: int) -> HalfCirclePartition:
-    return HalfCirclePartition(level=n, modulus=tower.modulus(n))
+    return HalfCirclePartition(
+        level=n, modulus=tower.modulus(n), middle=tower.middle_index(n)
+    )
 
 
 def orbit_visit_balance(tower: ModulusTower, x: CircleIndex, steps: int):
@@ -271,21 +264,17 @@ def orbit_visit_balance(tower: ModulusTower, x: CircleIndex, steps: int):
     M = tower.modulus(n)
     if abs(steps) > M:
         raise ValueError(f"|steps| must be <= {M}")
-    P = tower.step(n)
+    first = 0 if steps >= 0 else steps + 1
     mid = tower.middle_index(n)
-    if steps >= 0:
-        window = range(0, steps)
-    else:
-        window = range(steps + 1, 1)
-    l_cnt = r_cnt = m_cnt = 0
-    for i in window:
-        l = (x.index + i * P) % M
-        if l < mid:
-            l_cnt += 1
-        elif l == mid:
-            m_cnt += 1
-        else:
-            r_cnt += 1
+    counts = np.zeros(3, dtype=np.int64)  # visits to R^n, the middle, L^n
+    for lo, hi in index_chunks(abs(steps)):
+        # |i| < M and P < M, so |i * P| + x.index < M^2 + M < 2^63
+        orbit = np.arange(first + lo, first + hi, dtype=np.int64)
+        orbit *= tower.step(n)
+        orbit += x.index
+        orbit %= M
+        counts += np.bincount(_half_weights(mid, orbit) + 1, minlength=3)
+    r_cnt, m_cnt, l_cnt = counts.tolist()
     return l_cnt, r_cnt, m_cnt
 
 
@@ -316,19 +305,12 @@ class StepFunction:
     def integral(self) -> Fraction:
         return Fraction(int(self.values.sum(dtype=np.int64)), self.modulus)
 
-    def write_csv(self, fh):
-        """Write the plot-ready rows to the binary file fh, one index
-        chunk at a time (see `csv_blocks`)."""
+    def to_csv(self) -> str:
+        """The plot-ready rows as one string, rendered one index chunk at
+        a time (see `csv_blocks`)."""
         M = self.modulus
         chunks = ((lo, self.values[lo:hi]) for lo, hi in index_chunks(M))
-        for block in csv_blocks(M, chunks):
-            fh.write(block)
-
-    def to_csv(self) -> str:
-        """The text `write_csv` writes, as one string."""
-        buf = io.BytesIO()
-        self.write_csv(buf)
-        return buf.getvalue().decode("ascii")
+        return b"".join(csv_blocks(M, chunks)).decode("ascii")
 
 
 # Indices per chunk of every level-sized pass: a chunk's int64 temporaries
@@ -422,14 +404,20 @@ def _render_rows(columns, seps) -> np.ndarray:
     return text.T[used.T]
 
 
+def _half_weights(mid: int, index):
+    """The L/R weight at each index: +1 on L^n (below the middle index
+    mid), 0 on the middle interval, -1 on R^n."""
+    return np.sign(mid - index)
+
+
 def _orbit_weights(tower: ModulusTower, n: int, lo: int, hi: int):
     """Orbit steps lo..hi-1: the index at step i, and the L/R weight
-    there (+1 on L^n, 0 on the middle interval, -1 on R^n)."""
+    there."""
     M = tower.modulus(n)
     orbit = np.arange(lo, hi, dtype=np.int64)
     orbit *= tower.step(n)
     orbit %= M
-    return orbit, np.sign(tower.middle_index(n) - orbit)
+    return orbit, _half_weights(tower.middle_index(n), orbit)
 
 
 @lru_cache(maxsize=16)

@@ -138,15 +138,6 @@ def _memory_error(what: str, need: int) -> Optional[str]:
     )
 
 
-def _level_records(level, tower):
-    """The level's singular_ledger.json entry and diagnostics.jsonl record."""
-    s = duals.level_scalars(level, tower)
-    return (
-        serialize.ledger_to_dict(s.ledger),
-        serialize.diagnostic_to_dict(s.diagnostic, s.dual_value, s.correction_norm),
-    )
-
-
 def cmd_construct(args) -> int:
     error = _tower_args_error(args, args.depth)
     levels_wanted = args.levels or args.depth
@@ -171,37 +162,16 @@ def cmd_construct(args) -> int:
         return EXIT_CONSTRUCTION
 
     try:
-        _write_artifacts(args.outdir, tower, levels)
+        os.makedirs(args.outdir, exist_ok=True)
+        for _, name, blocks, _ in _artifacts(tower, levels):
+            with open(os.path.join(args.outdir, name), "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
     except OSError as e:
         _cannot_write(e, args.outdir)
         return EXIT_USAGE
     _progress(f"wrote artifacts for levels 1..{levels_wanted} to {args.outdir}")
     return EXIT_OK
-
-
-def _write_artifacts(outdir: str, tower, levels):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "tower.json"), "w", encoding="utf-8") as fh:
-        fh.write(serialize.artifact_json(serialize.tower_to_dict(tower)))
-
-    ledgers = []
-    diag_records = []
-    for level in levels:
-        n = level.level
-        with open(
-            os.path.join(outdir, f"tau_level_{n}.json"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(serialize.artifact_json(serialize.tau_level_to_dict(level, tower)))
-        with open(os.path.join(outdir, f"quasi_cost_level_{n}.csv"), "wb") as fh:
-            for block in tau.quasi_cost_csv(level, tower):
-                fh.write(block)
-        ledger, diag_record = _level_records(level, tower)
-        ledgers.append(ledger)
-        diag_records.append(diag_record)
-    with open(os.path.join(outdir, "singular_ledger.json"), "w", encoding="utf-8") as fh:
-        fh.write(serialize.artifact_json(ledgers))
-    with open(os.path.join(outdir, "diagnostics.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(serialize.diagnostics_jsonl(diag_records))
 
 
 def cmd_gap(args) -> int:
@@ -234,72 +204,81 @@ def cmd_gap(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _saved_level_failures(path: str, level, tower) -> list:
-    """Failed checks of the saved tau_level JSON at path against a fresh
-    build of its level, one line each: each RLE, then the whole text."""
-    n = level.level
-    name = os.path.basename(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def _artifacts(tower, levels):
+    """Every artifact of the construction, in write order, as (level or
+    None, file name, byte blocks, fresh object): `construct` writes the
+    blocks and `verify` compares them with the saved file.  The fresh
+    object is the tau-level dict or the list of level records the file
+    was rendered from, or None."""
+    tower_json = serialize.artifact_json(serialize.tower_to_dict(tower))
+    yield None, "tower.json", [tower_json.encode()], None
+    ledgers = []
+    diag_records = []
+    for level in levels:
+        n = level.level
+        fresh = serialize.tau_level_to_dict(level, tower)
+        yield level, f"tau_level_{n}.json", [serialize.artifact_json(fresh).encode()], fresh
+        yield level, f"quasi_cost_level_{n}.csv", tau.quasi_cost_csv(level, tower), None
+        s = duals.level_scalars(level, tower)
+        ledgers.append(serialize.ledger_to_dict(s.ledger))
+        diag_records.append(
+            serialize.diagnostic_to_dict(s.diagnostic, s.dual_value, s.correction_norm)
+        )
+    ledger_json = serialize.artifact_json(ledgers)
+    yield None, "singular_ledger.json", [ledger_json.encode()], ledgers
+    diag_jsonl = serialize.diagnostics_jsonl(diag_records)
+    yield None, "diagnostics.jsonl", [diag_jsonl.encode()], diag_records
+
+
+def _explain(where: str, name: str, text: str, fresh) -> list:
+    """Which RLE of a tau level, or which level record of a series file,
+    differs between the saved text and the fresh object; ValueError when
+    the saved text does not parse."""
+    if isinstance(fresh, dict):
         saved = json.loads(text)
-    except ValueError as e:
-        return [f"level {n}: unreadable {name}: {e}"]
-    fresh = serialize.tau_level_to_dict(level, tower)
-    failures = []
-    for key, what in (
-        ("tau_rle", "tau"), ("good_rle", "good set"), ("singular_rle", "singular set")
-    ):
-        try:
-            stored = serialize.rle_pairs(saved[key])
-        except KeyError:
-            failures.append(f"level {n}: missing {key}")
-        except (TypeError, ValueError) as e:
-            failures.append(f"level {n}: malformed {key}: {e}")
-        else:
-            if stored.tolist() != fresh[key]:
-                failures.append(f"level {n}: {what} differs from a fresh build")
-    if not failures and text != serialize.artifact_json(fresh):
-        failures.append(f"level {n}: {name} differs from a fresh build")
-    return failures
-
-
-def _csv_failures(path: str, level, tower) -> list:
-    """Failed check of the saved quasi-cost CSV at path: it is re-rendered
-    chunk by chunk and compared with the file read in the same chunks."""
-    name = os.path.basename(path)
-    try:
-        with open(path, "rb") as fh:
-            same = all(
-                fh.read(len(block)) == block for block in tau.quasi_cost_csv(level, tower)
-            ) and fh.read(1) == b""
-    except OSError as e:
-        return [f"level {level.level}: unreadable {name}: {e}"]
-    return [] if same else [f"level {level.level}: {name} differs from a fresh build"]
-
-
-def _series_failures(outdir: str, name: str, text: str, records: list, parse) -> list:
-    """Failed checks of a saved per-level series file against its fresh
-    text; a difference is reported per level record where parse(saved
-    text) can tell which records differ."""
-    try:
-        with open(os.path.join(outdir, name), "r", encoding="utf-8") as fh:
-            saved_text = fh.read()
-    except (OSError, ValueError) as e:
-        return [f"unreadable {name}: {e}"]
-    if saved_text == text:
-        return []
-    try:
-        saved = parse(saved_text)
-    except ValueError as e:
-        return [f"unreadable {name}: {e}"]
+        failures = []
+        for key, what in (
+            ("tau_rle", "tau"), ("good_rle", "good set"), ("singular_rle", "singular set")
+        ):
+            try:
+                stored = serialize.rle_pairs(saved[key])
+            except KeyError:
+                failures.append(f"{where}missing {key}")
+            except (TypeError, ValueError) as e:
+                failures.append(f"{where}malformed {key}: {e}")
+            else:
+                if stored.tolist() != fresh[key]:
+                    failures.append(f"{where}{what} differs from a fresh build")
+        return failures
+    if name.endswith(".jsonl"):
+        saved = [json.loads(line) for line in text.splitlines()]
+    else:
+        saved = json.loads(text)
     if not isinstance(saved, list):
         saved = []
     return [
         f"level {r['level']}: {name} differs from a fresh build"
-        for i, r in enumerate(records)
+        for i, r in enumerate(fresh)
         if i >= len(saved) or saved[i] != r
-    ] or [f"{name} differs from a fresh build"]
+    ]
+
+
+def _saved_failures(outdir: str, level, name: str, blocks, fresh) -> list:
+    """Failed checks of one saved artifact, one line each: the file is
+    read in the sizes of its fresh blocks and compared with them, so no
+    CSV is read whole."""
+    where = "" if level is None else f"level {level.level}: "
+    try:
+        with open(os.path.join(outdir, name), "rb") as fh:
+            if all(fh.read(len(block)) == block for block in blocks) and fh.read(1) == b"":
+                return []
+            failures = []
+            if fresh is not None:
+                fh.seek(0)
+                failures = _explain(where, name, fh.read().decode("utf-8"), fresh)
+    except (OSError, ValueError) as e:
+        return [f"{where}unreadable {name}: {e}"]
+    return failures or [f"{where}{name} differs from a fresh build"]
 
 
 def cmd_verify(args) -> int:
@@ -314,8 +293,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         with open(os.path.join(outdir, "tower.json"), "r", encoding="utf-8") as fh:
-            tower_text = fh.read()
-        primes = json.loads(tower_text)["primes"]
+            primes = json.load(fh)["primes"]
         floors = primes[1:]  # rebuild with each saved prime as its own floor
         tower = circle.build_tower(
             primes[0], len(primes), growth_floor=floors or None, search_cap=cap
@@ -345,33 +323,19 @@ def cmd_verify(args) -> int:
         _progress(error)
         return EXIT_CONSTRUCTION
 
-    level = None
     failures = []
-    if tower_text != serialize.artifact_json(serialize.tower_to_dict(tower)):
-        failures.append("tower.json differs from a fresh build")
-    ledgers = []
-    diag_records = []
-    for n in range(1, depth + 1):
-        level = tau.build_tau_level1(tower) if n == 1 else tau.extend_tau(level, tower)
-        failures += _saved_level_failures(
-            os.path.join(outdir, f"tau_level_{n}.json"), level, tower
-        )
-        report = tau.verify_level(level, tower)
-        if not report.hard_invariants_ok:
-            failures.append(f"level {n}: invariant check failed: {report}")
-        failures += _csv_failures(
-            os.path.join(outdir, f"quasi_cost_level_{n}.csv"), level, tower
-        )
-        ledger, diag_record = _level_records(level, tower)
-        ledgers.append(ledger)
-        diag_records.append(diag_record)
-    failures += _series_failures(
-        outdir, "singular_ledger.json", serialize.artifact_json(ledgers), ledgers, json.loads
-    )
-    failures += _series_failures(
-        outdir, "diagnostics.jsonl", serialize.diagnostics_jsonl(diag_records), diag_records,
-        lambda text: [json.loads(line) for line in text.splitlines()],
-    )
+
+    def checked_levels():
+        level = None
+        for n in range(1, depth + 1):
+            level = tau.build_tau_level1(tower) if n == 1 else tau.extend_tau(level, tower)
+            report = tau.verify_level(level, tower)
+            if not report.hard_invariants_ok:
+                failures.append(f"level {n}: invariant check failed: {report}")
+            yield level
+
+    for level, name, blocks, fresh in _artifacts(tower, checked_levels()):
+        failures += _saved_failures(outdir, level, name, blocks, fresh)
     for f in failures:
         _progress(f)
     print(serialize.dumps({"levels_checked": depth, "failures": failures}))

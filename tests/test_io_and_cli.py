@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import otlab
-from otlab import cli
+from otlab import circle, cli, tau
 from otlab.cli import main
 from otlab.finite_ot import (
     CostMatrix,
@@ -233,11 +233,64 @@ def test_cli_verify_bad_artifacts_fail_cleanly(tmp_path, case):
     text = (d / name).read_text()
     assert rewrite(text) != text
     (d / name).write_text(rewrite(text))
+    _assert_verify_fails_cleanly(d, code, prefix)
+
+
+def _assert_verify_fails_cleanly(d, code, prefix):
     out = _verify_in_child(d)
     assert "Traceback" not in out.stderr
     assert out.returncode == code
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+
+
+def _replace_by_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# file, action on its path, start of the one stderr line (exit code 1)
+UNREADABLE_ARTIFACTS = {
+    "level_is_directory": (
+        "tau_level_2.json", _replace_by_directory, "level 2: unreadable tau_level_2.json: "
+    ),
+    "csv_missing": (
+        "quasi_cost_level_2.csv", Path.unlink, "level 2: unreadable quasi_cost_level_2.csv: "
+    ),
+    "ledger_missing": (
+        "singular_ledger.json", Path.unlink, "unreadable singular_ledger.json: "
+    ),
+    "diagnostics_missing": (
+        "diagnostics.jsonl", Path.unlink, "unreadable diagnostics.jsonl: "
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_ARTIFACTS))
+def test_cli_verify_unreadable_artifacts_fail_cleanly(tmp_path, case):
+    name, act, prefix = UNREADABLE_ARTIFACTS[case]
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    act(d / name)
+    _assert_verify_fails_cleanly(d, 1, prefix)
+
+
+def test_cli_artifact_walk_is_the_saved_set(tmp_path, capsys):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    tower = circle.build_tower(5, 2)
+    assert tower.primes == (5, 11)
+    names = [name for _, name, _, _ in cli._artifacts(tower, tau.build_levels(tower, 2))]
+    assert sorted(os.listdir(d)) == sorted(names)
+    capsys.readouterr()
+    for name in names:
+        saved = (d / name).read_bytes()
+        (d / name).write_bytes(saved + b"\n")
+        assert main(["verify", str(d)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and name in lines[0], lines
+        (d / name).write_bytes(saved)
+    assert main(["verify", str(d)]) == 0
 
 
 def test_cli_verify_level_beyond_tower_fails_cleanly(tmp_path):
