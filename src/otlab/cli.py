@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional
 
@@ -281,6 +282,34 @@ def _saved_failures(outdir: str, level, name: str, blocks, fresh) -> list:
     return failures or [f"{where}{name} differs from a fresh build"]
 
 
+_LEVEL_FILE = re.compile(r"tau_level_([1-9][0-9]*)\.json|quasi_cost_level_([1-9][0-9]*)\.csv")
+
+
+def _saved_levels(outdir: str):
+    """The level count the saved artifacts claim, the largest of the
+    ledger's and the diagnostics' record counts (those that parse) and
+    the deepest tau_level_<n>.json or quasi_cost_level_<n>.csv; and
+    those level files as sorted (level, name) pairs.  OSError when the
+    directory cannot be listed."""
+    files = sorted(
+        (int(m.group(1) or m.group(2)), name)
+        for name in os.listdir(outdir)
+        if (m := _LEVEL_FILE.fullmatch(name))
+    )
+    counts = [n for n, _ in files]
+    for name, parse in (
+        ("singular_ledger.json", json.loads), ("diagnostics.jsonl", str.splitlines)
+    ):
+        try:
+            with open(os.path.join(outdir, name), "r", encoding="utf-8") as fh:
+                records = parse(fh.read())
+        except (OSError, ValueError):
+            continue  # its own comparison reports it
+        if isinstance(records, list):
+            counts.append(len(records))
+    return max(counts, default=0), files
+
+
 def cmd_verify(args) -> int:
     """Rebuild the construction from the saved tower, compare every saved
     artifact with a fresh rendering of it, and re-run the level invariant
@@ -298,6 +327,7 @@ def cmd_verify(args) -> int:
         tower = circle.build_tower(
             primes[0], len(primes), growth_floor=floors or None, search_cap=cap
         )
+        claimed, level_files = _saved_levels(outdir)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as e:
         _progress(f"cannot read artifacts: {e}")
         return EXIT_USAGE
@@ -307,23 +337,23 @@ def cmd_verify(args) -> int:
     if list(tower.primes) != primes:
         _progress(f"tower mismatch: rebuilt {tower.primes} vs saved {primes}")
         return EXIT_FAIL
-
-    depth = 0
-    while os.path.exists(os.path.join(outdir, f"tau_level_{depth + 1}.json")):
-        depth += 1
-    if depth == 0:
-        _progress("no tau_level_*.json artifacts found")
+    if claimed == 0:
+        _progress("no level artifacts found")
         return EXIT_USAGE
-    if depth > tower.depth:
-        _progress(f"level {depth}: tau_level_{depth}.json is deeper than the saved tower")
-        return EXIT_FAIL
+
+    # Every level up to the claimed count is checked, so each of its
+    # missing files fails on its own; a level file beyond the tower is a
+    # stray.
+    depth = min(claimed, tower.depth)
     M = tower.modulus(depth)
     error = _memory_error(f"level modulus {M}", _BYTES_PER_INDEX * M)
     if error is not None:
         _progress(error)
         return EXIT_CONSTRUCTION
 
-    failures = []
+    failures = [
+        f"level {n}: {name} is deeper than the saved tower" for n, name in level_files if n > depth
+    ]
 
     def checked_levels():
         level = None

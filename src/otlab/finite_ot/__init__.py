@@ -26,6 +26,7 @@ from .types import (
     Marginals,
     NegativeEpsilon,
     NoFinitePlan,
+    Pi0NotACoupling,
     TransportPlan,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "InfiniteCostInSupport",
     "NegativeEpsilon",
     "InfiniteCostOnPi0Support",
+    "Pi0NotACoupling",
     "solve_primal",
     "solve_certified",
     "solve_dual",

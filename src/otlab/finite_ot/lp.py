@@ -1,8 +1,13 @@
 """Small dense exact LP: min c.x s.t. Ax = b, x >= 0.
 
-Two-phase tableau simplex over Fractions with Bland's rule.  Meant for
-the relaxed-dual and feasibility LPs, which have a few dozen variables;
-no attempt at sparse or revised methods.
+Two-phase tableau simplex over Fractions with Bland's rule, for LPs of a
+few dozen variables; no attempt at sparse or revised methods.
+
+No production module imports it (`tests/test_import_guard.py`): it is
+the test oracle of `tests/relaxed_dual_lp_oracle.py`, the general-form
+LP that `solve_relaxed_dual` must match exactly, and stays importable
+because the benchmark tracer (`perfbench/bench_trace.py`) names
+`solve_lp`.
 """
 
 from __future__ import annotations

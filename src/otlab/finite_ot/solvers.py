@@ -12,7 +12,15 @@ columns by a c-transform; only when the optimal tree crosses an INF
 cell, so that a potential carries an infinity unit, does it fall back to
 the strong-monotonicity potentials of the optimal support.  Either way
 the potentials are checked exactly: feasible on every finite cell, with
-the plan's value.  The budgeted relaxed dual is a general-form exact LP.
+the plan's value.
+
+The budgeted relaxed dual runs on the same solves.  With A = phi.mu +
+psi.nu and B the pi0-weighted excess of phi+psi over c on supp(pi0), its
+value V(eps) = max{A : B <= eps} is concave and piecewise linear, and by
+LP duality V(eps) = min over lam >= 1 of lam*eps + G(lam), where G(lam) =
+max(A - lam*B) is the min-cost transport on supp(pi0) with capacities
+lam*pi0.  G(1) = c.pi0, so V ends in the ray c.pi0 + eps.  Each G(lam) is
+one uncapacitated transport with a source per support arc.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..rational import INF, as_fraction, is_inf
-from .lp import solve_lp
 from .monotonicity import strong_monotone_potentials
 from .simplex import solve_transport
 from .types import (
@@ -32,6 +39,7 @@ from .types import (
     Marginals,
     NegativeEpsilon,
     NoFinitePlan,
+    Pi0NotACoupling,
     TransportPlan,
 )
 
@@ -178,67 +186,109 @@ def check_complementary_slackness(
     return SlacknessReport(support_bad, feas_bad)
 
 
+def _pi0_arcs(cost: CostMatrix, marg: Marginals, pi0: TransportPlan):
+    """supp(pi0) as row-major (i, j, pi0(i,j)) triples, once pi0 is
+    checked to have the cost's shape (DimensionMismatch), to be a
+    coupling of (mu, nu) (Pi0NotACoupling, naming the first negative
+    cell, else the first row or column whose sum is not its marginal)
+    and to charge finite cells only (InfiniteCostOnPi0Support)."""
+    if len(pi0.entries) != cost.n_rows or any(len(r) != cost.n_cols for r in pi0.entries):
+        raise DimensionMismatch(f"pi0 does not fit cost ({cost.n_rows},{cost.n_cols})")
+    arcs = []
+    for i, row in enumerate(pi0.entries):
+        for j, w in enumerate(row):
+            if w < 0:
+                raise Pi0NotACoupling(f"pi0 charges {w} < 0 on cell {(i, j)}")
+            if w > 0:
+                if is_inf(cost[i, j]):
+                    raise InfiniteCostOnPi0Support(f"pi0 charges infinite cell {(i, j)}")
+                arcs.append((i, j, w))
+    for side, sums, want in (
+        ("row", pi0.row_sums(), marg.mu), ("column", pi0.col_sums(), marg.nu)
+    ):
+        for k, (got, w) in enumerate(zip(sums, want)):
+            if got != w:
+                raise Pi0NotACoupling(f"pi0 {side} {k} sums to {got}, not its marginal {w}")
+    return arcs
+
+
+def _capacitated_potentials(cost: CostMatrix, marg: Marginals, arcs, lam):
+    """(phi, psi) maximising A - lam*B for lam >= 1: the potentials of
+    min{c.x : x in Pi(mu, nu) on supp(pi0), x <= lam*pi0}, solved as an
+    uncapacitated transport with one source per arc (i, j, w) of supply
+    lam*w, feeding column j at cost c(i,j) or the sink of row i, of
+    demand (lam-1)*mu(i), at cost 0.  With v its optimal sink
+    potentials, phi(i) = -v(row sink i) and psi(j) = v(column j)."""
+    m, n = cost.n_rows, cost.n_cols
+    split = CostMatrix(
+        [[cost[i, j] if k == j else INF for k in range(n)]
+         + [ZERO if k == i else INF for k in range(m)]
+         for i, j, _ in arcs]
+    )
+    flows = Marginals(
+        [lam * w for *_, w in arcs], list(marg.nu) + [(lam - 1) * u for u in marg.mu]
+    )
+    v = solve_certified(split, flows)[1].psi
+    return [-x for x in v[n:]], list(v[:n])
+
+
 def solve_relaxed_dual(
     cost: CostMatrix, marg: Marginals, pi0: TransportPlan, eps
 ) -> DualPair:
     """Budgeted dual: excess of phi+psi over c on supp(pi0) is bought at
     price pi0 within a total budget eps.
 
-    max sum(phi*mu) + sum(psi*nu)
-    s.t. s(i,j) >= phi(i)+psi(j) - c(i,j), s >= 0 on supp(pi0),
-         sum(s * pi0) <= eps.
+    max A = sum(phi*mu) + sum(psi*nu)
+    s.t. B = sum(pi0 * max(0, phi+psi-c)) over supp(pi0) <= eps.
+
+    Contract: the marginals and pi0 fit the cost (DimensionMismatch);
+    pi0 is a coupling of (mu, nu) (Pi0NotACoupling, naming the first
+    negative cell or the first row or column whose sum differs); c is
+    finite on supp(pi0) (InfiniteCostOnPi0Support); eps >= 0
+    (NegativeEpsilon).  Zero marginals give the zero pair, value 0.
+
+    A chord search (Eisner and Severance, 1976) on the value curve
+    V(eps), from the dual on supp(pi0) (B = 0) and the point phi = K,
+    psi = 0 on V's last, slope-1 piece (B >= eps): each chord's slope
+    lam gives the point of V that maximises A - lam*B, which replaces
+    the chord's end on its side of eps.  Once no point lies above the
+    chord, the chord lies on V, and the convex combination of its ends
+    with B = eps is exactly optimal.
     """
     eps = as_fraction(eps)
     if eps < 0:
         raise NegativeEpsilon(f"eps = {eps}")
     _check_dims(cost, marg)
-    support = sorted(pi0.support())
-    for (i, j) in support:
-        if is_inf(cost[i, j]):
-            raise InfiniteCostOnPi0Support(f"pi0 charges infinite cell {(i, j)}")
-
+    arcs = _pi0_arcs(cost, marg, pi0)
     m, n = cost.n_rows, cost.n_cols
-    k = len(support)
-    # Variables: phi+ (m), phi- (m), psi+ (n), psi- (n), s (k), w (k), t (1)
-    nv = 2 * m + 2 * n + 2 * k + 1
-    off_phi_m = m
-    off_psi_p = 2 * m
-    off_psi_m = 2 * m + n
-    off_s = 2 * m + 2 * n
-    off_w = off_s + k
-    off_t = off_w + k
+    if not arcs:
+        return DualPair([ZERO] * m, [ZERO] * n, ZERO)
+    on_support = [[INF] * n for _ in range(m)]
+    for i, j, _ in arcs:
+        on_support[i][j] = cost[i, j]
+    dual = solve_certified(CostMatrix(on_support), marg)[1]
+    if eps == 0:
+        return dual
 
-    A = []
-    b = []
-    for r, (i, j) in enumerate(support):
-        row = [ZERO] * nv
-        row[i] = Fraction(1)
-        row[off_phi_m + i] = Fraction(-1)
-        row[off_psi_p + j] = Fraction(1)
-        row[off_psi_m + j] = Fraction(-1)
-        row[off_s + r] = Fraction(-1)
-        row[off_w + r] = Fraction(1)
-        A.append(row)
-        b.append(cost[i, j])
-    budget = [ZERO] * nv
-    for r, (i, j) in enumerate(support):
-        budget[off_s + r] = pi0.entries[i][j]
-    budget[off_t] = Fraction(1)
-    A.append(budget)
-    b.append(eps)
-
-    c = [ZERO] * nv
-    for i in range(m):
-        c[i] = -marg.mu[i]
-        c[off_phi_m + i] = marg.mu[i]
-    for j in range(n):
-        c[off_psi_p + j] = -marg.nu[j]
-        c[off_psi_m + j] = marg.nu[j]
-
-    x, value = solve_lp(A, b, c)
-    phi = [x[i] - x[off_phi_m + i] for i in range(m)]
-    psi = [x[off_psi_p + j] - x[off_psi_m + j] for j in range(n)]
-    return DualPair(phi, psi, -value)
+    mass = marg.total_mu()
+    plan_cost = sum((w * cost[i, j] for i, j, w in arcs), ZERO)
+    K = max(max(cost[i, j] for i, j, _ in arcs), (eps + plan_cost) / mass)
+    a_lo, b_lo, lo = dual.value, ZERO, (dual.phi, dual.psi)
+    a_hi, b_hi, hi = K * mass, K * mass - plan_cost, ([K] * m, [ZERO] * n)
+    while b_hi != eps:
+        lam = (a_hi - a_lo) / (b_hi - b_lo)
+        phi, psi = _capacitated_potentials(cost, marg, arcs, lam)
+        a = DualPair(phi, psi).pair_value(marg)
+        b = sum((w * max(ZERO, phi[i] + psi[j] - cost[i, j]) for i, j, w in arcs), ZERO)
+        if a - lam * b == a_lo - lam * b_lo:
+            break
+        if b < eps:
+            a_lo, b_lo, lo = a, b, (phi, psi)
+        else:
+            a_hi, b_hi, hi = a, b, (phi, psi)
+    t = (eps - b_lo) / (b_hi - b_lo)
+    phi, psi = ([x + t * (y - x) for x, y in zip(u, v)] for u, v in zip(lo, hi))
+    return DualPair(phi, psi, a_lo + t * (a_hi - a_lo))
 
 
 def fenchel_value(f, g, cost: CostMatrix):

@@ -39,6 +39,10 @@ class InfiniteCostOnPi0Support(FiniteOTError):
     pass
 
 
+class Pi0NotACoupling(FiniteOTError):
+    """A reference plan that is not a coupling of the marginals."""
+
+
 def _freeze_vector(values):
     return tuple(as_fraction(v) for v in values)
 

@@ -178,47 +178,75 @@ def _drop_good_rle(text):
     return json.dumps(saved)
 
 
-# file, rewrite of its text, exit code, start of the one stderr line
+def _rewritten(rewrite):
+    """Action on a saved file: replace its text by `rewrite` of it."""
+    def act(path):
+        text = path.read_text()
+        assert rewrite(text) != text
+        path.write_text(rewrite(text))
+    return act
+
+
+def _copy_of(source):
+    """Action on a path: put a copy of the saved artifact `source` there."""
+    return lambda path: path.write_bytes((path.parent / source).read_bytes())
+
+
+# file, action on its path, exit code, start of the one stderr line
 BAD_ARTIFACTS = {
-    "tower_truncated": ("tower.json", _truncate, 2, "cannot read artifacts: "),
-    "tower_not_json": ("tower.json", lambda t: "primes: 5, 11", 2, "cannot read artifacts: "),
-    "tower_no_primes": ("tower.json", lambda t: "{}", 2, "cannot read artifacts: "),
+    "tower_truncated": ("tower.json", _rewritten(_truncate), 2, "cannot read artifacts: "),
+    "tower_not_json": (
+        "tower.json", _rewritten(lambda t: "primes: 5, 11"), 2, "cannot read artifacts: "
+    ),
+    "tower_no_primes": ("tower.json", _rewritten(lambda t: "{}"), 2, "cannot read artifacts: "),
     "tower_prime_not_int": (
-        "tower.json", lambda t: '{"primes": [5, "x"]}', 2, "cannot read artifacts: "
+        "tower.json", _rewritten(lambda t: '{"primes": [5, "x"]}'), 2, "cannot read artifacts: "
     ),
     "tower_mode": (
         "tower.json",
-        lambda t: t.replace('"relaxed"', '"paper_compliant"'),
+        _rewritten(lambda t: t.replace('"relaxed"', '"paper_compliant"')),
         1,
         "tower.json differs from a fresh build",
     ),
     "level_modulus": (
         "tau_level_2.json",
-        lambda t: t.replace('"modulus": 55', '"modulus": 56'),
+        _rewritten(lambda t: t.replace('"modulus": 55', '"modulus": 56')),
         1,
         "level 2: tau_level_2.json differs from a fresh build",
     ),
-    "level_no_good_rle": ("tau_level_2.json", _drop_good_rle, 1, "level 2: "),
-    "level_truncated": ("tau_level_2.json", _truncate, 1, "level 2: "),
+    "level_no_good_rle": ("tau_level_2.json", _rewritten(_drop_good_rle), 1, "level 2: "),
+    "level_truncated": ("tau_level_2.json", _rewritten(_truncate), 1, "level 2: "),
+    # the ledger and the diagnostics still count two levels
+    "level_deepest_missing": (
+        "tau_level_2.json", Path.unlink, 1, "level 2: unreadable tau_level_2.json: "
+    ),
     "csv_row1_value": (
         "quasi_cost_level_2.csv",
-        lambda t: t.replace("\n0,0/1,0/1\n", "\n0,0/1,7/1\n", 1),
+        _rewritten(lambda t: t.replace("\n0,0/1,0/1\n", "\n0,0/1,7/1\n", 1)),
         1,
         "level 2: quasi_cost_level_2.csv differs from a fresh build",
     ),
     "csv_truncated": (
-        "quasi_cost_level_2.csv", _truncate, 1,
+        "quasi_cost_level_2.csv", _rewritten(_truncate), 1,
         "level 2: quasi_cost_level_2.csv differs from a fresh build",
+    ),
+    "csv_stray": (
+        "quasi_cost_level_3.csv",
+        _copy_of("quasi_cost_level_2.csv"),
+        1,
+        "level 3: quasi_cost_level_3.csv is deeper than the saved tower",
     ),
     "ledger_value": (
         "singular_ledger.json",
-        lambda t: t.replace('"-4/11"', '"-3/11"', 1),
+        _rewritten(lambda t: t.replace('"-4/11"', '"-3/11"', 1)),
         1,
         "level 2: singular_ledger.json differs from a fresh build",
     ),
     "diagnostics_value": (
         "diagnostics.jsonl",
-        lambda t: t.replace('"negative_mass": "-4/55"', '"negative_mass": "-3/55"', 1),
+        _rewritten(
+            lambda t: t.replace('"negative_mass": "-4/55"', '"negative_mass": "-3/55"', 1)
+        ),
         1,
         "level 2: diagnostics.jsonl differs from a fresh build",
     ),
@@ -227,13 +255,24 @@ BAD_ARTIFACTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
 def test_cli_verify_bad_artifacts_fail_cleanly(tmp_path, case):
-    name, rewrite, code, prefix = BAD_ARTIFACTS[case]
+    name, act, code, prefix = BAD_ARTIFACTS[case]
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
-    text = (d / name).read_text()
-    assert rewrite(text) != text
-    (d / name).write_text(rewrite(text))
+    act(d / name)
     _assert_verify_fails_cleanly(d, code, prefix)
+
+
+def test_cli_verify_names_each_missing_file(tmp_path):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    (d / "tau_level_2.json").unlink()
+    (d / "quasi_cost_level_2.csv").unlink()
+    out = _verify_in_child(d)
+    assert out.returncode == 1
+    assert [line.split(":")[:2] for line in out.stderr.splitlines()] == [
+        ["level 2", " unreadable tau_level_2.json"],
+        ["level 2", " unreadable quasi_cost_level_2.csv"],
+    ]
 
 
 def _assert_verify_fails_cleanly(d, code, prefix):
