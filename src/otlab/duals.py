@@ -3,11 +3,13 @@
 The raw pair at level n is (phi^n, 1 - phi^n).  Its corrected version
 subtracts the positive part of the constraint excess on each of the
 three level-n graphs (diagonal, one rotation step, the constructed
-permutation).  By construction the raw pair meets all three constraints
--- with equality off the middle interval -- so the corrections are
-computed, recorded, and come out zero; the quantities that actually
-shrink with the level (the good-set deviation from the stable value and
-the rotation drift against the next level's angle) are reported instead.
+permutation).  The diagonal excess phi + (1 - phi) - 1 and the
+constructed-graph excess q - q (q the quasi-cost) vanish identically, so
+only the one-step excess is computed; the raw pair meets that constraint
+too -- with equality off the middle interval -- so the correction comes
+out zero.  The quantities that actually shrink with the level (the
+good-set deviation from the stable value and the rotation drift against
+the next level's angle) are reported instead.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import numpy as np
 from .circle import ModulusTower, phi_level, quasi_cost_values
 from .tau import (
     LedgerSums,
+    RefinementSums,
     SingularLedger,
     TauLevel,
     fold_quasi_cost,
     quasi_cost,
-    refinement_deviation,
-    singular_ledger,
 )
 
 ZERO = Fraction(0)
@@ -44,22 +45,17 @@ def _one_step_cost(tower: ModulusTower, n: int, lo: int = 0, hi: Optional[int] =
     return np.where(idx < tower.middle_index(n), 0, 2)
 
 
-def _correction(level: TauLevel, tower: ModulusTower, phi, lo: int, q):
-    """phi_raw - phi_corrected at indices lo..lo+len(q)-1: the positive
-    parts of the constraint excess of (phi, psi = 1 - phi) on the
-    diagonal, the one-step graph and the constructed graph."""
+def _correction(level: TauLevel, tower: ModulusTower, phi, lo: int, hi: int):
+    """phi_raw - phi_corrected at indices lo..hi-1: the positive part of
+    the one-step excess of (phi, psi = 1 - phi), the diagonal and
+    constructed-graph excesses being zero."""
     n = level.level
-    hi = lo + len(q)
-    ph = phi[lo:hi]
-    term_diag = np.maximum(ph + (1 - ph) - 1, 0)
     rot = np.arange(lo, hi, dtype=np.int64)
     rot += tower.step(n)
     rot %= level.modulus
-    pair_rot = ph + (1 - phi[rot])
-    term_rot = np.maximum(pair_rot - _one_step_cost(tower, n, lo, hi), 0)
-    pair_tau = ph + (1 - phi[level.sigma[lo:hi]])
-    term_tau = np.maximum(pair_tau - q, 0)
-    return term_diag + term_rot + term_tau
+    excess = quasi_cost_values(phi, rot, lo)
+    excess -= _one_step_cost(tower, n, lo, hi)
+    return np.maximum(excess, 0)
 
 
 class _CorrectionSums:
@@ -77,7 +73,7 @@ class _CorrectionSums:
     def add(self, lo: int, q):
         hi = lo + len(q)
         ph = self.phi[lo:hi]
-        corr = _correction(self.level, self.tower, self.phi, lo, q)
+        corr = _correction(self.level, self.tower, self.phi, lo, hi)
         phi_corr = ph - corr
         if self.phi_corrected is not None:
             self.phi_corrected[lo:hi] = phi_corr
@@ -109,10 +105,18 @@ class DualPairLevel:
 
 
 def corrected_pair(level: TauLevel, tower: ModulusTower) -> DualPairLevel:
+    """The raw and corrected pair of a construction level, with the
+    ledger's good deviation and the refinement deviation, from one
+    chunked pass over the quasi-cost."""
+    level.require_masks("corrected_pair")
     n = level.level
     phi = phi_level(tower, n).values
     phi_corr = np.empty_like(phi)
-    _, norm = fold_quasi_cost(level, tower, _CorrectionSums(level, tower, phi_corr))[0]
+    ledger, refinement, (_, norm) = fold_quasi_cost(
+        level, tower,
+        LedgerSums(level, tower), RefinementSums(level, tower),
+        _CorrectionSums(level, tower, phi_corr),
+    )
 
     drift = None
     if n < tower.depth:
@@ -124,8 +128,8 @@ def corrected_pair(level: TauLevel, tower: ModulusTower) -> DualPairLevel:
         psi=1 - phi,
         phi_corrected=phi_corr,
         correction_norm=norm,
-        good_deviation=singular_ledger(level, tower).good_deviation,
-        refinement_deviation=refinement_deviation(level, tower),
+        good_deviation=ledger.good_deviation,
+        refinement_deviation=refinement,
         rotation_drift_bound=drift,
     )
 
@@ -220,9 +224,8 @@ class _DiagnosticSums:
     """Chunk sums of the singular build-up diagnostic; only the negative
     entries of q are kept, and sorted once at the end."""
 
-    def __init__(self, level: TauLevel, delta_grid=None):
+    def __init__(self, level: TauLevel):
         self.level = level
-        self.delta_grid = delta_grid
         self.negatives = [np.zeros(0, dtype=np.int64)]
         self.plus = self.minus = 0
 
@@ -235,9 +238,8 @@ class _DiagnosticSums:
         M = self.level.modulus
         neg = np.sort(np.concatenate(self.negatives))
         prefix = np.concatenate([[0], np.cumsum(neg, dtype=np.int64)])
-        grid = self.delta_grid if self.delta_grid is not None else default_delta_grid(M)
         sup = {}
-        for d in grid:
+        for d in default_delta_grid(M):
             dM = Fraction(d) * M
             k = int(dM) - 1 if dM.denominator == 1 else int(dM)  # largest k/M < d
             k = min(max(k, 0), len(neg))  # only negative entries help
@@ -252,14 +254,14 @@ class _DiagnosticSums:
         )
 
 
-def singular_buildup(levels, tower: ModulusTower, delta_grid=None):
+def singular_buildup(levels, tower: ModulusTower):
     """Per level: the negative mass of the quasi-cost, the measure of its
     carrier, and the greedy small-set suprema of -<(phi+psi)1_A, pi_tau>
-    over sets of measure < delta."""
+    over sets of measure < delta, for delta on `default_delta_grid`."""
     out = []
     for level in levels:
         level.require_masks("singular_buildup")
-        out += fold_quasi_cost(level, tower, _DiagnosticSums(level, delta_grid))
+        out += fold_quasi_cost(level, tower, _DiagnosticSums(level))
     return out
 
 

@@ -22,14 +22,20 @@ def instance_to_json(cost: CostMatrix, marg: Marginals) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
 
+def _list(value, what: str):
+    """value itself when it is a JSON list; ValueError otherwise (a string
+    would iterate as its characters, an object as its keys)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def instance_from_json(text: str):
     obj = json.loads(text)
-    cost = CostMatrix([[parse_rational_str(v) for v in row] for row in obj["cost"]])
-    marg = Marginals(
-        [parse_rational_str(v) for v in obj["mu"]],
-        [parse_rational_str(v) for v in obj["nu"]],
-    )
-    return cost, marg
+    rows = (_list(row, "a cost row") for row in _list(obj["cost"], "cost"))
+    cost = CostMatrix([[parse_rational_str(v) for v in row] for row in rows])
+    mu, nu = ([parse_rational_str(v) for v in _list(obj[k], k)] for k in ("mu", "nu"))
+    return cost, Marginals(mu, nu)
 
 
 def load_instance(path):

@@ -1,27 +1,23 @@
 """Exact primal simplex on the transportation polytope, in integers.
 
-Costs come in as pairs (inf_units, finite), so a forbidden cell carries
-one symbolic infinity unit, and supplies and demands as positive
-Fractions.  The solver scales them to plain Python ints once:
+Costs come in as rows of Fractions >= 0 or INF, supplies and demands as
+positive Fractions.  The solver scales them to plain Python ints once:
 
-- the finite cost parts by the LCM of their denominators;
-- the supplies and demands by the LCM of theirs;
-- a cost pair (a, f) to the integer a*BIG + f.  A tree potential is an
-  alternating sum along a path of at most m+n-1 basic cells, so the
-  finite part of a potential or a reduced cost is at most
-  (2(m+n)-1)*max|f| in size, and BIG = 2*(2(m+n)+1)*max|f| + 1 is more
-  than twice that.  The integer order of costs, potentials and reduced
-  costs is then exactly the lexicographic (inf_units, finite) order, and
-  each encoded potential decodes back to its pair.
+- the finite costs by the LCM of their denominators, the masses by the
+  LCM of theirs;
+- an INF cell to BIG = 2*(2(m+n)+1)*top + 1, for top the largest scaled
+  finite cost.  Read an INF cell as one infinity unit plus a finite part
+  0: a tree potential sums at most m+n-1 basic cells with alternating
+  signs, so the finite part of a potential or a reduced cost is at most
+  (2(m+n)-1)*top in size, below BIG/2.  The integer order is then the
+  lexicographic big-M order (Ahuja, Magnanti and Orlin, Network Flows,
+  1993), and each potential decodes to its units and finite part.
 
-Scaling by positive integers preserves every comparison, so the solver
-pivots through the bases the pair arithmetic would, with every flow
-times the mass scale, and total unimodularity of the transportation
-polytope keeps each flow an integer.  Flows, the plan value and the
-optimal tree potentials are converted back to Fractions once, at the
-end.  The value's inf_units part comes from the flow on INF cells, not
-from the encoded objective: a positive one is the NoFinitePlan
-certificate.
+Scaling by positive integers preserves every comparison, and total
+unimodularity keeps each flow an integer.  Flows, the plan value (INF
+when an INF cell carries flow: the NoFinitePlan certificate) and the
+optimal tree potentials (None when one carries an infinity unit) are
+converted back to Fractions once, at the end.
 
 Pivoting is Bland's rule in row-major cell order (entering: first cell
 with negative reduced cost; leaving: lowest-index cell among minimum
@@ -36,13 +32,15 @@ from fractions import Fraction
 from math import lcm
 from operator import sub
 
+from ..rational import INF
 
-def _perfect_finite_matching(ext_cost, n):
-    """Kuhn's algorithm on the finite cells of a square instance; None
-    when no perfect finite matching exists.  The augmenting-path search
-    is a depth-first search on an explicit stack of (row, column
-    iterator) frames."""
-    adj = [[j for j in range(n) if ext_cost[i][j][0] == 0] for i in range(n)]
+
+def _perfect_finite_matching(cost, big, n):
+    """Kuhn's algorithm on the finite cells (encoded cost below big) of a
+    square instance; None when no perfect finite matching exists.  The
+    augmenting-path search is a depth-first search on an explicit stack
+    of (row, column iterator) frames."""
+    adj = [[j for j in range(n) if cost[i][j] < big] for i in range(n)]
     match_col = [-1] * n
 
     def augment(root, seen):
@@ -71,14 +69,14 @@ def _perfect_finite_matching(ext_cost, n):
     return match_col
 
 
-def _matching_start(ext_cost, supply, demand):
+def _matching_start(cost, big, supply, demand):
     """Uniform square case: a spanning tree around a finite perfect
     matching (mass on the matching, zero on finite connector cells).
     Returns (flow, basis_set) or None when inapplicable."""
     m, n = len(supply), len(demand)
     if m != n or len(set(supply)) != 1 or len(set(demand)) != 1 or supply[0] != demand[0]:
         return None
-    match_col = _perfect_finite_matching(ext_cost, n)
+    match_col = _perfect_finite_matching(cost, big, n)
     if match_col is None:
         return None
     flow = {}
@@ -100,7 +98,7 @@ def _matching_start(ext_cost, supply, demand):
         if comps == 1:
             break
         for j in range(n):
-            if ext_cost[i][j][0] == 0 and find(i) != find(n + j):
+            if cost[i][j] < big and find(i) != find(n + j):
                 basis_set.add((i, j))
                 flow[(i, j)] = 0
                 parent[find(i)] = find(n + j)
@@ -130,32 +128,31 @@ def _reroot(q, w, adj, parent, depth):
     return order
 
 
-def solve_transport(ext_cost, supply, demand):
+def solve_transport(costs, supply, demand):
     """Minimize sum(c*x) over x >= 0 with prescribed row/col sums.
 
-    ext_cost: list of rows of (inf_units, Fraction) pairs.
+    costs: rows of Fractions >= 0 or INF.
     supply/demand: positive Fractions with equal totals.
     Returns (flow, value, u, v): the Fraction flow on every basic cell of
-    the optimal tree, the plan value as an (inf_units, Fraction) pair and
-    the optimal tree potentials as pairs, rooted at u[0] = (0, 0), with
-    u[i] + v[j] = c(i, j) on every basic cell.
+    the optimal tree, the plan value (INF when an INF cell carries flow)
+    and the optimal tree potentials, rooted at u[0] = 0, with u[i] + v[j]
+    = c(i, j) on every basic cell; a potential that carries an infinity
+    unit is None.
     """
     m, n = len(supply), len(demand)
-    cost_scale = lcm(*{c[1].denominator for row in ext_cost for c in row})
-    mass_scale = lcm(*{x.denominator for x in supply}, *{x.denominator for x in demand})
-    finite = [
-        [c[1].numerator * (cost_scale // c[1].denominator) for c in row]
-        for row in ext_cost
-    ]
-    big = 2 * (2 * (m + n) + 1) * max(abs(f) for row in finite for f in row) + 1
+    finite = [c for row in costs for c in row if c is not INF]
+    cost_scale = lcm(*{c.denominator for c in finite})
+    top = max(finite, default=Fraction(0))
+    big = 2 * (2 * (m + n) + 1) * (top.numerator * (cost_scale // top.denominator)) + 1
     cost = [
-        [c[0] * big + f for c, f in zip(row, frow)]
-        for row, frow in zip(ext_cost, finite)
+        [big if c is INF else c.numerator * (cost_scale // c.denominator) for c in row]
+        for row in costs
     ]
+    mass_scale = lcm(*{x.denominator for x in supply}, *{x.denominator for x in demand})
     supply = [x.numerator * (mass_scale // x.denominator) for x in supply]
     demand = [x.numerator * (mass_scale // x.denominator) for x in demand]
 
-    start = _matching_start(ext_cost, supply, demand)
+    start = _matching_start(cost, big, supply, demand)
     if start is not None:
         flow, basis = start
     else:
@@ -251,16 +248,12 @@ def solve_transport(ext_cost, supply, demand):
         for z in _reroot(q, w, adj, parent, depth):
             pot[z] += shift if z < m else -shift
 
-    def pair(x):  # a*BIG + f -> (a, f / cost_scale), as |f| < BIG/2
-        units = (x + big // 2) // big
-        return (units, Fraction(x - units * big, cost_scale))
+    def potential(x):  # a*BIG + f -> f / cost_scale, or None when a != 0
+        return None if abs(x) > big // 2 else Fraction(x, cost_scale)
 
-    inf_mass = 0
-    finite_value = 0
-    for (bi, bj), f in flow.items():
-        inf_mass += ext_cost[bi][bj][0] * f
-        finite_value += finite[bi][bj] * f
-    value = (Fraction(inf_mass, mass_scale), Fraction(finite_value, cost_scale * mass_scale))
-    u = [pair(x) for x in pot[:m]]
-    v = [pair(x) for x in pot[m:]]
+    inf_flow = any(f and cost[i][j] == big for (i, j), f in flow.items())
+    charged = sum(cost[i][j] * f for (i, j), f in flow.items())
+    value = INF if inf_flow else Fraction(charged, cost_scale * mass_scale)
+    u = [potential(x) for x in pot[:m]]
+    v = [potential(x) for x in pot[m:]]
     return {cell: Fraction(f, mass_scale) for cell, f in flow.items()}, value, u, v

@@ -1,16 +1,14 @@
 """Primal/dual transport solves and their certificates.
 
 `solve_primal` and `solve_certified` each run one transportation simplex
-on the rows and columns with positive mass; `solve_dual` is the second
-half of `solve_certified`.  The simplex pivots on integers (finite costs
-and masses scaled by the LCMs of their denominators, an INF cell encoded
-as an integer BIG above every finite part a reduced cost can reach, so
-the integer order is the lexicographic (inf_units, finite) order) and
-hands back the plan and its optimal tree potentials in exact Fractions.
-The dual is those tree potentials, extended to zero-mass rows and
-columns by a c-transform; only when the optimal tree crosses an INF
-cell, so that a potential carries an infinity unit, does it fall back to
-the strong-monotonicity potentials of the optimal support.  Either way
+(`simplex.solve_transport`) on the rows and columns with positive mass;
+`solve_dual` is the second half of `solve_certified`.  The simplex takes
+the cost cells as Fractions or INF and hands back the plan and its
+optimal tree potentials in exact Fractions.  The dual is those tree
+potentials, extended to zero-mass rows and columns by a c-transform;
+only when the optimal tree crosses an INF cell, so that a potential
+carries an infinity unit (None), does it fall back to the
+strong-monotonicity potentials of the optimal support.  Either way
 the potentials are checked exactly: feasible on every finite cell, with
 the plan's value.
 
@@ -44,7 +42,6 @@ from .types import (
 )
 
 ZERO = Fraction(0)
-_INF_PAIR = (1, ZERO)  # one shared (inf_units, finite) pair for every INF cell
 
 
 def _check_dims(cost: CostMatrix, marg: Marginals):
@@ -57,8 +54,9 @@ def _check_dims(cost: CostMatrix, marg: Marginals):
 
 def _solve(cost: CostMatrix, marg: Marginals):
     """The optimal plan, and the optimal tree potentials of the rows and
-    columns with positive mass as (inf_units, Fraction) pairs keyed by
-    their index; InfeasibleMarginals / NoFinitePlan on failure."""
+    columns with positive mass keyed by their index (None where one
+    carries an infinity unit); InfeasibleMarginals / NoFinitePlan on
+    failure."""
     _check_dims(cost, marg)
     if marg.total_mu() != marg.total_nu():
         raise InfeasibleMarginals(
@@ -71,19 +69,18 @@ def _solve(cost: CostMatrix, marg: Marginals):
     full = [[ZERO] * cost.n_cols for _ in range(cost.n_rows)]
     if not (rows and cols):
         return TransportPlan(full, ZERO), {}, {}
-    ext = [
-        [_INF_PAIR if is_inf(cost[i, j]) else (0, cost[i, j]) for j in cols]
-        for i in rows
-    ]
+    cells = cost.entries
+    if len(rows) < cost.n_rows or len(cols) < cost.n_cols:
+        cells = [[cells[i][j] for j in cols] for i in rows]
     supply = [marg.mu[i] for i in rows]
     demand = [marg.nu[j] for j in cols]
-    flow, value, u, v = solve_transport(ext, supply, demand)
-    if value[0] > 0:
+    flow, value, u, v = solve_transport(cells, supply, demand)
+    if value is INF:
         raise NoFinitePlan("every admissible plan meets an infinite cost cell")
     for (a, b), f in flow.items():
         if f > 0:
             full[rows[a]][cols[b]] = f
-    return TransportPlan(full, value[1]), dict(zip(rows, u)), dict(zip(cols, v))
+    return TransportPlan(full, value), dict(zip(rows, u)), dict(zip(cols, v))
 
 
 def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
@@ -123,13 +120,13 @@ def solve_certified(cost: CostMatrix, marg: Marginals):
     finite cell and a value equal to the plan value.
     """
     plan, u, v = _solve(cost, marg)
-    if any(p[0] for p in u.values()) or any(p[0] for p in v.values()):
+    if any(p is None for p in u.values()) or any(p is None for p in v.values()):
         pair = strong_monotone_potentials(sorted(plan.support()), cost)
         if pair is None:  # the optimal support is always cyclically monotone
             raise AssertionError("optimal support failed the monotonicity check")
     else:
-        phi = [u[i][1] if i in u else None for i in range(cost.n_rows)]
-        psi = [v[j][1] if j in v else None for j in range(cost.n_cols)]
+        phi = [u.get(i) for i in range(cost.n_rows)]
+        psi = [v.get(j) for j in range(cost.n_cols)]
         _c_transform_fill(cost, phi, psi)
         pair = DualPair(phi, psi)
     if not pair.is_feasible(cost):
@@ -300,6 +297,7 @@ def fenchel_value(f, g, cost: CostMatrix):
     ValueError when an entry is negative.
     """
     marg = Marginals(f, g)
+    _check_dims(cost, marg)
     if marg.total_mu() != marg.total_nu():
         return INF
     try:

@@ -68,6 +68,8 @@ class CostMatrix:
         if not rows:
             raise ValueError("cost matrix must have at least one row")
         width = len(rows[0])
+        if not width:
+            raise ValueError("cost matrix must have at least one column")
         if any(len(r) != width for r in rows):
             raise ValueError("ragged cost matrix")
         self.entries = tuple(rows)

@@ -367,9 +367,11 @@ class LedgerSums:
         )
 
 
-class _RefinementSums:
+class RefinementSums:
     """Chunk sums of |drop - parent drop| over the children of good
-    parents (zero without a parent)."""
+    parents (zero without a parent): the refinement deviation, the L1
+    distance between the potential drop and its parent value, nonzero
+    only on re-routed boundary sub-blocks and of order M^2/m at level 2."""
 
     def __init__(self, level: TauLevel, tower: ModulusTower):
         self.level = level
@@ -396,15 +398,6 @@ def singular_mass(level: TauLevel, tower: ModulusTower) -> Fraction:
     -1 + 3/M_1 at level 1."""
     level.require_masks("singular_mass")
     return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0].singular_mass
-
-
-def refinement_deviation(level: TauLevel, tower: ModulusTower) -> Fraction:
-    """L1 distance between the potential drop and its parent value over
-    the children of good parents; nonzero only on re-routed boundary
-    sub-blocks, and of order M^2/m at level 2."""
-    if level.parent is None:
-        return Fraction(0)
-    return fold_quasi_cost(level, tower, _RefinementSums(level, tower))[0]
 
 
 def singular_ledger(level: TauLevel, tower: ModulusTower) -> SingularLedger:
@@ -482,7 +475,7 @@ def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
     n = level.level
     ledger, refinement, checks = fold_quasi_cost(
         level, tower,
-        LedgerSums(level, tower), _RefinementSums(level, tower), _LevelChecks(level, tower),
+        LedgerSums(level, tower), RefinementSums(level, tower), _LevelChecks(level, tower),
     )
     bad = _avoidance_violations(
         level.tau, tower.step_inverse(n), tower.middle_index(n)

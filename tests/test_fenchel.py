@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 
-from otlab.finite_ot import CostMatrix, fenchel_value
+import pytest
+
+from otlab.finite_ot import CostMatrix, DimensionMismatch, fenchel_value
 from otlab.rational import INF, is_inf
 
 
@@ -19,6 +21,14 @@ def test_zero_margins_give_zero():
 def test_unequal_sums_infinite():
     cost = CostMatrix([[1, 2], [3, 4]])
     assert is_inf(fenchel_value([1, 0], [0, 2], cost))
+
+
+@pytest.mark.parametrize("f", [[1], [2]], ids=["equal_totals", "unequal_totals"])
+def test_margins_that_do_not_fit_raise(f):
+    # the shape is checked before the totals, so both raise
+    cost = CostMatrix([[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatch):
+        fenchel_value(f, [1, 1], cost)
 
 
 def test_no_finite_coupling_infinite():

@@ -40,6 +40,29 @@ def test_instance_round_trip():
     assert instance_to_json(cost2, marg2) == text
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"cost": ["01", "10"], "mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"]},
+        {"cost": {"01": 0, "10": 0}, "mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"]},
+        {"cost": [["0/1", "1/1"], ["1/1", "0/1"]], "mu": "11", "nu": ["1/1", "1/1"]},
+        {"cost": [["0/1", "1/1"], ["1/1", "0/1"]], "mu": ["1/1", "1/1"], "nu": "11"},
+    ],
+    ids=["string_rows", "object_cost", "string_mu", "string_nu"],
+)
+def test_instance_from_json_requires_lists(obj):
+    # a JSON string or object would otherwise iterate as its characters or keys
+    with pytest.raises(ValueError, match="must be a JSON list"):
+        instance_from_json(json.dumps(obj))
+
+
+def test_cost_matrix_needs_a_column():
+    with pytest.raises(ValueError, match="at least one column"):
+        CostMatrix([[]])
+    with pytest.raises(ValueError, match="ragged"):
+        CostMatrix([[1], []])
+
+
 def test_rle_round_trip():
     rng = random.Random(2)
     vals = [rng.randint(-3, 3) for _ in range(200)]
@@ -348,6 +371,12 @@ BAD_INSTANCES = {
     "bare_number": {"cost": [[1, "1/1"], ["0/1", "0/1"]]},
     "marginals_misfit": {"nu": ["1/3", "1/3", "1/3"]},
     "cost_not_rows": {"cost": 5},
+    # strings iterate as their characters: ["35"] used to be solved as [[3, 5]]
+    "string_cost_row": {"n": 1, "cost": ["35"], "mu": "2", "nu": "11"},
+    "string_marginals": {"mu": "11", "nu": "11"},
+    # a cost row of width 0, with and without row mass
+    "zero_width_massless": {"n": 1, "cost": [[]], "mu": ["0/1"], "nu": []},
+    "zero_width_with_mass": {"n": 1, "cost": [[]], "mu": ["1/1"], "nu": []},
 }
 
 

@@ -160,10 +160,10 @@ def test_slackness_dimension_mismatch():
         check_complementary_slackness(plan, DualPair([0], [0]), cost)
 
 
-def _recursive_kuhn(ext_cost, n):
+def _recursive_kuhn(cost, big, n):
     """The recursive augmenting-path form of Kuhn's algorithm, kept as
     the oracle for the explicit-stack search in the simplex start."""
-    adj = [[j for j in range(n) if ext_cost[i][j][0] == 0] for i in range(n)]
+    adj = [[j for j in range(n) if cost[i][j] < big] for i in range(n)]
     match_col = [-1] * n
 
     def augment(i, seen):
@@ -181,15 +181,15 @@ def _recursive_kuhn(ext_cost, n):
     return match_col
 
 
-def _chain_ext(n):
-    """Row i < n-1 is finite on columns i and i+1, row n-1 only on column
-    0: the last row's augmenting path runs through every earlier row."""
-    fin, inf = (0, F(0)), (1, F(0))
-    ext = [[inf] * n for _ in range(n)]
+def _chain_cost(n):
+    """Encoded costs with BIG = 1: row i < n-1 is finite (0) on columns i
+    and i+1, row n-1 only on column 0, so the last row's augmenting path
+    runs through every earlier row."""
+    cost = [[1] * n for _ in range(n)]
     for i in range(n - 1):
-        ext[i][i] = ext[i][i + 1] = fin
-    ext[n - 1][0] = fin
-    return ext
+        cost[i][i] = cost[i][i + 1] = 0
+    cost[n - 1][0] = 0
+    return cost
 
 
 def test_matching_agrees_with_recursive_kuhn():
@@ -197,18 +197,15 @@ def test_matching_agrees_with_recursive_kuhn():
     for _ in range(300):
         n = rng.randint(1, 9)
         p = rng.choice([0.2, 0.4, 0.7])
-        ext = [
-            [(0 if rng.random() < p else 1, F(0)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        assert simplex._perfect_finite_matching(ext, n) == _recursive_kuhn(ext, n)
-    ext = _chain_ext(9)
-    assert simplex._perfect_finite_matching(ext, 9) == _recursive_kuhn(ext, 9)
+        cost = [[0 if rng.random() < p else 1 for _ in range(n)] for _ in range(n)]
+        assert simplex._perfect_finite_matching(cost, 1, n) == _recursive_kuhn(cost, 1, n)
+    cost = _chain_cost(9)
+    assert simplex._perfect_finite_matching(cost, 1, 9) == _recursive_kuhn(cost, 1, 9)
 
 
 def test_matching_deeper_than_recursion_limit():
     n = sys.getrecursionlimit() + 200
-    match_col = simplex._perfect_finite_matching(_chain_ext(n), n)
+    match_col = simplex._perfect_finite_matching(_chain_cost(n), 1, n)
     assert match_col == [n - 1] + list(range(n - 1))
 
 
@@ -216,10 +213,10 @@ def test_matching_start_leaves_recursion_limit_alone(monkeypatch):
     # the matching start must not touch process-global interpreter state
     n = 10
     rng = random.Random(3)
-    chain = _chain_ext(n)
+    chain = _chain_cost(n)
     cost = CostMatrix(
         [
-            [F(rng.randint(0, 9)) if chain[i][j][0] == 0 or rng.random() < 0.3 else INF
+            [F(rng.randint(0, 9)) if chain[i][j] == 0 or rng.random() < 0.3 else INF
              for j in range(n)]
             for i in range(n)
         ]
@@ -252,10 +249,22 @@ import fraction_simplex  # noqa: E402  (tests/fraction_simplex.py)
 from otlab.finite_ot import DualPair, solvers  # noqa: E402
 
 
-def _ext(cost):
-    return [
-        [(1, F(0)) if v is INF else (0, v) for v in row] for row in cost.entries
-    ]
+def _ext(cells):
+    """The oracle's (inf_units, Fraction) pair for each cost cell."""
+    return [[(1, F(0)) if v is INF else (0, v) for v in row] for row in cells]
+
+
+def _fraction_simplex_on_cells(cells, supply, demand):
+    """fraction_simplex.solve_transport behind the production interface:
+    cells in as Fractions or INF; the value out as INF when it has an
+    infinity unit, and a potential as None when it carries one."""
+    flow, value, u, v = fraction_simplex.solve_transport(_ext(cells), supply, demand)
+
+    def potential(p):
+        return None if p[0] else p[1]
+
+    value = INF if value[0] > 0 else value[1]
+    return flow, value, [potential(p) for p in u], [potential(p) for p in v]
 
 
 def _oracle_instances(seed):
@@ -298,14 +307,14 @@ def test_integer_simplex_matches_fraction_simplex(seed):
     for cost, marg, kind in _oracle_instances(seed):
         if kind == "zero_mass":
             continue
-        ext = _ext(cost)
         supply, demand = list(marg.mu), list(marg.nu)
-        if simplex._matching_start(ext, supply, demand) is None:
+        encoded = [[1 if c is INF else 0 for c in row] for row in cost.entries]  # BIG = 1
+        if simplex._matching_start(encoded, 1, supply, demand) is None:
             starts["north_west"] += 1
         else:
             starts["matching"] += 1
-        flow, value, u, v = simplex.solve_transport(ext, supply, demand)
-        ref_flow, ref_value, ref_u, ref_v = fraction_simplex.solve_transport(ext, supply, demand)
+        flow, value, u, v = simplex.solve_transport(cost.entries, supply, demand)
+        ref_flow, ref_value, ref_u, ref_v = _fraction_simplex_on_cells(cost.entries, supply, demand)
         assert flow == ref_flow
         assert value == ref_value
         assert u == ref_u and v == ref_v
@@ -323,7 +332,7 @@ def test_solve_primal_plans_match_fraction_simplex(seed, monkeypatch):
             plans.append(solve_primal(cost, marg))
         except NoFinitePlan:
             plans.append(None)
-    monkeypatch.setattr(solvers, "solve_transport", fraction_simplex.solve_transport)
+    monkeypatch.setattr(solvers, "solve_transport", _fraction_simplex_on_cells)
     infeasible = 0
     for (cost, marg, kind), plan in zip(instances, plans):
         try:
@@ -432,7 +441,7 @@ def test_solve_dual_zero_mass_seeded():
 
 def _tree_crosses_inf(cost, marg):
     _, u, v = solvers._solve(cost, marg)
-    return any(p[0] for p in u.values()) or any(p[0] for p in v.values())
+    return any(p is None for p in u.values()) or any(p is None for p in v.values())
 
 
 def test_solve_dual_falls_back_when_the_tree_crosses_an_inf_cell(monkeypatch):
