@@ -38,6 +38,10 @@ class TowerTooShallow(TowerError):
     pass
 
 
+class ModulusOutOfRange(TowerError):
+    """A level modulus beyond what int64 index arithmetic supports."""
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -176,7 +180,7 @@ def build_tower(m1: int, depth: int, growth_floor=None, search_cap=None) -> Modu
         if math.gcd(P[-1], M[-1]) != 1:
             raise AssertionError("tower congruences failed to keep P, M coprime")
         if M[-1] > _MAX_MODULUS:
-            raise ValueError(f"modulus {M[-1]} exceeds the supported index range")
+            raise ModulusOutOfRange(f"modulus {M[-1]} exceeds the supported index range")
 
     compliant = all(
         primes[j] > 40 * M[j - 1] ** 5 for j in range(1, depth)
@@ -189,18 +193,18 @@ def build_tower(m1: int, depth: int, growth_floor=None, search_cap=None) -> Modu
     )
 
 
-def build_tower_mode(m1: int, depth: int, mode: str, search_cap=None) -> ModulusTower:
+def build_tower_mode(m1: int, depth: int, mode: str) -> ModulusTower:
     """Convenience builder: 'relaxed' takes the smallest qualifying
     primes, 'paper_compliant' floors each m_j above 40*M_{j-1}^5."""
     if mode == "relaxed":
-        return build_tower(m1, depth, search_cap=search_cap)
+        return build_tower(m1, depth)
     if mode != "paper_compliant":
         raise ValueError(f"unknown mode {mode!r}")
     tower = build_tower(m1, 1)
     floors = []
     for j in range(2, depth + 1):
         floors.append(40 * tower.M[-1] ** 5 + 1)
-        tower = build_tower(m1, j, growth_floor=floors, search_cap=search_cap)
+        tower = build_tower(m1, j, growth_floor=floors)
     return tower
 
 

@@ -92,17 +92,11 @@ def cmd_solve(args) -> int:
 
 
 def _tower_args_error(args, depth: int) -> Optional[str]:
-    """Why the tower flags can build no tower, or None.  Resolves
-    args.search_cap from TDL_SEARCH_CAP when the flag is absent."""
+    """Why the tower flags can build no tower, or None."""
     if args.m1 < 5 or args.m1 % 2 == 0 or not circle.is_probable_prime(args.m1):
         return f"--m1 {args.m1} is not an odd prime >= 5"
     if depth < 1:
         return f"tower depth must be >= 1, got {depth}"
-    if args.search_cap is None:
-        try:
-            args.search_cap = circle.default_search_cap()
-        except ValueError as e:
-            return str(e)
     return None
 
 
@@ -127,40 +121,31 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
-def _memory_error(what: str, need: int) -> Optional[str]:
-    """Why `what`, needing about `need` bytes, would not fit in memory,
-    or None."""
+class _TooLarge(Exception):
+    """A build that would not fit in physical memory."""
+
+
+def _check_memory(what: str, need: int):
+    """_TooLarge, saying why, when `what`, needing about `need` bytes,
+    would not fit in memory."""
     have = _physical_memory()
-    if have is None or need <= have:
-        return None
-    return (
-        f"{what} needs about {math.ceil(need / 2**20)} MB, "
-        f"more than the {have >> 20} MB of physical memory"
-    )
+    if have is not None and need > have:
+        raise _TooLarge(
+            f"{what} needs about {math.ceil(need / 2**20)} MB, "
+            f"more than the {have >> 20} MB of physical memory"
+        )
 
 
 def cmd_construct(args) -> int:
     error = _tower_args_error(args, args.depth)
-    levels_wanted = args.levels or args.depth
-    if error is None and not 1 <= levels_wanted <= args.depth:
-        error = f"--levels must be in 1..{args.depth}"
     if error is not None:
         _progress(error)
         return EXIT_USAGE
-    try:
-        tower = circle.build_tower_mode(
-            args.m1, args.depth, args.mode, search_cap=args.search_cap
-        )
-        M = tower.modulus(levels_wanted)
-        error = _memory_error(f"level modulus {M}", _BYTES_PER_INDEX * M)
-        if error is not None:
-            _progress(error)
-            return EXIT_CONSTRUCTION
-        _progress(f"tower primes: {tower.primes} ({tower.mode})")
-        levels = tau.build_levels(tower, levels_wanted)
-    except (circle.SearchCapExceeded, tau.GrowthTooSmall) as e:
-        _progress(f"construction failed: {e}")
-        return EXIT_CONSTRUCTION
+    tower = circle.build_tower_mode(args.m1, args.depth, args.mode)
+    M = tower.modulus(args.depth)
+    _check_memory(f"level modulus {M}", _BYTES_PER_INDEX * M)
+    _progress(f"tower primes: {tower.primes} ({tower.mode})")
+    levels = tau.build_levels(tower, args.depth)
 
     try:
         os.makedirs(args.outdir, exist_ok=True)
@@ -171,7 +156,7 @@ def cmd_construct(args) -> int:
     except OSError as e:
         _cannot_write(e, args.outdir)
         return EXIT_USAGE
-    _progress(f"wrote artifacts for levels 1..{levels_wanted} to {args.outdir}")
+    _progress(f"wrote artifacts for levels 1..{args.depth} to {args.outdir}")
     return EXIT_OK
 
 
@@ -182,23 +167,12 @@ def cmd_gap(args) -> int:
     if error is not None:
         _progress(error)
         return EXIT_USAGE
-    try:
-        tower = circle.build_tower_mode(
-            args.m1, args.jmax, args.mode, search_cap=args.search_cap
-        )
-        Mj = tower.modulus(args.jmax)
-        error = _memory_error(
-            f"truncated cost of {Mj} x {Mj} cells", _BYTES_PER_CELL * Mj * Mj
-        )
-        if error is not None:
-            _progress(error)
-            return EXIT_CONSTRUCTION
-        _progress(f"tower primes: {tower.primes} ({tower.mode})")
-        family = gap.build_gap_family(tower, args.jmax)
-        report = gap.gap_demonstration(family, args.M, args.jmax)
-    except (circle.SearchCapExceeded, tau.GrowthTooSmall) as e:
-        _progress(f"construction failed: {e}")
-        return EXIT_CONSTRUCTION
+    tower = circle.build_tower_mode(args.m1, args.jmax, args.mode)
+    Mj = tower.modulus(args.jmax)
+    _check_memory(f"truncated cost of {Mj} x {Mj} cells", _BYTES_PER_CELL * Mj * Mj)
+    _progress(f"tower primes: {tower.primes} ({tower.mode})")
+    family = gap.build_gap_family(tower, args.jmax)
+    report = gap.gap_demonstration(family, args.M, args.jmax)
     if not _emit_report(report, args.out):
         return EXIT_USAGE
     ok = report["primal"] == "1/1" and report["dual"] == "1/1"
@@ -285,71 +259,31 @@ def _saved_failures(outdir: str, level, name: str, blocks, fresh) -> list:
 _LEVEL_FILE = re.compile(r"tau_level_([1-9][0-9]*)\.json|quasi_cost_level_([1-9][0-9]*)\.csv")
 
 
-def _saved_levels(outdir: str):
-    """The level count the saved artifacts claim, the largest of the
-    ledger's and the diagnostics' record counts (those that parse) and
-    the deepest tau_level_<n>.json or quasi_cost_level_<n>.csv; and
-    those level files as sorted (level, name) pairs.  OSError when the
-    directory cannot be listed."""
-    files = sorted(
-        (int(m.group(1) or m.group(2)), name)
-        for name in os.listdir(outdir)
-        if (m := _LEVEL_FILE.fullmatch(name))
-    )
-    counts = [n for n, _ in files]
-    for name, parse in (
-        ("singular_ledger.json", json.loads), ("diagnostics.jsonl", str.splitlines)
-    ):
-        try:
-            with open(os.path.join(outdir, name), "r", encoding="utf-8") as fh:
-                records = parse(fh.read())
-        except (OSError, ValueError):
-            continue  # its own comparison reports it
-        if isinstance(records, list):
-            counts.append(len(records))
-    return max(counts, default=0), files
-
-
 def cmd_verify(args) -> int:
     """Rebuild the construction from the saved tower, compare every saved
-    artifact with a fresh rendering of it, and re-run the level invariant
-    checks."""
+    artifact of each of its levels with a fresh rendering of it, and
+    re-run the level invariant checks."""
     outdir = args.artifacts
-    try:
-        cap = circle.default_search_cap()
-    except ValueError as e:
-        _progress(str(e))
-        return EXIT_USAGE
     try:
         with open(os.path.join(outdir, "tower.json"), "r", encoding="utf-8") as fh:
             primes = json.load(fh)["primes"]
         floors = primes[1:]  # rebuild with each saved prime as its own floor
-        tower = circle.build_tower(
-            primes[0], len(primes), growth_floor=floors or None, search_cap=cap
+        tower = circle.build_tower(primes[0], len(primes), growth_floor=floors or None)
+        level_files = sorted(
+            (int(m.group(1) or m.group(2)), name)
+            for name in os.listdir(outdir)
+            if (m := _LEVEL_FILE.fullmatch(name))
         )
-        claimed, level_files = _saved_levels(outdir)
     except (OSError, ValueError, KeyError, TypeError, IndexError) as e:
         _progress(f"cannot read artifacts: {e}")
         return EXIT_USAGE
-    except circle.SearchCapExceeded as e:
-        _progress(f"construction failed: {e}")
-        return EXIT_CONSTRUCTION
     if list(tower.primes) != primes:
         _progress(f"tower mismatch: rebuilt {tower.primes} vs saved {primes}")
         return EXIT_FAIL
-    if claimed == 0:
-        _progress("no level artifacts found")
-        return EXIT_USAGE
 
-    # Every level up to the claimed count is checked, so each of its
-    # missing files fails on its own; a level file beyond the tower is a
-    # stray.
-    depth = min(claimed, tower.depth)
+    depth = tower.depth
     M = tower.modulus(depth)
-    error = _memory_error(f"level modulus {M}", _BYTES_PER_INDEX * M)
-    if error is not None:
-        _progress(error)
-        return EXIT_CONSTRUCTION
+    _check_memory(f"level modulus {M}", _BYTES_PER_INDEX * M)
 
     failures = [
         f"level {n}: {name} is deeper than the saved tower" for n, name in level_files if n > depth
@@ -388,9 +322,7 @@ def main(argv=None) -> int:
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--mode", choices=["relaxed", "paper_compliant"], default="relaxed")
-    p.add_argument("--levels", type=int, default=None)
     p.add_argument("--outdir", default="otlab-artifacts")
-    p.add_argument("--search-cap", type=int, default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("gap", help="truncated-cost duality report")
@@ -399,7 +331,6 @@ def main(argv=None) -> int:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--mode", choices=["relaxed", "paper_compliant"], default="relaxed")
     p.add_argument("--out", default=None)
-    p.add_argument("--search-cap", type=int, default=None)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("verify", help="re-check saved construction artifacts")
@@ -407,7 +338,20 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    if args.command != "solve":
+        try:
+            circle.default_search_cap()  # a bad TDL_SEARCH_CAP is a usage error
+        except ValueError as e:
+            _progress(str(e))
+            return EXIT_USAGE
+    # Every construction failure of the tower verbs exits here, one line.
+    try:
+        return args.func(args)
+    except _TooLarge as e:
+        _progress(str(e))
+    except (circle.TowerError, tau.GrowthTooSmall) as e:
+        _progress(f"construction failed: {e}")
+    return EXIT_CONSTRUCTION
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -63,6 +64,20 @@ def test_cost_matrix_needs_a_column():
         CostMatrix([[1], []])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CostMatrix([[1, F(-1, 2)]]), "cost entries must be >= 0"),
+        (lambda: CostMatrix([]), "at least one row"),
+        (lambda: Marginals([1, 0], [F(3, 2), F(-1, 2)]), "marginals must be nonnegative"),
+    ],
+    ids=["negative_cost", "no_rows", "negative_marginal"],
+)
+def test_cost_and_marginals_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_rle_round_trip():
     rng = random.Random(2)
     vals = [rng.randint(-3, 3) for _ in range(200)]
@@ -115,8 +130,7 @@ def test_cli_solve_parse_error(tmp_path):
 
 def test_cli_construct_and_verify(tmp_path, capsys):
     d = tmp_path / "artifacts"
-    assert main(["construct", "--m1", "5", "--depth", "2", "--levels", "2",
-                 "--outdir", str(d)]) == 0
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
     names = sorted(os.listdir(d))
     assert names == [
         "diagnostics.jsonl",
@@ -239,7 +253,7 @@ BAD_ARTIFACTS = {
     ),
     "level_no_good_rle": ("tau_level_2.json", _rewritten(_drop_good_rle), 1, "level 2: "),
     "level_truncated": ("tau_level_2.json", _rewritten(_truncate), 1, "level 2: "),
-    # the ledger and the diagnostics still count two levels
+    # the saved tower still has two levels
     "level_deepest_missing": (
         "tau_level_2.json", Path.unlink, 1, "level 2: unreadable tau_level_2.json: "
     ),
@@ -400,7 +414,6 @@ def test_cli_solve_bad_instance_usage(tmp_path, capsys, case):
     "argv",
     [
         ["construct", "--m1", "5", "--depth", "0"],
-        ["construct", "--m1", "5", "--depth", "2", "--levels", "-1"],
         ["gap", "--m1", "5", "--jmax", "2", "--M", "0"],
     ],
 )
@@ -488,8 +501,74 @@ def test_cli_bad_m1_usage():
     assert main(["construct", "--m1", "4", "--depth", "1"]) == 2
 
 
-def test_cli_search_cap_exit():
-    assert main(["construct", "--m1", "5", "--depth", "2", "--search-cap", "8"]) == 4
+def test_cli_search_cap_exit(monkeypatch):
+    monkeypatch.setenv("TDL_SEARCH_CAP", "8")
+    assert main(["construct", "--m1", "5", "--depth", "2"]) == 4
+
+
+def _saved_primes_11_23(d):
+    """A (5, 11) build whose tower.json claims the primes [11, 23]."""
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    saved = json.loads((d / "tower.json").read_text())
+    saved["primes"] = [11, 23]
+    (d / "tower.json").write_text(json.dumps(saved))
+    return ["verify", str(d)]
+
+
+# argv (or a function of the artifacts directory that makes it), start of
+# the one stderr line
+CONSTRUCTION_FAILURES = {
+    "construct_modulus_out_of_range": (
+        ["construct", "--m1", "7", "--depth", "4"],
+        "construction failed: modulus 63050358497 exceeds the supported index range",
+    ),
+    "gap_modulus_out_of_range": (
+        ["gap", "--m1", "7", "--jmax", "4", "--M", "1"],
+        "construction failed: modulus 63050358497 exceeds the supported index range",
+    ),
+    "verify_level_cannot_be_built": (
+        _saved_primes_11_23, "construction failed: singular split at level 2 does not fit"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_FAILURES))
+def test_cli_construction_failure_exits_4_in_one_line(tmp_path, case):
+    argv, prefix = CONSTRUCTION_FAILURES[case]
+    if callable(argv):
+        argv = argv(tmp_path / "artifacts")
+    out = _otlab_in_child(*argv, cwd=tmp_path)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 4
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+
+
+def test_cli_verify_reports_a_failed_level_invariant(tmp_path, monkeypatch, capsys):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(d)]) == 0
+    capsys.readouterr()
+    failing = types.SimpleNamespace(hard_invariants_ok=False)
+    monkeypatch.setattr(cli.tau, "verify_level", lambda level, tower: failing)
+    assert main(["verify", str(d)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("level 1: invariant check failed"), lines
+
+
+def test_cli_verify_without_level_files_names_each(tmp_path):
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    for n in (1, 2):
+        (d / f"tau_level_{n}.json").unlink()
+        (d / f"quasi_cost_level_{n}.csv").unlink()
+    out = _verify_in_child(d)
+    assert out.returncode == 1
+    assert [line.split(":")[:2] for line in out.stderr.splitlines()] == [
+        ["level 1", " unreadable tau_level_1.json"],
+        ["level 1", " unreadable quasi_cost_level_1.csv"],
+        ["level 2", " unreadable tau_level_2.json"],
+        ["level 2", " unreadable quasi_cost_level_2.csv"],
+    ]
 
 
 def test_cli_gap_report(tmp_path):

@@ -160,6 +160,40 @@ def test_slackness_dimension_mismatch():
         check_complementary_slackness(plan, DualPair([0], [0]), cost)
 
 
+def test_slackness_plan_misfit_raises():
+    from otlab.finite_ot import DimensionMismatch, DualPair
+
+    cost = CostMatrix([[1, 2], [3, 4]])
+    plan = solve_primal(CostMatrix([[1, 2, 3]] * 3), Marginals.uniform(3))
+    with pytest.raises(DimensionMismatch, match="plan does not fit"):
+        check_complementary_slackness(plan, DualPair([0, 0], [0, 0]), cost)
+
+
+# (0, 2) and (2, 0) are forbidden; zero potentials are tight on the diagonal
+_BANDED = CostMatrix([[0, 5, INF], [5, 0, 5], [INF, 5, 0]])
+_THIRDS = TransportPlan([[F(1, 3) if i == j else 0 for j in range(3)] for i in range(3)], 0)
+
+
+def test_slackness_lists_the_one_cell_a_raised_potential_breaks():
+    assert check_complementary_slackness(_THIRDS, DualPair([0] * 3, [0] * 3), _BANDED).passed
+    report = check_complementary_slackness(_THIRDS, DualPair([1, 0, 0], [0] * 3), _BANDED)
+    assert report.feasibility_violations == ((0, 0),)
+    assert report.support_violations == ()
+
+
+def test_slackness_lists_mass_moved_onto_an_inf_cell():
+    t = F(1, 6)
+    moved = [list(row) for row in _THIRDS.entries]
+    # a cycle keeps the marginals: + on (0,2), (1,0), (2,1); - on the diagonal
+    for (i, j), d in zip([(0, 2), (0, 0), (1, 0), (1, 1), (2, 1), (2, 2)], [t, -t] * 3):
+        moved[i][j] += d
+    report = check_complementary_slackness(
+        TransportPlan(moved, 0), DualPair([0] * 3, [0] * 3), _BANDED
+    )
+    assert report.support_violations == ((0, 2), (1, 0), (2, 1))
+    assert report.feasibility_violations == ()
+
+
 def _recursive_kuhn(cost, big, n):
     """The recursive augmenting-path form of Kuhn's algorithm, kept as
     the oracle for the explicit-stack search in the simplex start."""
