@@ -34,12 +34,9 @@ class SearchCapExceeded(TowerError):
     """Prime scan hit the candidate cap before a qualifying prime."""
 
 
-class TowerTooShallow(TowerError):
-    pass
-
-
-class ModulusOutOfRange(TowerError):
-    """A level modulus beyond what int64 index arithmetic supports."""
+class TowerTooShallow(IndexError):
+    """A level past the depth the tower was built to: a caller's bug,
+    not a tower that cannot be built."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -134,7 +131,7 @@ class ModulusTower:
         return pow(self.step(n) % self.modulus(n), -1, self.modulus(n))
 
 
-def build_tower(m1: int, depth: int, growth_floor=None, search_cap=None) -> ModulusTower:
+def build_tower(m1: int, depth: int, growth_floor=None) -> ModulusTower:
     """Scan the congruence-determined arithmetic progressions for primes.
 
     growth_floor gives a minimum for each of m_2..m_depth (monotone);
@@ -152,7 +149,7 @@ def build_tower(m1: int, depth: int, growth_floor=None, search_cap=None) -> Modu
             raise ValueError("growth_floor must give one minimum per level >= 2")
         if any(a > b for a, b in zip(floors, floors[1:])):
             raise ValueError("growth_floor must be monotone")
-    cap = search_cap if search_cap is not None else default_search_cap()
+    cap = default_search_cap()
 
     primes = [m1]
     M = [m1]
@@ -180,7 +177,7 @@ def build_tower(m1: int, depth: int, growth_floor=None, search_cap=None) -> Modu
         if math.gcd(P[-1], M[-1]) != 1:
             raise AssertionError("tower congruences failed to keep P, M coprime")
         if M[-1] > _MAX_MODULUS:
-            raise ModulusOutOfRange(f"modulus {M[-1]} exceeds the supported index range")
+            raise TowerError(f"modulus {M[-1]} exceeds the supported index range")
 
     compliant = all(
         primes[j] > 40 * M[j - 1] ** 5 for j in range(1, depth)

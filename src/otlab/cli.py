@@ -144,8 +144,8 @@ def cmd_construct(args) -> int:
     tower = circle.build_tower_mode(args.m1, args.depth, args.mode)
     M = tower.modulus(args.depth)
     _check_memory(f"level modulus {M}", _BYTES_PER_INDEX * M)
-    _progress(f"tower primes: {tower.primes} ({tower.mode})")
     levels = tau.build_levels(tower, args.depth)
+    _progress(f"tower primes: {tower.primes} ({tower.mode})")
 
     try:
         os.makedirs(args.outdir, exist_ok=True)
@@ -170,8 +170,8 @@ def cmd_gap(args) -> int:
     tower = circle.build_tower_mode(args.m1, args.jmax, args.mode)
     Mj = tower.modulus(args.jmax)
     _check_memory(f"truncated cost of {Mj} x {Mj} cells", _BYTES_PER_CELL * Mj * Mj)
-    _progress(f"tower primes: {tower.primes} ({tower.mode})")
     family = gap.build_gap_family(tower, args.jmax)
+    _progress(f"tower primes: {tower.primes} ({tower.mode})")
     report = gap.gap_demonstration(family, args.M, args.jmax)
     if not _emit_report(report, args.out):
         return EXIT_USAGE

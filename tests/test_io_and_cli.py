@@ -526,6 +526,10 @@ CONSTRUCTION_FAILURES = {
         ["gap", "--m1", "7", "--jmax", "4", "--M", "1"],
         "construction failed: modulus 63050358497 exceeds the supported index range",
     ),
+    "construct_level_cannot_be_built": (
+        ["construct", "--m1", "11", "--depth", "2"],
+        "construction failed: singular split at level 2 does not fit",
+    ),
     "verify_level_cannot_be_built": (
         _saved_primes_11_23, "construction failed: singular split at level 2 does not fit"
     ),

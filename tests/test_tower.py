@@ -49,9 +49,10 @@ def test_m1_must_be_odd_prime_at_least_5(bad):
         build_tower(bad, 1)
 
 
-def test_search_cap_exceeded():
+def test_search_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("TDL_SEARCH_CAP", "8")
     with pytest.raises(SearchCapExceeded):
-        build_tower(5, 2, search_cap=8)
+        build_tower(5, 2)
 
 
 def test_growth_floor_monotonicity_enforced():
