@@ -84,10 +84,9 @@ class CostMatrix:
         return not is_inf(self.entries[i][j])
 
     def finite_cells(self):
-        for i in range(self.n_rows):
-            row = self.entries[i]
-            for j in range(self.n_cols):
-                if not is_inf(row[j]):
+        for i, row in enumerate(self.entries):
+            for j, v in enumerate(row):
+                if v is not INF:
                     yield i, j
 
     def __repr__(self):

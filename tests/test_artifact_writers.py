@@ -49,6 +49,35 @@ def test_to_csv_matches_fraction_rows(monkeypatch, chunk):
         assert StepFunction(1, values).to_csv() == csv_oracle(values)
 
 
+# Magnitudes on either side of the uint32/uint64 switch of `_render_rows`
+# (2^32) and of a digit-count step (10^9, 10^10).
+DTYPE_EDGES = [2**32 - 1, 2**32, 2**32 + 1, 10**9 - 1, 10**10]
+
+
+def _chunk_aligned_values(chunk):
+    """Chunks whose largest magnitude is each of DTYPE_EDGES, once all
+    non-negative (no sign plane) and once with exactly one negative row;
+    then a chunk whose digit widths change within it, and an all-negative
+    one."""
+    blocks = []
+    for top in DTYPE_EDGES:
+        block = [top - 3 * i for i in range(chunk)]
+        blocks.append(block)
+        blocks.append([-v if i == chunk // 2 else v for i, v in enumerate(block)])
+    blocks.append([10 ** (i % 12) - (i % 2) for i in range(chunk)])
+    blocks.append([-DTYPE_EDGES[i % len(DTYPE_EDGES)] for i in range(chunk)])
+    return np.array([v for block in blocks for v in block], dtype=np.int64)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_to_csv_around_the_unsigned_dtype_switch(monkeypatch, chunk):
+    monkeypatch.setattr(circle, "_CHUNK", chunk)
+    values = _chunk_aligned_values(chunk)
+    assert StepFunction(1, values).to_csv() == csv_oracle(values)
+    shifted = np.concatenate([values[chunk // 2 :], values[: chunk // 2]])
+    assert StepFunction(1, shifted).to_csv() == csv_oracle(shifted)
+
+
 def test_to_csv_modulus_one_and_int64_extremes():
     assert StepFunction(1, np.array([-3], dtype=np.int64)).to_csv() == (
         "index,left_endpoint,value\n0,0/1,-3/1\n"
