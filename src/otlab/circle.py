@@ -13,7 +13,6 @@ correspond to k_j = digit_j(l) + 1 in mixed radix (m_1, ..., m_n).
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 # int64 index arithmetic multiplies an index by a step count; keep the
-# product clear of 2^63.
+# product clear of 2^63.  The one bound on a tower: no level modulus,
+# M_1 = m_1 included, may exceed it.
 _MAX_MODULUS = 3_000_000_000
 
 
@@ -30,16 +30,12 @@ class TowerError(Exception):
     pass
 
 
-class SearchCapExceeded(TowerError):
-    """Prime scan hit the candidate cap before a qualifying prime."""
-
-
 class TowerTooShallow(IndexError):
     """A level past the depth the tower was built to: a caller's bug,
     not a tower that cannot be built."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -71,22 +67,10 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Solution mod prod(moduli) for pairwise coprime moduli."""
     x, mod = 0, 1
     for r, m in zip(residues, moduli):
-        g, inv = math.gcd(mod, m), pow(mod % m, -1, m)
-        assert g == 1
+        inv = pow(mod % m, -1, m)
         x = x + mod * ((r - x) * inv % m)
         mod *= m
     return x % mod
-
-
-def default_search_cap() -> int:
-    """TDL_SEARCH_CAP when set, else 10^7."""
-    env = os.environ.get("TDL_SEARCH_CAP")
-    if not env:
-        return 10_000_000
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"TDL_SEARCH_CAP must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,9 +122,11 @@ def build_tower(m1: int, depth: int, growth_floor=None) -> ModulusTower:
     the smallest qualifying prime at or above each floor is taken.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if m1 < 5 or m1 % 2 == 0 or not is_probable_prime(m1):
         raise ValueError(f"m1 must be an odd prime >= 5, got {m1}")
+    if m1 > _MAX_MODULUS:
+        raise TowerError(f"modulus {m1} exceeds the supported index range")
     if growth_floor is None:
         floors = [0] * (depth - 1)
     else:
@@ -149,7 +135,6 @@ def build_tower(m1: int, depth: int, growth_floor=None) -> ModulusTower:
             raise ValueError("growth_floor must give one minimum per level >= 2")
         if any(a > b for a, b in zip(floors, floors[1:])):
             raise ValueError("growth_floor must be monotone")
-    cap = default_search_cap()
 
     primes = [m1]
     M = [m1]
@@ -163,21 +148,20 @@ def build_tower(m1: int, depth: int, growth_floor=None) -> ModulusTower:
         floor = floors[j - 2]
         k0 = max(0, -(-(floor - x0) // M[-1]))  # ceil((floor - x0)/M)
         cand = x0 + k0 * M[-1]
-        while cand <= cap:
+        while cand * M[-1] <= _MAX_MODULUS:
             if cand > max(primes[-1], 4) and is_probable_prime(cand):
                 break
             cand += M[-1]
         else:
-            raise SearchCapExceeded(
-                f"no qualifying prime for level {j} below cap {cap}"
+            raise TowerError(
+                f"no qualifying prime for level {j} keeps the level modulus "
+                f"within the supported index range ({_MAX_MODULUS})"
             )
         primes.append(cand)
         M.append(M[-1] * cand)
         P.append(P[-1] * cand + 1)
         if math.gcd(P[-1], M[-1]) != 1:
             raise AssertionError("tower congruences failed to keep P, M coprime")
-        if M[-1] > _MAX_MODULUS:
-            raise TowerError(f"modulus {M[-1]} exceeds the supported index range")
 
     compliant = all(
         primes[j] > 40 * M[j - 1] ** 5 for j in range(1, depth)

@@ -91,15 +91,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _tower_args_error(args, depth: int) -> Optional[str]:
-    """Why the tower flags can build no tower, or None."""
-    if args.m1 < 5 or args.m1 % 2 == 0 or not circle.is_probable_prime(args.m1):
-        return f"--m1 {args.m1} is not an odd prime >= 5"
-    if depth < 1:
-        return f"tower depth must be >= 1, got {depth}"
-    return None
-
-
 # Peak RSS of `construct` and of `verify` per index of the deepest level,
 # rounded up: measured 37.4 bytes on the (7c) tower (M = 4,706,261) and
 # 27.5 on (11c) (M = 70,862,693), where the interpreter's fixed share is
@@ -137,11 +128,11 @@ def _check_memory(what: str, need: int):
 
 
 def cmd_construct(args) -> int:
-    error = _tower_args_error(args, args.depth)
-    if error is not None:
-        _progress(error)
+    try:
+        tower = circle.build_tower_mode(args.m1, args.depth, args.mode)
+    except ValueError as e:
+        _progress(str(e))
         return EXIT_USAGE
-    tower = circle.build_tower_mode(args.m1, args.depth, args.mode)
     M = tower.modulus(args.depth)
     _check_memory(f"level modulus {M}", _BYTES_PER_INDEX * M)
     levels = tau.build_levels(tower, args.depth)
@@ -161,13 +152,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    error = _tower_args_error(args, args.jmax)
-    if error is None and not 1 <= args.M <= args.jmax:
-        error = f"--M must be in 1..{args.jmax} (one limit map per built row)"
-    if error is not None:
-        _progress(error)
+    try:
+        tower = circle.build_tower_mode(args.m1, args.jmax, args.mode)
+    except ValueError as e:
+        _progress(str(e))
         return EXIT_USAGE
-    tower = circle.build_tower_mode(args.m1, args.jmax, args.mode)
+    if not 1 <= args.M <= args.jmax:
+        _progress(f"--M must be in 1..{args.jmax} (one limit map per built row)")
+        return EXIT_USAGE
     Mj = tower.modulus(args.jmax)
     _check_memory(f"truncated cost of {Mj} x {Mj} cells", _BYTES_PER_CELL * Mj * Mj)
     family = gap.build_gap_family(tower, args.jmax)
@@ -338,12 +330,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    if args.command != "solve":
-        try:
-            circle.default_search_cap()  # a bad TDL_SEARCH_CAP is a usage error
-        except ValueError as e:
-            _progress(str(e))
-            return EXIT_USAGE
     # Every construction failure of the tower verbs exits here, one line.
     try:
         return args.func(args)

@@ -147,13 +147,3 @@ def test_running_count_value(tower):
     assert running_count_value(tower, CircleIndex(1, 0), 2) == 3
     assert running_count_value(tower, CircleIndex(1, 3), 1) == 0
     assert running_count_value(tower, CircleIndex(1, 0), 0) == 1
-
-
-def test_search_cap_env(monkeypatch):
-    import pytest as _pytest
-
-    from otlab.circle import SearchCapExceeded, build_tower
-
-    monkeypatch.setenv("TDL_SEARCH_CAP", "8")
-    with _pytest.raises(SearchCapExceeded):
-        build_tower(5, 2)

@@ -415,31 +415,14 @@ def test_cli_solve_bad_instance_usage(tmp_path, capsys, case):
     [
         ["construct", "--m1", "5", "--depth", "0"],
         ["gap", "--m1", "5", "--jmax", "2", "--M", "0"],
+        # psi_12, a composite that Miller-Rabin on bases 2..37 passes
+        ["construct", "--m1", "318665857834031151167461", "--depth", "1"],
     ],
 )
 def test_cli_out_of_range_counts_usage(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["construct", "--m1", "5", "--depth", "2"],
-        ["gap", "--m1", "5", "--jmax", "2", "--M", "1"],
-        ["verify", "ARTIFACTS"],
-    ],
-)
-def test_cli_non_integer_search_cap_env(tmp_path, monkeypatch, capsys, argv):
-    d = tmp_path / "artifacts"
-    assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(d)]) == 0
-    capsys.readouterr()
-    argv = [str(d) if a == "ARTIFACTS" else a for a in argv]
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("TDL_SEARCH_CAP", "1e6")
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "TDL_SEARCH_CAP must be an integer, got '1e6'\n"
 
 
 @pytest.mark.parametrize("verb", ["construct", "verify", "gap"])
@@ -501,9 +484,10 @@ def test_cli_bad_m1_usage():
     assert main(["construct", "--m1", "4", "--depth", "1"]) == 2
 
 
-def test_cli_search_cap_exit(monkeypatch):
+def test_cli_ignores_the_retired_search_cap_env(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TDL_SEARCH_CAP", "8")
-    assert main(["construct", "--m1", "5", "--depth", "2"]) == 4
+    assert main(["construct", "--m1", "5", "--depth", "2"]) == 0
 
 
 def _saved_primes_11_23(d):
@@ -520,11 +504,18 @@ def _saved_primes_11_23(d):
 CONSTRUCTION_FAILURES = {
     "construct_modulus_out_of_range": (
         ["construct", "--m1", "7", "--depth", "4"],
-        "construction failed: modulus 63050358497 exceeds the supported index range",
+        "construction failed: no qualifying prime for level 4 keeps the level modulus "
+        "within the supported index range",
     ),
     "gap_modulus_out_of_range": (
         ["gap", "--m1", "7", "--jmax", "4", "--M", "1"],
-        "construction failed: modulus 63050358497 exceeds the supported index range",
+        "construction failed: no qualifying prime for level 4 keeps the level modulus "
+        "within the supported index range",
+    ),
+    # level 3 needs m_3 > 40 * 625505^5: past the range before any scan
+    "construct_compliant_level_3_out_of_range": (
+        ["construct", "--m1", "5", "--mode", "paper_compliant", "--depth", "3"],
+        "construction failed: no qualifying prime for level 3 keeps the level modulus",
     ),
     "construct_level_cannot_be_built": (
         ["construct", "--m1", "11", "--depth", "2"],

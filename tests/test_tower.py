@@ -3,7 +3,7 @@ import math
 import pytest
 
 from otlab.circle import (
-    SearchCapExceeded,
+    TowerError,
     TowerTooShallow,
     build_tower,
     build_tower_mode,
@@ -49,10 +49,17 @@ def test_m1_must_be_odd_prime_at_least_5(bad):
         build_tower(bad, 1)
 
 
-def test_search_cap_exceeded(monkeypatch):
-    monkeypatch.setenv("TDL_SEARCH_CAP", "8")
-    with pytest.raises(SearchCapExceeded):
-        build_tower(5, 2)
+def test_scan_is_bounded_by_the_index_range_alone():
+    t = build_tower(5, 2, growth_floor=[10**7 + 1])
+    assert t.primes[1] > 10**7 and t.primes[1] % 5 == 1
+    with pytest.raises(TowerError, match="level 2"):
+        build_tower(5, 2, growth_floor=[600_000_001])
+
+
+def test_m1_past_the_index_range():
+    # 2^32 + 15, the least prime above 2^32
+    with pytest.raises(TowerError):
+        build_tower(4294967311, 1)
 
 
 def test_growth_floor_monotonicity_enforced():
@@ -83,3 +90,21 @@ def test_miller_rabin_spot_checks():
     composites = [1, 4, 9, 15, 125011, 125001]
     assert all(is_probable_prime(p) for p in primes)
     assert not any(is_probable_prime(c) for c in composites)
+
+
+def test_miller_rabin_past_the_first_twelve_prime_bases():
+    # psi_12 = 399165290221 * 798330580441, the least strong pseudoprime
+    # to every prime base 2..37
+    assert not is_probable_prime(318665857834031151167461)
+
+
+def test_miller_rabin_agrees_with_a_sieve():
+    n = 10**5
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    assert [k for k in range(n) if is_probable_prime(k)] == [
+        k for k in range(n) if sieve[k]
+    ]
