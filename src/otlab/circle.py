@@ -181,6 +181,8 @@ def build_tower_mode(m1: int, depth: int, mode: str) -> ModulusTower:
         return build_tower(m1, depth)
     if mode != "paper_compliant":
         raise ValueError(f"unknown mode {mode!r}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     tower = build_tower(m1, 1)
     floors = []
     for j in range(2, depth + 1):

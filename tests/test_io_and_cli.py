@@ -417,6 +417,8 @@ def test_cli_solve_bad_instance_usage(tmp_path, capsys, case):
         ["gap", "--m1", "5", "--jmax", "2", "--M", "0"],
         # psi_12, a composite that Miller-Rabin on bases 2..37 passes
         ["construct", "--m1", "318665857834031151167461", "--depth", "1"],
+        ["construct", "--m1", "5", "--mode", "paper_compliant", "--depth", "0"],
+        ["gap", "--m1", "5", "--mode", "paper_compliant", "--jmax", "0", "--M", "0"],
     ],
 )
 def test_cli_out_of_range_counts_usage(tmp_path, monkeypatch, capsys, argv):

@@ -78,6 +78,13 @@ def test_compliant_mode_flag():
         assert not (cand % 5 == 1 and is_probable_prime(cand))
 
 
+@pytest.mark.parametrize("mode", ["relaxed", "paper_compliant"])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_mode_builder_rejects_depth_below_one(mode, depth):
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        build_tower_mode(5, depth, mode)
+
+
 def test_level_bounds():
     t = build_tower(5, 2)
     with pytest.raises(TowerTooShallow):
