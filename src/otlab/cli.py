@@ -97,15 +97,28 @@ def cmd_solve(args) -> int:
 # smaller.  The level arrays (tau, sigma, phi, three masks) are 27 bytes.
 _BYTES_PER_INDEX = 40
 
-# Peak RSS of `gap` per cell of the dense M_j x M_j truncated cost,
-# rounded up: measured 86.6 bytes at (5, 311) (M_j = 1555) and 196 at
-# (5, 101) (M_j = 505), where the interpreter's 30 MB is most of it.
-# Above that share both grow by 74 bytes per cell.
-_BYTES_PER_CELL = 90
+# Peak RSS of `gap` per arc of the truncated cost, whose (M+1)*M_j graph
+# cells bound the arc count, rounded up: measured 863 bytes at (5, 18041)
+# (M_j = 90,205) and 765 at (5, 30011) (M_j = 150,055), where the
+# interpreter's 30 MB is a smaller share.  Above that share both grow by
+# about 620 bytes per arc.
+_BYTES_PER_ARC = 900
+
+# Where Linux reports the memory a new process can use without swapping.
+_MEMINFO = "/proc/meminfo"
 
 
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where the OS does not say."""
+def _available_memory() -> Optional[int]:
+    """Bytes of memory available to a new build: MemAvailable from
+    /proc/meminfo where it exists, else physical memory, else None
+    where the OS says neither."""
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # given in kB
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):
@@ -113,17 +126,17 @@ def _physical_memory() -> Optional[int]:
 
 
 class _TooLarge(Exception):
-    """A build that would not fit in physical memory."""
+    """A build that would not fit in available memory."""
 
 
 def _check_memory(what: str, need: int):
     """_TooLarge, saying why, when `what`, needing about `need` bytes,
     would not fit in memory."""
-    have = _physical_memory()
+    have = _available_memory()
     if have is not None and need > have:
         raise _TooLarge(
             f"{what} needs about {math.ceil(need / 2**20)} MB, "
-            f"more than the {have >> 20} MB of physical memory"
+            f"more than the {have >> 20} MB of available memory"
         )
 
 
@@ -160,8 +173,8 @@ def cmd_gap(args) -> int:
     if not 1 <= args.M <= args.jmax:
         _progress(f"--M must be in 1..{args.jmax} (one limit map per built row)")
         return EXIT_USAGE
-    Mj = tower.modulus(args.jmax)
-    _check_memory(f"truncated cost of {Mj} x {Mj} cells", _BYTES_PER_CELL * Mj * Mj)
+    arcs = (args.M + 1) * tower.modulus(args.jmax)
+    _check_memory(f"truncated cost of {arcs} arcs", _BYTES_PER_ARC * arcs)
     family = gap.build_gap_family(tower, args.jmax)
     _progress(f"tower primes: {tower.primes} ({tower.mode})")
     report = gap.gap_demonstration(family, args.M, args.jmax)

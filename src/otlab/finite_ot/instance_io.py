@@ -13,9 +13,13 @@ from .types import CostMatrix, Marginals
 
 
 def instance_to_json(cost: CostMatrix, marg: Marginals) -> str:
+    rows = [["inf"] * cost.n_cols for _ in range(cost.n_rows)]
+    for row, arcs in zip(rows, cost.arcs):
+        for j, c in arcs.items():
+            row[j] = format_rational(c)
     obj = {
         "n": cost.n_rows,
-        "cost": [[format_rational(v) for v in row] for row in cost.entries],
+        "cost": rows,
         "mu": [format_rational(v) for v in marg.mu],
         "nu": [format_rational(v) for v in marg.nu],
     }

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..rational import is_inf
 from .types import CostMatrix, DualPair, InfiniteCostInSupport
 
 ZERO = Fraction(0)
@@ -27,7 +26,7 @@ def _check_support(support, cost: CostMatrix):
     for (i, j) in cells:
         if not (0 <= i < cost.n_rows and 0 <= j < cost.n_cols):
             raise InfiniteCostInSupport(f"cell {(i, j)} outside cost matrix")
-        if is_inf(cost[i, j]):
+        if not cost.is_finite(i, j):
             raise InfiniteCostInSupport(f"support cell {(i, j)} has infinite cost")
     return cells
 
@@ -46,9 +45,9 @@ def _bellman_ford(support, cost: CostMatrix):
     # that lowered it; on dense n = 16 optimal supports all finite arcs
     # first is 1.5x slower.
     arcs = []
-    for i, row in enumerate(cost.entries):
+    for i, row in enumerate(cost.arcs):
         arcs += into[i]
-        arcs += [(i, m + j, c) for j, c in enumerate(row) if not is_inf(c)]
+        arcs += [(i, m + j, c) for j, c in row.items()]
 
     nn = m + n
     dist = [ZERO] * nn

@@ -3,8 +3,8 @@
 `solve_primal` and `solve_certified` each run one transportation simplex
 (`simplex.solve_transport`) on the rows and columns with positive mass;
 `solve_dual` is the second half of `solve_certified`.  The simplex takes
-the cost cells as Fractions or INF and hands back the plan and its
-optimal tree potentials in exact Fractions.  The dual is those tree
+the cost's finite arcs and hands back the plan and its optimal tree
+potentials in exact Fractions.  The dual is those tree
 potentials, extended to zero-mass rows and columns by a c-transform;
 only when the optimal tree crosses an INF cell, so that a potential
 carries an infinity unit (None), does it fall back to the
@@ -24,8 +24,9 @@ one uncapacitated transport with a source per support arc.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from ..rational import INF, as_fraction, is_inf
+from ..rational import INF, as_fraction
 from .monotonicity import strong_monotone_potentials
 from .simplex import solve_transport
 from .types import (
@@ -64,23 +65,22 @@ def _solve(cost: CostMatrix, marg: Marginals):
         )
 
     # Zero rows/cols carry no mass; eliminate before solving.
-    rows = [i for i, v in enumerate(marg.mu) if v > 0]
-    cols = [j for j, v in enumerate(marg.nu) if v > 0]
-    full = [[ZERO] * cost.n_cols for _ in range(cost.n_rows)]
+    rows = [i for i, v in enumerate(marg.mu) if v]
+    cols = [j for j, v in enumerate(marg.nu) if v]
     if not (rows and cols):
-        return TransportPlan(full, ZERO), {}, {}
-    cells = cost.entries
+        return TransportPlan.from_cells(cost.n_rows, cost.n_cols, {}, ZERO), {}, {}
+    arcs = cost.arcs
     if len(rows) < cost.n_rows or len(cols) < cost.n_cols:
-        cells = [[cells[i][j] for j in cols] for i in rows]
+        at = {j: b for b, j in enumerate(cols)}
+        arcs = [{at[j]: c for j, c in arcs[i].items() if j in at} for i in rows]
     supply = [marg.mu[i] for i in rows]
     demand = [marg.nu[j] for j in cols]
-    flow, value, u, v = solve_transport(cells, supply, demand)
+    flow, value, u, v = solve_transport(arcs, supply, demand)
     if value is INF:
         raise NoFinitePlan("every admissible plan meets an infinite cost cell")
-    for (a, b), f in flow.items():
-        if f > 0:
-            full[rows[a]][cols[b]] = f
-    return TransportPlan(full, value), dict(zip(rows, u)), dict(zip(cols, v))
+    cells = {(rows[a], cols[b]): f for (a, b), f in flow.items() if f}
+    plan = TransportPlan.from_cells(cost.n_rows, cost.n_cols, cells, value)
+    return plan, dict(zip(rows, u)), dict(zip(cols, v))
 
 
 def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
@@ -92,20 +92,19 @@ def _c_transform_fill(cost: CostMatrix, phi, psi):
     """Give the rows and columns the solve dropped (zero mass, None here)
     the largest potentials feasible against the others: columns first,
     against the solved rows, then rows, against every column."""
-    m, n = cost.n_rows, cost.n_cols
-    for j in range(n):
-        if psi[j] is None:
-            psi[j] = min(
-                (cost[i, j] - phi[i] for i in range(m)
-                 if phi[i] is not None and not is_inf(cost[i, j])),
-                default=ZERO,
-            )
-    for i in range(m):
+    if None in psi:
+        best = {}
+        for p, row in zip(phi, cost.arcs):
+            if p is not None:
+                for j, c in row.items():
+                    if psi[j] is None and (j not in best or c - p < best[j]):
+                        best[j] = c - p
+        for j, p in enumerate(psi):
+            if p is None:
+                psi[j] = best.get(j, ZERO)
+    for i, row in enumerate(cost.arcs):
         if phi[i] is None:
-            phi[i] = min(
-                (cost[i, j] - psi[j] for j in range(n) if not is_inf(cost[i, j])),
-                default=ZERO,
-            )
+            phi[i] = min((c - psi[j] for j, c in row.items()), default=ZERO)
 
 
 def solve_certified(cost: CostMatrix, marg: Marginals):
@@ -167,19 +166,18 @@ def check_complementary_slackness(
         raise DimensionMismatch("plan does not fit cost matrix")
     if len(duals.phi) != cost.n_rows or len(duals.psi) != cost.n_cols:
         raise DimensionMismatch("potentials do not fit cost matrix")
-    support_bad = []
-    feas_bad = []
-    for i, row in enumerate(cost.entries):
-        for j, c in enumerate(row):
-            if is_inf(c):
-                if plan.entries[i][j] > 0:
-                    support_bad.append((i, j))
-                continue
-            s = c - duals.phi[i] - duals.psi[j]
-            if s < 0:
-                feas_bad.append((i, j))
-            elif s > 0 and plan.entries[i][j] > 0:
-                support_bad.append((i, j))
+    phi, psi = duals.phi, duals.psi
+    feas_bad = [
+        (i, j)
+        for i, row in enumerate(cost.arcs)
+        for j, c in row.items()
+        if c - phi[i] - psi[j] < 0
+    ]
+    support_bad = [
+        (i, j)
+        for (i, j), w in plan.cells.items()
+        if w > 0 and (j not in cost.arcs[i] or cost.arcs[i][j] - phi[i] - psi[j] > 0)
+    ]
     return SlacknessReport(support_bad, feas_bad)
 
 
@@ -189,17 +187,16 @@ def _pi0_arcs(cost: CostMatrix, marg: Marginals, pi0: TransportPlan):
     coupling of (mu, nu) (Pi0NotACoupling, naming the first negative
     cell, else the first row or column whose sum is not its marginal)
     and to charge finite cells only (InfiniteCostOnPi0Support)."""
-    if len(pi0.entries) != cost.n_rows or any(len(r) != cost.n_cols for r in pi0.entries):
+    if pi0.n_rows != cost.n_rows or pi0.n_cols != cost.n_cols:
         raise DimensionMismatch(f"pi0 does not fit cost ({cost.n_rows},{cost.n_cols})")
     arcs = []
-    for i, row in enumerate(pi0.entries):
-        for j, w in enumerate(row):
-            if w < 0:
-                raise Pi0NotACoupling(f"pi0 charges {w} < 0 on cell {(i, j)}")
-            if w > 0:
-                if is_inf(cost[i, j]):
-                    raise InfiniteCostOnPi0Support(f"pi0 charges infinite cell {(i, j)}")
-                arcs.append((i, j, w))
+    for (i, j), w in pi0.cells.items():
+        if w < 0:
+            raise Pi0NotACoupling(f"pi0 charges {w} < 0 on cell {(i, j)}")
+        if w > 0:
+            if not cost.is_finite(i, j):
+                raise InfiniteCostOnPi0Support(f"pi0 charges infinite cell {(i, j)}")
+            arcs.append((i, j, w))
     for side, sums, want in (
         ("row", pi0.row_sums(), marg.mu), ("column", pi0.col_sums(), marg.nu)
     ):
@@ -217,10 +214,12 @@ def _capacitated_potentials(cost: CostMatrix, marg: Marginals, arcs, lam):
     demand (lam-1)*mu(i), at cost 0.  With v its optimal sink
     potentials, phi(i) = -v(row sink i) and psi(j) = v(column j)."""
     m, n = cost.n_rows, cost.n_cols
-    split = CostMatrix(
-        [[cost[i, j] if k == j else INF for k in range(n)]
-         + [ZERO if k == i else INF for k in range(m)]
-         for i, j, _ in arcs]
+    split = CostMatrix.from_arcs(
+        len(arcs),
+        n + m,
+        chain.from_iterable(
+            ((a, j, cost[i, j]), (a, n + i, ZERO)) for a, (i, j, _) in enumerate(arcs)
+        ),
     )
     flows = Marginals(
         [lam * w for *_, w in arcs], list(marg.nu) + [(lam - 1) * u for u in marg.mu]
@@ -260,10 +259,8 @@ def solve_relaxed_dual(
     m, n = cost.n_rows, cost.n_cols
     if not arcs:
         return DualPair([ZERO] * m, [ZERO] * n, ZERO)
-    on_support = [[INF] * n for _ in range(m)]
-    for i, j, _ in arcs:
-        on_support[i][j] = cost[i, j]
-    dual = solve_certified(CostMatrix(on_support), marg)[1]
+    on_support = CostMatrix.from_arcs(m, n, ((i, j, cost[i, j]) for i, j, _ in arcs))
+    dual = solve_certified(on_support, marg)[1]
     if eps == 0:
         return dual
 

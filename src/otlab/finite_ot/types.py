@@ -1,14 +1,17 @@
 """Problem data for the finite transport solver.
 
-All containers are immutable after construction (tuples of Fractions) and
-safe to share across threads; the solvers are pure functions of them.
+No container is changed after construction, so each is safe to share
+across threads; the solvers are pure functions of them.  A cost is held
+by its finite arcs and a plan by its nonzero cells: neither stores a
+dense table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from ..rational import INF, as_fraction, is_inf
+from ..rational import INF, as_fraction, is_inf, over_common_denominator
 
 
 class FiniteOTError(Exception):
@@ -47,47 +50,79 @@ def _freeze_vector(values):
     return tuple(as_fraction(v) for v in values)
 
 
-class CostMatrix:
-    """Extended-rational cost table: finite entries are >= 0, or INF."""
+def _total(values) -> Fraction:
+    nums, d = over_common_denominator(values)
+    return Fraction(sum(nums), d)
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+
+def _dot(xs, ys) -> Fraction:
+    """sum(x*y) over two Fraction vectors."""
+    a, d = over_common_denominator(xs)
+    b, e = over_common_denominator(ys)
+    return Fraction(sum(map(mul, a, b)), d * e)
+
+
+class CostMatrix:
+    """Extended-rational cost held by its finite arcs: `arcs[i]` maps
+    each column j of a finite cell of row i, in increasing order, to its
+    Fraction cost >= 0.  Every other cell is INF."""
+
+    __slots__ = ("n_rows", "n_cols", "arcs")
 
     def __init__(self, entries):
-        rows = []
-        for row in entries:
-            frozen = []
-            for v in row:
-                if is_inf(v):
-                    frozen.append(INF)
-                    continue
-                f = as_fraction(v)
-                if f < 0:
-                    raise ValueError(f"cost entries must be >= 0, got {f}")
-                frozen.append(f)
-            rows.append(tuple(frozen))
+        """The cost of a dense table of rows, each entry a rational >= 0
+        or INF."""
+        rows = [list(row) for row in entries]
         if not rows:
             raise ValueError("cost matrix must have at least one row")
         width = len(rows[0])
-        if not width:
-            raise ValueError("cost matrix must have at least one column")
         if any(len(r) != width for r in rows):
             raise ValueError("ragged cost matrix")
-        self.entries = tuple(rows)
-        self.n_rows = len(rows)
-        self.n_cols = width
+        self._set_arcs(
+            len(rows),
+            width,
+            ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if not is_inf(v)),
+        )
+
+    @classmethod
+    def from_arcs(cls, n_rows: int, n_cols: int, arcs) -> "CostMatrix":
+        """The n_rows x n_cols cost that is finite exactly on the arcs,
+        (i, j, cost) triples in any order, each cell at most once."""
+        self = cls.__new__(cls)
+        self._set_arcs(n_rows, n_cols, arcs)
+        return self
+
+    def _set_arcs(self, n_rows, n_cols, arcs):
+        if n_rows < 1:
+            raise ValueError("cost matrix must have at least one row")
+        if n_cols < 1:
+            raise ValueError("cost matrix must have at least one column")
+        rows = [{} for _ in range(n_rows)]
+        for i, j, v in arcs:
+            if not (0 <= i < n_rows and 0 <= j < n_cols):
+                raise ValueError(f"arc {(i, j)} outside the {n_rows}x{n_cols} cost")
+            if j in rows[i]:
+                raise ValueError(f"arc {(i, j)} given twice")
+            f = as_fraction(v)
+            if f.numerator < 0:
+                raise ValueError(f"cost entries must be >= 0, got {f}")
+            rows[i][j] = f
+        self.arcs = tuple(dict(sorted(row.items())) for row in rows)
+        self.n_rows = n_rows
+        self.n_cols = n_cols
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.arcs[i].get(j, INF)
 
     def is_finite(self, i, j) -> bool:
-        return not is_inf(self.entries[i][j])
+        return j in self.arcs[i]
 
     def finite_cells(self):
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v is not INF:
-                    yield i, j
+        """The finite cells (i, j), in row-major order."""
+        for i, row in enumerate(self.arcs):
+            for j in row:
+                yield i, j
 
     def __repr__(self):
         return f"CostMatrix({self.n_rows}x{self.n_cols})"
@@ -115,42 +150,62 @@ class Marginals:
         return Marginals([w] * n, [w] * n)
 
     def total_mu(self) -> Fraction:
-        return sum(self.mu, Fraction(0))
+        return _total(self.mu)
 
     def total_nu(self) -> Fraction:
-        return sum(self.nu, Fraction(0))
+        return _total(self.nu)
 
 
 class TransportPlan:
-    """Nonnegative matrix with prescribed marginals and its exact cost."""
+    """A plan held by its nonzero cells, `cells` = {(i, j): Fraction} in
+    row-major order, with its exact cost."""
 
-    __slots__ = ("entries", "value")
+    __slots__ = ("n_rows", "n_cols", "cells", "value")
 
     def __init__(self, entries, value):
-        self.entries = tuple(tuple(as_fraction(v) for v in row) for row in entries)
+        """The plan of a dense table of rows."""
+        rows = [[as_fraction(v) for v in row] for row in entries]
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged transport plan")
+        self.n_rows = len(rows)
+        self.n_cols = width
+        self.cells = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
         self.value = as_fraction(value)
 
-    @property
-    def n_rows(self):
-        return len(self.entries)
+    @classmethod
+    def from_cells(cls, n_rows: int, n_cols: int, cells, value) -> "TransportPlan":
+        """The n_rows x n_cols plan with the nonzero Fraction masses of
+        `cells`, a {(i, j): mass} dict; zero elsewhere."""
+        self = cls.__new__(cls)
+        self.n_rows = n_rows
+        self.n_cols = n_cols
+        self.cells = dict(sorted(cells.items()))
+        self.value = as_fraction(value)
+        return self
 
     @property
-    def n_cols(self):
-        return len(self.entries[0])
+    def entries(self):
+        """The dense table, built on each call."""
+        rows = [[Fraction(0)] * self.n_cols for _ in range(self.n_rows)]
+        for (i, j), v in self.cells.items():
+            rows[i][j] = v
+        return tuple(tuple(row) for row in rows)
 
     def row_sums(self):
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
+        sums = [Fraction(0)] * self.n_rows
+        for (i, _), v in self.cells.items():
+            sums[i] += v
+        return tuple(sums)
 
     def col_sums(self):
-        return tuple(sum(col, Fraction(0)) for col in zip(*self.entries))
+        sums = [Fraction(0)] * self.n_cols
+        for (_, j), v in self.cells.items():
+            sums[j] += v
+        return tuple(sums)
 
     def support(self):
-        return {
-            (i, j)
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-            if v > 0
-        }
+        return {cell for cell, v in self.cells.items() if v > 0}
 
     def check_marginals(self, marg: Marginals) -> bool:
         return self.row_sums() == marg.mu and self.col_sums() == marg.nu
@@ -169,13 +224,18 @@ class DualPair:
         self.value = as_fraction(value)
 
     def pair_value(self, marg: Marginals) -> Fraction:
-        return sum(
-            (p * m for p, m in zip(self.phi, marg.mu)), Fraction(0)
-        ) + sum((p * m for p, m in zip(self.psi, marg.nu)), Fraction(0))
+        return _dot(self.phi, marg.mu) + _dot(self.psi, marg.nu)
 
     def is_feasible(self, cost: CostMatrix) -> bool:
-        # No constraint where cost is +inf: any finite sum is <= inf.
-        for i, j in cost.finite_cells():
-            if self.phi[i] + self.psi[j] > cost[i, j]:
-                return False
+        # No constraint where cost is +inf: any finite sum is <= inf.  The
+        # potentials and arc costs are compared as ints over one common
+        # denominator.
+        arc_costs = [c for row in cost.arcs for c in row.values()]
+        scaled, _ = over_common_denominator([*self.phi, *self.psi, *arc_costs])
+        m, n = len(self.phi), len(self.psi)
+        phi, psi, costs = scaled[:m], scaled[m : m + n], iter(scaled[m + n :])
+        for p, row in zip(phi, cost.arcs):
+            for j, c in zip(row, costs):
+                if p + psi[j] > c:
+                    return False
         return True

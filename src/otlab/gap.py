@@ -32,7 +32,7 @@ from .circle import ModulusTower, phi_level, quasi_cost_values
 from .finite_ot import CostMatrix, Marginals, solve_certified
 # Unused here, but perfbench/bench_trace.py wraps gap.solve_primal for --trace 1.
 from .finite_ot import solve_primal  # noqa: F401
-from .rational import INF, format_rational
+from .rational import format_rational
 from .tau import (
     GrowthTooSmall,
     TauLevel,
@@ -208,7 +208,7 @@ def verify_row_map(family: GapFamily, n: int, j: int) -> RowReport:
 
 @dataclass
 class TruncatedCost:
-    """Clipped cost on the union of M+1 graphs, as a dense matrix."""
+    """Clipped cost on the union of M+1 graphs, held by its finite arcs."""
 
     graph_count: int
     level: int
@@ -218,39 +218,50 @@ class TruncatedCost:
 
 
 def materialize_cost(family: GapFamily, M_graphs: int, j: int) -> TruncatedCost:
-    """Dense M_j x M_j cost: clipped quasi-cost on the graphs of the
-    identity, the one-step rotation and the limit maps 2..M_graphs;
-    infinite elsewhere."""
+    """M_j x M_j cost: clipped quasi-cost on the graphs of the identity,
+    the one-step rotation and the limit maps 2..M_graphs; infinite
+    elsewhere.  Only the (M_graphs+1)*M_j graph cells are built, a cell
+    that two graphs share once."""
     if j != family.j_max:
         raise ValueError("costs are materialized at the deepest built column")
     if M_graphs < 1 or M_graphs > family.j_max:
         raise ValueError(f"M must be in 1..{family.j_max}")
     tower = family.tower
     Mj = tower.M[j - 1]
-    entries = [[INF] * Mj for _ in range(Mj)]
-    finite = 0
     phi = phi_level(tower, j).values
-    for k in range(0, M_graphs + 1):
-        sigma = family.limit_sigma(k)
-        q = quasi_cost_values(phi, sigma)
-        for l in range(Mj):
-            tgt = int(sigma[l])
-            val = Fraction(max(int(q[l]), 0))
-            old = entries[l][tgt]
-            if old is INF:
-                entries[l][tgt] = val
-                finite += 1
-            elif old != val:
-                raise GraphOverlapInconsistency(
-                    f"cell ({l},{tgt}): {old} vs {val} from graph {k}"
-                )
-    cost = CostMatrix(entries)
+    sigmas = [family.limit_sigma(k) for k in range(M_graphs + 1)]
+    targets = np.concatenate(sigmas)
+    values = np.concatenate([np.maximum(quasi_cost_values(phi, s), 0) for s in sigmas])
+    # Entry t is row t % Mj of graph t // Mj.  A stable sort by cell keeps
+    # the graphs of a cell in order, so the first of each run of equal
+    # cells is the graph that set it, and every later one must agree.
+    cells = np.tile(np.arange(Mj, dtype=np.int64), M_graphs + 1) * Mj + targets
+    order = np.argsort(cells, kind="stable")
+    cells, sorted_values = cells[order], values[order]
+    first = np.ones(cells.size, dtype=bool)
+    first[1:] = cells[1:] != cells[:-1]
+    setter = np.maximum.accumulate(np.where(first, np.arange(cells.size), 0))
+    clash = np.flatnonzero(sorted_values != sorted_values[setter])
+    if clash.size:
+        p = clash[np.argmin(order[clash])]  # the first clash in graph order
+        k, l = divmod(int(order[p]), Mj)
+        raise GraphOverlapInconsistency(
+            f"cell ({l},{int(cells[p]) % Mj}): {int(sorted_values[setter[p]])} "
+            f"vs {int(sorted_values[p])} from graph {k}"
+        )
+    cells, arc_values = cells[first], sorted_values[first].tolist()
+    shared = {v: Fraction(v) for v in set(arc_values)}  # one Fraction per value
+    cost = CostMatrix.from_arcs(
+        Mj,
+        Mj,
+        zip((cells // Mj).tolist(), (cells % Mj).tolist(), map(shared.get, arc_values)),
+    )
     return TruncatedCost(
         graph_count=M_graphs,
         level=j,
         cost=cost,
         marginals=Marginals.uniform(Mj),
-        finite_cells=finite,
+        finite_cells=len(arc_values),
     )
 
 
@@ -277,7 +288,7 @@ def _cheap_partial_plans(family: GapFamily, trunc: TruncatedCost):
     Mj = trunc.cost.n_rows
     w = Fraction(1, Mj)
     zero_cells = [
-        (i, jj) for i, jj in trunc.cost.finite_cells() if trunc.cost[i, jj] == 0
+        (i, jj) for i, row in enumerate(trunc.cost.arcs) for jj, c in row.items() if not c
     ]
     plans = []
     for order in (1, -1):

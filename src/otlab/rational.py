@@ -11,6 +11,7 @@ and gcd(p, q) = 1, so byte-identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class _Infinity:
@@ -56,8 +57,19 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return parse_rational_str(x)
+        f = parse_rational_str(x)
+        if f is INF:
+            raise ValueError(f"expected a finite rational, got {x!r}")
+        return f
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def over_common_denominator(values):
+    """(numerators, d): the sequence of Fractions `values` as plain ints
+    over their least common denominator d, for exact sums and
+    comparisons without a Fraction per step."""
+    d = lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def parse_rational_str(s: str):

@@ -4,8 +4,8 @@ This is the pair-arithmetic form of `otlab.finite_ot.simplex`: costs are
 (inf_units, Fraction) pairs compared lexicographically, flows are
 Fractions, and the tree potentials are rebuilt and the pivot cycle
 searched from scratch on every pivot.  It runs the same start and the
-same Bland pivots, so the integer solver must return the very same flow
-dict, value and potentials.
+same Bland pivots, over the finite cells only, so the integer solver
+must return the very same flow dict, value and potentials.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def solve_transport(ext_cost, supply, demand):
             row_c = ext_cost[ci]
             ui = u[ci]
             for cj in range(n):
-                if (ci, cj) in basis_set:
+                # only finite cells are priced: an INF cell never enters
+                if (ci, cj) in basis_set or row_c[cj][0]:
                     continue
                 r = _sub(_sub(row_c[cj], ui), v[cj])
                 if _is_neg(r):

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from otlab.circle import build_tower
+from otlab import gap
+from otlab.circle import build_tower, phi_level, quasi_cost_values
 from otlab.gap import (
+    GapFamily,
     _cheap_partial_plans,
     _separation_radius,
     build_gap_family,
@@ -19,6 +21,7 @@ from otlab.finite_ot import (
     CostMatrix,
     Marginals,
     NoFinitePlan,
+    TransportPlan,
     solve_dual,
     solve_primal,
 )
@@ -161,6 +164,64 @@ def test_materialize_m2_counts(tower, family, family31):
     # non-degenerate tower: three graphs overlapping only at the fixed
     # block centers of the diagonal seed
     assert materialize_cost(family31, 2, 2).finite_cells == 3 * 155 - 5
+
+
+@pytest.mark.parametrize("M_graphs", [1, 2])
+def test_materialized_arcs_are_the_graph_cells(family, family31, M_graphs):
+    # the per-index loop over the graphs, as an oracle for the numpy build
+    for fam in (family, family31):
+        phi = phi_level(fam.tower, 2).values
+        want = {}
+        for k in range(M_graphs + 1):
+            sigma = fam.limit_sigma(k)
+            q = quasi_cost_values(phi, sigma)
+            for l in range(sigma.size):
+                cell = (l, int(sigma[l]))
+                assert want.setdefault(cell, max(int(q[l]), 0)) == max(int(q[l]), 0)
+        trunc = materialize_cost(fam, M_graphs, 2)
+        got = {(i, j): c for i, row in enumerate(trunc.cost.arcs) for j, c in row.items()}
+        assert got == want
+        assert list(got) == sorted(want)
+        assert trunc.finite_cells == len(want)
+
+
+def test_graphs_on_shared_cells_agree(family31, monkeypatch):
+    # q(l) = 1 + phi(l) - phi(sigma(l)) is a function of the cell alone, so
+    # a limit map moved onto another graph's cells brings the same costs
+    monkeypatch.setattr(family31, "limit_sigma", lambda k: GapFamily.limit_sigma(family31, min(k, 1)))
+    trunc = materialize_cost(family31, 2, 2)
+    assert trunc.finite_cells == 2 * 155  # the rotation has no fixed point
+
+
+def test_graph_overlap_with_another_cost_is_refused(family31, monkeypatch):
+    # graph 2 lands on the identity's cell at each of its fixed points;
+    # its quasi-cost is raised on two of them
+    sigma2 = family31.limit_sigma(2)
+    l0, l1 = np.flatnonzero(sigma2 == np.arange(sigma2.size))[:2]
+    real = gap.quasi_cost_values
+
+    def patched(phi, sigma):
+        q = real(phi, sigma)
+        if np.array_equal(sigma, sigma2):
+            q[l1] += 2
+            q[l0] += 5
+        return q
+
+    monkeypatch.setattr(gap, "quasi_cost_values", patched)
+    with pytest.raises(gap.GraphOverlapInconsistency) as e:
+        materialize_cost(family31, 2, 2)
+    assert str(e.value) == f"cell ({l0},{l0}): 1 vs 6 from graph 2"
+
+
+def test_gap_path_builds_no_dense_table(family31, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense table built")
+
+    monkeypatch.setattr(CostMatrix, "__init__", refuse)
+    monkeypatch.setattr(TransportPlan, "__init__", refuse)
+    monkeypatch.setattr(TransportPlan, "entries", property(refuse))
+    report = gap_demonstration(family31, 2, 2)
+    assert report["primal"] == report["dual"] == "1/1"
 
 
 def test_truncated_cost_values(tower, family, family31):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -36,7 +37,7 @@ def test_instance_round_trip():
     marg = Marginals([F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)])
     text = instance_to_json(cost, marg)
     cost2, marg2 = instance_from_json(text)
-    assert cost2.entries == cost.entries
+    assert cost2.arcs == cost.arcs
     assert marg2.mu == marg.mu and marg2.nu == marg.nu
     assert instance_to_json(cost2, marg2) == text
 
@@ -430,31 +431,66 @@ def test_cli_out_of_range_counts_usage(tmp_path, monkeypatch, capsys, argv):
 @pytest.mark.parametrize("verb", ["construct", "verify", "gap"])
 def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, verb):
     # (5c) level 2 has M = 625,505 indices: about 24 MB at 40 bytes each,
-    # and a dense truncated cost of 625,505^2 cells: about 35 TB at 90 each
+    # and a truncated cost (M = 2) of at most 3 * 625,505 arcs
     d = tmp_path / "artifacts"
     args = ["--m1", "5", "--mode", "paper_compliant"]
     expected = (
         "level modulus 625505 needs about 24 MB, "
-        "more than the 16 MB of physical memory\n"
+        "more than the 16 MB of available memory\n"
     )
     if verb == "verify":
         assert main(["construct", *args, "--outdir", str(d)]) == 0
         args = [str(d)]
     elif verb == "gap":
         args += ["--jmax", "2", "--M", "2"]
+        need = math.ceil(cli._BYTES_PER_ARC * 1876515 / 2**20)
         expected = (
-            "truncated cost of 625505 x 625505 cells needs about 33581816 MB, "
-            "more than the 16 MB of physical memory\n"
+            f"truncated cost of 1876515 arcs needs about {need} MB, "
+            "more than the 16 MB of available memory\n"
         )
     else:
         args += ["--outdir", str(d)]
     capsys.readouterr()
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 16 << 20)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 16 << 20)
     monkeypatch.setattr(cli.tau, "build_levels", None)  # never reached
     monkeypatch.setattr(cli.tau, "build_tau_level1", None)
     monkeypatch.setattr(cli.gap, "build_gap_family", None)
     assert main([verb, *args]) == 4
     assert capsys.readouterr().err == expected
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("MemTotal: 8221884 kB\nMemFree: 6832340 kB\nMemAvailable: 16384 kB\n", 16 << 20),
+        ("MemTotal: 8221884 kB\nMemFree: 6832340 kB\n", None),  # no MemAvailable line
+        ("MemAvailable: plenty\n", None),
+        (None, None),  # no such file
+    ],
+)
+def test_available_memory_reads_meminfo(tmp_path, monkeypatch, text, expected):
+    meminfo = tmp_path / "meminfo"
+    if text is not None:
+        meminfo.write_text(text, encoding="ascii")
+    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+    assert cli._available_memory() == (expected or _physical_memory())
+
+
+def test_cli_size_guard_compares_with_available_memory(tmp_path, monkeypatch, capsys):
+    # (5c) needs about 24 MB; physical memory is far more, available is not
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal: 8221884 kB\nMemAvailable: 16384 kB\n", encoding="ascii")
+    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+    monkeypatch.setattr(cli.tau, "build_levels", None)  # never reached
+    argv = ["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", str(tmp_path / "a")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "level modulus 625505 needs about 24 MB, more than the 16 MB of available memory\n"
+    )
 
 
 UNWRITABLE_OUTPUTS = {

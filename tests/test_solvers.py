@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -194,10 +195,9 @@ def test_slackness_lists_mass_moved_onto_an_inf_cell():
     assert report.feasibility_violations == ()
 
 
-def _recursive_kuhn(cost, big, n):
+def _recursive_kuhn(adj, n):
     """The recursive augmenting-path form of Kuhn's algorithm, kept as
     the oracle for the explicit-stack search in the simplex start."""
-    adj = [[j for j in range(n) if cost[i][j] < big] for i in range(n)]
     match_col = [-1] * n
 
     def augment(i, seen):
@@ -215,15 +215,11 @@ def _recursive_kuhn(cost, big, n):
     return match_col
 
 
-def _chain_cost(n):
-    """Encoded costs with BIG = 1: row i < n-1 is finite (0) on columns i
-    and i+1, row n-1 only on column 0, so the last row's augmenting path
-    runs through every earlier row."""
-    cost = [[1] * n for _ in range(n)]
-    for i in range(n - 1):
-        cost[i][i] = cost[i][i + 1] = 0
-    cost[n - 1][0] = 0
-    return cost
+def _chain_adj(n):
+    """Finite columns per row: row i < n-1 has columns i and i+1, row n-1
+    only column 0, so the last row's augmenting path runs through every
+    earlier row."""
+    return [[i, i + 1] for i in range(n - 1)] + [[0]]
 
 
 def test_matching_agrees_with_recursive_kuhn():
@@ -231,15 +227,15 @@ def test_matching_agrees_with_recursive_kuhn():
     for _ in range(300):
         n = rng.randint(1, 9)
         p = rng.choice([0.2, 0.4, 0.7])
-        cost = [[0 if rng.random() < p else 1 for _ in range(n)] for _ in range(n)]
-        assert simplex._perfect_finite_matching(cost, 1, n) == _recursive_kuhn(cost, 1, n)
-    cost = _chain_cost(9)
-    assert simplex._perfect_finite_matching(cost, 1, 9) == _recursive_kuhn(cost, 1, 9)
+        adj = [[j for j in range(n) if rng.random() < p] for _ in range(n)]
+        assert simplex._perfect_finite_matching(adj, n) == _recursive_kuhn(adj, n)
+    adj = _chain_adj(9)
+    assert simplex._perfect_finite_matching(adj, 9) == _recursive_kuhn(adj, 9)
 
 
 def test_matching_deeper_than_recursion_limit():
     n = sys.getrecursionlimit() + 200
-    match_col = simplex._perfect_finite_matching(_chain_cost(n), 1, n)
+    match_col = simplex._perfect_finite_matching(_chain_adj(n), n)
     assert match_col == [n - 1] + list(range(n - 1))
 
 
@@ -247,10 +243,10 @@ def test_matching_start_leaves_recursion_limit_alone(monkeypatch):
     # the matching start must not touch process-global interpreter state
     n = 10
     rng = random.Random(3)
-    chain = _chain_cost(n)
+    chain = _chain_adj(n)
     cost = CostMatrix(
         [
-            [F(rng.randint(0, 9)) if chain[i][j] == 0 or rng.random() < 0.3 else INF
+            [F(rng.randint(0, 9)) if j in chain[i] or rng.random() < 0.3 else INF
              for j in range(n)]
             for i in range(n)
         ]
@@ -283,16 +279,19 @@ import fraction_simplex  # noqa: E402  (tests/fraction_simplex.py)
 from otlab.finite_ot import DualPair, solvers  # noqa: E402
 
 
-def _ext(cells):
-    """The oracle's (inf_units, Fraction) pair for each cost cell."""
-    return [[(1, F(0)) if v is INF else (0, v) for v in row] for row in cells]
+def _ext(arcs, n):
+    """The oracle's dense (inf_units, Fraction) pair for each cost cell
+    of n columns with the finite cells `arcs`, per row."""
+    return [[(0, row[j]) if j in row else (1, F(0)) for j in range(n)] for row in arcs]
 
 
-def _fraction_simplex_on_cells(cells, supply, demand):
+def _fraction_simplex_on_arcs(arcs, supply, demand):
     """fraction_simplex.solve_transport behind the production interface:
-    cells in as Fractions or INF; the value out as INF when it has an
-    infinity unit, and a potential as None when it carries one."""
-    flow, value, u, v = fraction_simplex.solve_transport(_ext(cells), supply, demand)
+    per-row arcs in; the value out as INF when it has an infinity unit,
+    and a potential as None when it carries one."""
+    flow, value, u, v = fraction_simplex.solve_transport(
+        _ext(arcs, len(demand)), supply, demand
+    )
 
     def potential(p):
         return None if p[0] else p[1]
@@ -342,13 +341,12 @@ def test_integer_simplex_matches_fraction_simplex(seed):
         if kind == "zero_mass":
             continue
         supply, demand = list(marg.mu), list(marg.nu)
-        encoded = [[1 if c is INF else 0 for c in row] for row in cost.entries]  # BIG = 1
-        if simplex._matching_start(encoded, 1, supply, demand) is None:
+        if simplex._matching_start(cost.arcs, supply, demand) is None:
             starts["north_west"] += 1
         else:
             starts["matching"] += 1
-        flow, value, u, v = simplex.solve_transport(cost.entries, supply, demand)
-        ref_flow, ref_value, ref_u, ref_v = _fraction_simplex_on_cells(cost.entries, supply, demand)
+        flow, value, u, v = simplex.solve_transport(cost.arcs, supply, demand)
+        ref_flow, ref_value, ref_u, ref_v = _fraction_simplex_on_arcs(cost.arcs, supply, demand)
         assert flow == ref_flow
         assert value == ref_value
         assert u == ref_u and v == ref_v
@@ -366,7 +364,7 @@ def test_solve_primal_plans_match_fraction_simplex(seed, monkeypatch):
             plans.append(solve_primal(cost, marg))
         except NoFinitePlan:
             plans.append(None)
-    monkeypatch.setattr(solvers, "solve_transport", _fraction_simplex_on_cells)
+    monkeypatch.setattr(solvers, "solve_transport", _fraction_simplex_on_arcs)
     infeasible = 0
     for (cost, marg, kind), plan in zip(instances, plans):
         try:
@@ -385,7 +383,7 @@ def _network_simplex_value(cost, marg):
     scaled to integers; None when no finite plan exists."""
     nx = pytest.importorskip("networkx")
 
-    cost_scale = math.lcm(*(v.denominator for row in cost.entries for v in row if v is not INF))
+    cost_scale = math.lcm(*(c.denominator for row in cost.arcs for c in row.values()))
     mass_scale = math.lcm(*(x.denominator for x in marg.mu + marg.nu))
     g = nx.DiGraph()
     for i, x in enumerate(marg.mu):
@@ -587,3 +585,138 @@ def test_slackness_reports_charged_inf_cells():
     assert report.feasibility_violations == ()
     diag = TransportPlan([[F(1, 2), 0], [0, F(1, 2)]], 0)
     assert check_complementary_slackness(diag, DualPair([0, 0], [0, 0]), cost).passed
+
+
+# --- sparse costs: finite arcs only ---
+
+
+def _sparse_instances(seed, count=240):
+    """Seeded (cost, marginals, kind) triples built from arcs: uniform
+    square instances, rectangular ones with non-uniform masses, zero-mass
+    rows and columns, and rows with a single arc or none; about one in
+    six rows keeps one arc and one in twelve none, so some instances
+    have no finite plan."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        kind = ("uniform", "rectangular", "zero_mass")[k % 3]
+        m = rng.randint(1, 9)
+        n = m if kind == "uniform" else rng.randint(1, 9)
+        arcs = []
+        for i in range(m):
+            r = rng.random()
+            width = 0 if r < 1 / 12 else 1 if r < 1 / 4 else rng.randint(1, n)
+            for j in sorted(rng.sample(range(n), width)):
+                arcs.append((i, j, F(rng.randint(0, 40), rng.randint(1, 4))))
+        rng.shuffle(arcs)  # from_arcs takes the arcs in any order
+        cost = CostMatrix.from_arcs(m, n, arcs)
+        if kind == "uniform":
+            marg = Marginals.uniform(n)
+        else:
+            low = 0 if kind == "zero_mass" else 1
+            mu = [F(rng.randint(low, 9), rng.randint(1, 3)) for _ in range(m)]
+            nu = [F(rng.randint(low, 9)) for _ in range(n)]
+            if sum(mu) == 0 or sum(nu) == 0:
+                mu[0] += 1
+                nu[-1] += 1
+            nu = [v * sum(mu) / sum(nu) for v in nu]
+            marg = Marginals(mu, nu)
+        out.append((cost, marg, kind))
+    return out
+
+
+def _arc_lists(cost):
+    return [(i, j, c) for i, row in enumerate(cost.arcs) for j, c in row.items()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_values_match_networkx_with_certificates(seed):
+    seen = {"single_arc_row": 0, "empty_row": 0, "rectangular": 0, "zero_mass": 0,
+            "no_finite_plan": 0, "solved": 0}
+    for cost, marg, kind in _sparse_instances(seed):
+        widths = [len(row) for row in cost.arcs]
+        seen["single_arc_row"] += 1 in widths
+        seen["empty_row"] += 0 in widths
+        seen["rectangular"] += cost.n_rows != cost.n_cols
+        seen["zero_mass"] += 0 in marg.mu or 0 in marg.nu
+        expected = _network_simplex_value(cost, marg)
+        if expected is None:
+            with pytest.raises(NoFinitePlan):
+                solve_certified(cost, marg)
+            seen["no_finite_plan"] += 1
+            continue
+        plan, pair = solve_certified(cost, marg)
+        seen["solved"] += 1
+        assert plan.value == expected == pair.value
+        assert plan.check_marginals(marg)
+        assert all(cost.is_finite(i, j) for i, j in plan.support())
+        for i, j, c in _arc_lists(cost):
+            assert pair.phi[i] + pair.psi[j] <= c, (i, j)
+        for i, j in plan.support():
+            assert pair.phi[i] + pair.psi[j] == cost[i, j], (i, j)
+        assert pair.value == pair.pair_value(marg)
+        assert check_complementary_slackness(plan, pair, cost).passed
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_dense_and_arc_builders_give_identical_solves(seed):
+    for cost, marg, _ in _sparse_instances(seed, count=120):
+        dense = CostMatrix([[cost[i, j] for j in range(cost.n_cols)] for i in range(cost.n_rows)])
+        assert dense.arcs == cost.arcs
+        assert [list(row) for row in dense.arcs] == [sorted(row) for row in cost.arcs]
+        outcomes = []
+        for c in (dense, cost):
+            try:
+                plan, pair = solve_certified(c, marg)
+            except NoFinitePlan:
+                outcomes.append(None)
+                continue
+            outcomes.append((plan.cells, plan.value, pair.phi, pair.psi, pair.value))
+        assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 2, [(0, 2, 1)]), "arc (0, 2) outside the 2x2 cost"),
+        ((2, 2, [(-1, 0, 1)]), "arc (-1, 0) outside the 2x2 cost"),
+        ((2, 2, [(1, 1, 1), (1, 1, 2)]), "arc (1, 1) given twice"),
+        ((2, 2, [(0, 0, F(-1, 3))]), "cost entries must be >= 0, got -1/3"),
+        ((2, 2, [(0, 0, INF)]), "expected a finite rational, got INF"),
+        ((2, 2, [(0, 0, "inf")]), "expected a finite rational, got 'inf'"),
+        ((0, 2, []), "at least one row"),
+        ((2, 0, []), "at least one column"),
+    ],
+)
+def test_from_arcs_rejects_bad_arcs(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CostMatrix.from_arcs(*args)
+
+
+def test_from_arcs_cells_off_the_arcs_are_inf():
+    cost = CostMatrix.from_arcs(2, 3, [(1, 2, 5), (1, 0, F(1, 2)), (0, 1, 0)])
+    assert [list(row.items()) for row in cost.arcs] == [[(1, 0)], [(0, F(1, 2)), (2, 5)]]
+    assert cost[0, 0] is INF and cost[1, 1] is INF and cost[1, 2] == 5
+    assert list(cost.finite_cells()) == [(0, 1), (1, 0), (1, 2)]
+    assert not cost.is_finite(0, 2) and cost.is_finite(1, 0)
+
+
+def test_plan_cells_and_dense_view_agree():
+    dense = [[0, F(1, 2)], [F(1, 4), F(1, 4)]]
+    plan = TransportPlan(dense, 3)
+    assert plan.cells == {(0, 1): F(1, 2), (1, 0): F(1, 4), (1, 1): F(1, 4)}
+    assert plan.entries == tuple(tuple(F(v) for v in row) for row in dense)
+    assert plan.row_sums() == (F(1, 2), F(1, 2)) and plan.col_sums() == (F(1, 4), F(3, 4))
+    assert plan.support() == {(0, 1), (1, 0), (1, 1)}
+    assert (plan.n_rows, plan.n_cols, plan.value) == (2, 2, 3)
+
+
+def test_is_feasible_flags_the_smallest_excess():
+    cost = CostMatrix([[F(1, 3), INF], [F(1, 2), F(1, 4)]])
+    assert DualPair([F(1, 3), F(1, 4)], [0, 0]).is_feasible(cost)  # tight on the diagonal
+    # (1, 1) exceeds its cost by 1/12; (0, 1) is INF and constrains nothing
+    assert not DualPair([F(1, 3), F(1, 4)], [0, F(1, 12)]).is_feasible(cost)
+    assert DualPair([F(1, 3), F(1, 6)], [0, F(1, 12)]).is_feasible(cost)
+    assert DualPair([F(1, 3), F(1, 6)], [0, 10**9]).is_feasible(CostMatrix([[1, INF], [INF, INF]]))
+    assert not DualPair([F(1, 3) + F(1, 10**9), 0], [0, 0]).is_feasible(cost)
