@@ -36,6 +36,11 @@ def _list(value, what: str):
 
 def instance_from_json(text: str):
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("instance must be a JSON object")
+    for key in ("cost", "mu", "nu"):
+        if key not in obj:
+            raise ValueError(f"instance has no {key!r} key")
     rows = (_list(row, "a cost row") for row in _list(obj["cost"], "cost"))
     cost = CostMatrix([[parse_rational_str(v) for v in row] for row in rows])
     mu, nu = ([parse_rational_str(v) for v in _list(obj[k], k)] for k in ("mu", "nu"))

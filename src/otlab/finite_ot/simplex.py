@@ -27,17 +27,47 @@ solves the LP over the arcs and the INF cells still basic, in the big-M
 order.  Every finite plan is feasible there with no infinity unit, so
 the optimum charges an INF cell exactly when no finite plan exists.
 
-Pivoting is Bland's rule in row-major arc order (entering: first arc
-with negative reduced cost; leaving: lowest-index cell among minimum
-ratio ties), which is anti-cycling and makes the solver deterministic.
-The start is a spanning tree around a finite perfect matching for
-uniform square instances and the north-west corner otherwise.
+The basis is a spanning tree on the rows and columns, hung from a root
+row, and it is always strongly feasible: every zero-flow basic cell is
+a row hanging below its column, so its arc points toward the root and
+positive flow could be pushed from any node to the root (Cunningham,
+Math. Programming 11, 1976).  Both starts are built that way: the
+north-west corner, rooted at row 0, for any instance, and for uniform
+square instances a tree around a finite perfect matching, rooted at the
+lowest row from which it spans (`_matching_start`).
+
+Pricing is block search (Grigoriadis, Math. Programming Study 26,
+1986).  The rows with arcs are scanned cyclically in blocks of whole
+rows holding at least ceil(sqrt(A)) arcs, for A the arc count; the most
+negative reduced cost of the first block that has one enters (the first
+in row-major order among ties), and the next scan starts at the row
+after that block.  A dense n x n instance thus prices one row per
+block.  A scan that goes once round every row without a negative
+reduced cost ends at the optimum.  The block size follows from the
+input; nothing tunes it.
+
+The leaving cell follows Cunningham's rule: walk the cycle the entering
+cell closes from its apex (the common ancestor of the entering cell's
+row and column) down to the entering row, across the entering cell and
+up from its column, and take the last blocking cell met (a cell whose
+flow falls, of minimum flow).  This keeps the tree strongly feasible.
+Cells on the column side that lose flow hang a column below a row, so
+they carry positive flow; a degenerate pivot therefore cuts the
+entering row's side and hangs it below the entering column, which moves
+its potentials by the (negative) entering reduced cost: the sum of the
+row potentials less the sum of the column potentials falls.  Every
+other pivot lowers the plan value, so no tree repeats and nothing
+cycles, whatever the entering rule.
+
+The root's potential is 0 while pivoting; the potentials are shifted
+once at the end to the contract's u[0] = 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import isqrt, lcm
 from operator import itemgetter, sub
 
 from ..rational import INF
@@ -79,42 +109,82 @@ def _perfect_finite_matching(adj, n):
 
 
 def _matching_start(adj, supply, demand):
-    """Uniform square case: a spanning tree around a finite perfect
-    matching (mass on the matching, zero on finite connector cells), for
-    finite cells in the columns adj[i] of each row i.  Returns the flow
-    on the tree's cells, or None when inapplicable."""
+    """Uniform square case: a strongly feasible spanning tree around a
+    finite perfect matching, for finite cells in the columns adj[i] of
+    each row i.  A breadth-first search from the root row gives each row
+    its matched cell (the mass) and each reached column, as zero-flow
+    children, the unreached rows with a finite cell in it, so every
+    zero-flow cell is a row hanging below its column.  The root is the
+    lowest row from which that tree spans every row.  Returns (flow on
+    the tree's cells, root row), or None when no row spans or the
+    instance is not uniform square."""
     m, n = len(supply), len(demand)
     if m != n or len(set(supply)) != 1 or len(set(demand)) != 1 or supply[0] != demand[0]:
         return None
     match_col = _perfect_finite_matching(adj, n)
     if match_col is None:
         return None
-    flow = {}
-    parent = list(range(2 * n))  # union-find over rows 0..n-1, cols n..2n-1
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    mate = [0] * n
     for j, i in enumerate(match_col):
-        flow[(i, j)] = supply[i]
-        parent[find(i)] = find(n + j)
-    comps = n
-    for i in range(n):
-        if comps == 1:
-            break
-        for j in adj[i]:
-            if find(i) != find(n + j):
-                flow[(i, j)] = 0
-                parent[find(i)] = find(n + j)
-                comps -= 1
-                if comps == 1:
-                    break
-    if comps != 1:
-        return None
-    return flow
+        mate[i] = j
+    col_rows = [[] for _ in range(n)]
+    for i, row in enumerate(adj):
+        for j in row:
+            col_rows[j].append(i)
+    flow = {}
+    seen = [False] * n
+
+    def hang(root):
+        """Grow the tree from row root over the unseen rows; returns the
+        number of rows it took."""
+        seen[root] = True
+        order = [root]
+        for i in order:
+            j = mate[i]
+            flow[(i, j)] = supply[i]
+            for k in col_rows[j]:
+                if not seen[k]:
+                    seen[k] = True
+                    flow[(k, j)] = 0
+                    order.append(k)
+        return len(order)
+
+    root = 0
+    if hang(0) < n:
+        # No row outside the rows from which the tree spans reaches one
+        # of them, so growing from each unseen row in index order starts
+        # last from the lowest of them, if there is one.
+        for s in range(1, n):
+            if not seen[s]:
+                root = s
+                hang(s)
+        flow.clear()
+        seen[:] = [False] * n
+        if hang(root) < n:
+            return None
+    return flow, root
+
+
+def _north_west_start(supply, demand):
+    """The north-west corner tree, rooted at row 0; a tie adds the
+    zero-flow cell (i+1, j), row i+1 below column j, so the basis has
+    m+n-1 cells and the tree is strongly feasible."""
+    m, n = len(supply), len(demand)
+    rem_s = list(supply)
+    rem_d = list(demand)
+    flow = {}
+    i = j = 0
+    while True:
+        x = min(rem_s[i], rem_d[j])
+        flow[(i, j)] = x
+        rem_s[i] -= x
+        rem_d[j] -= x
+        if i == m - 1 and j == n - 1:
+            return flow
+        if rem_s[i] == 0 and i < m - 1:
+            i += 1
+        else:
+            j += 1
 
 
 def _gather(nodes):
@@ -185,25 +255,11 @@ def solve_transport(arcs, supply, demand):
     def cell_cost(i, j):
         return cost[i].get(j, big)
 
-    flow = _matching_start(cost, supply, demand)
-    if flow is None:
-        # Northwest-corner start; ties add one degenerate basic cell so
-        # the basis always has exactly m+n-1 cells (a spanning tree).
-        rem_s = list(supply)
-        rem_d = list(demand)
-        flow = {}
-        i = j = 0
-        while True:
-            x = min(rem_s[i], rem_d[j])
-            flow[(i, j)] = x
-            rem_s[i] -= x
-            rem_d[j] -= x
-            if i == m - 1 and j == n - 1:
-                break
-            if rem_s[i] == 0 and i < m - 1:
-                i += 1
-            else:
-                j += 1
+    start = _matching_start(cost, supply, demand)
+    if start is None:
+        flow, root = _north_west_start(supply, demand), 0
+    else:
+        flow, root = start
 
     # The basis tree on nodes 0..m-1 (rows) and m..m+n-1 (columns).
     adj = [[] for _ in range(m + n)]
@@ -211,11 +267,11 @@ def solve_transport(arcs, supply, demand):
         adj[bi].append(m + bj)
         adj[m + bj].append(bi)
 
-    # Parents, depths and potentials from the root, row 0 (u[0] = 0).
+    # Parents, depths and potentials from the root row (pot[root] = 0).
     pot = [0] * (m + n)
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
-    for z in _reroot(0, -1, adj, parent, depth)[1:]:
+    for z in _reroot(root, -1, adj, parent, depth)[1:]:
         y = parent[z]
         pot[z] = (cell_cost(y, z - m) if y < m else cell_cost(z, y - m)) - pot[y]
 
@@ -230,28 +286,43 @@ def solve_transport(arcs, supply, demand):
                 gather = _gather([m + j for j in row])
             last = row
             priced.append((i, list(row.values()), gather))
+    block = isqrt(sum(map(len, cost)) - 1) + 1 if priced else 0  # ceil(sqrt(arcs))
+    at = 0  # the priced row the next pass starts from
     while True:
-        # Bland pricing; a basic cell's reduced cost is exactly 0.
-        entering = None
+        # Block search: the most negative reduced cost of the first block
+        # that has one, scanning cyclically from where the last pass
+        # stopped; a basic cell's reduced cost is exactly 0.
+        best = 0
+        size = 0
         gather = None
-        for ci, costs, row_gather in priced:
+        for t in range(len(priced)):
+            ci, costs, row_gather = priced[(at + t) % len(priced)]
             if row_gather is not gather:
                 gather = row_gather
                 v = gather(pot)
-            ui = pot[ci]
-            if min(map(sub, costs, v)) < ui:
-                k = next(k for k, r in enumerate(map(sub, costs, v)) if r < ui)
-                entering = (ci, list(cost[ci])[k])
-                break
-        if entering is None:
+            r = min(map(sub, costs, v)) - pot[ci]
+            if r < best:
+                best, found = r, (ci, costs, v)
+            size += len(costs)
+            if size >= block:
+                if best < 0:
+                    break
+                size = 0
+        if best == 0:
             break
-        ei, ej = entering
+        at = (at + t + 1) % len(priced)
+        ei, costs, v = found
+        reduced = list(map(sub, costs, v))
+        ej = list(cost[ei])[reduced.index(min(reduced))]
+        entering = (ei, ej)
 
         # The cycle closed by the entering cell: climb from its row and
-        # its column to their common ancestor.  Cells on the row side are
-        # traversed row->column at row nodes, so those are the - cells;
-        # on the column side the - cells are the ones at column nodes.
-        minus = []
+        # its column to their common ancestor, the apex.  Cells on the
+        # row side are traversed row->column at row nodes, so those are
+        # the - cells; on the column side the - cells are the ones at
+        # column nodes.  Each side is listed from the entering cell up.
+        row_minus = []
+        col_minus = []
         plus = []
         a, b = ei, m + ej
         while a != b:
@@ -263,12 +334,21 @@ def solve_transport(arcs, supply, demand):
                 b = parent[b]
             p = parent[x]
             cell = (x, p - m) if x < m else (p, x - m)
-            if (x < m) == row_side:
-                minus.append((flow[cell], cell, row_side))
-            else:
+            if (x < m) != row_side:
                 plus.append(cell)
-        theta, leaving, row_side = min(minus)  # lowest cell among ties
-        for _, cell, _ in minus:
+            elif row_side:
+                row_minus.append(cell)
+            else:
+                col_minus.append(cell)
+        theta = min(flow[cell] for cell in chain(row_minus, col_minus))
+        # Cunningham's rule: the last blocking cell on the walk from the
+        # apex down the row side, across the entering cell and up the
+        # column side, which keeps the tree strongly feasible.
+        leaving = next((cell for cell in reversed(col_minus) if flow[cell] == theta), None)
+        row_side = leaving is None
+        if row_side:
+            leaving = next(cell for cell in row_minus if flow[cell] == theta)
+        for cell in chain(row_minus, col_minus):
             flow[cell] -= theta
         for cell in plus:
             flow[cell] += theta
@@ -284,11 +364,10 @@ def solve_transport(arcs, supply, demand):
         # cell's row (row side) or column; hang it from the entering
         # cell's other end and shift its potentials so that the entering
         # cell's reduced cost becomes 0.
-        r = cost[ei][ej] - pot[ei] - pot[m + ej]  # the entering cell is an arc
         if row_side:
-            q, w, shift = ei, m + ej, r
+            q, w, shift = ei, m + ej, best
         else:
-            q, w, shift = m + ej, ei, -r
+            q, w, shift = m + ej, ei, -best
         for z in _reroot(q, w, adj, parent, depth):
             pot[z] += shift if z < m else -shift
 
@@ -303,6 +382,7 @@ def solve_transport(arcs, supply, demand):
     else:
         charged = sum(cost[i][j] * f for (i, j), f in flow.items() if f)
         value = Fraction(charged, cost_scale * mass_scale)
-    u = [potential(x) for x in pot[:m]]
-    v = [potential(x) for x in pot[m:]]
+    # Re-root the potentials at u[0] = 0.
+    u = [potential(x - pot[0]) for x in pot[:m]]
+    v = [potential(x + pot[0]) for x in pot[m:]]
     return {cell: as_mass(f) for cell, f in flow.items()}, value, u, v

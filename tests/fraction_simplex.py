@@ -2,10 +2,17 @@
 
 This is the pair-arithmetic form of `otlab.finite_ot.simplex`: costs are
 (inf_units, Fraction) pairs compared lexicographically, flows are
-Fractions, and the tree potentials are rebuilt and the pivot cycle
-searched from scratch on every pivot.  It runs the same start and the
-same Bland pivots, over the finite cells only, so the integer solver
-must return the very same flow dict, value and potentials.
+Fractions, and the tree potentials, the rooted tree and the pivot cycle
+are rebuilt from scratch on every pivot.  It runs the same rules over
+the finite cells only: the same start trees (the north-west corner from
+row 0, or the matching tree grown breadth-first from the lowest row from
+which it spans), block-search pricing over whole rows of at least
+ceil(sqrt(finite cell count)) cells, scanned cyclically, and
+Cunningham's leaving rule (the last blocking cell on the cycle walked
+from its apex along the entering cell).  So the integer solver must
+return the very same flow dict, value and potentials.  It also asserts
+after the start and after every pivot that the tree is strongly
+feasible: every zero-flow basic cell is a row hanging below its column.
 """
 
 from __future__ import annotations
@@ -59,43 +66,32 @@ def _perfect_finite_matching(ext_cost, n):
 
 def _matching_start(ext_cost, supply, demand):
     """Uniform square case: a spanning tree around a finite perfect
-    matching (mass on the matching, zero on finite connector cells).
-    Returns (flow, basis_set) or None when inapplicable."""
+    matching (mass on the matching, zero on finite connector cells),
+    grown breadth-first from a root row: each row takes its matched
+    cell, and each reached column takes as zero-flow children, in row
+    order, the unreached rows with a finite cell in it.  The root is the
+    lowest row from which that tree spans.  Returns (flow, basis_set,
+    root), or None when inapplicable."""
     m, n = len(supply), len(demand)
     if m != n or len(set(supply)) != 1 or len(set(demand)) != 1 or supply[0] != demand[0]:
         return None
     match_col = _perfect_finite_matching(ext_cost, n)
     if match_col is None:
         return None
-    flow = {}
-    basis_set = set()
-    parent = list(range(2 * n))  # union-find over rows 0..n-1, cols n..2n-1
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for j, i in enumerate(match_col):
-        flow[(i, j)] = supply[i]
-        basis_set.add((i, j))
-        parent[find(i)] = find(n + j)
-    comps = n
-    for i in range(n):
-        if comps == 1:
-            break
-        for j in range(n):
-            if ext_cost[i][j][0] == 0 and find(i) != find(n + j):
-                basis_set.add((i, j))
-                flow[(i, j)] = ZERO
-                parent[find(i)] = find(n + j)
-                comps -= 1
-                if comps == 1:
-                    break
-    if comps != 1:
-        return None
-    return flow, basis_set
+    mate = {i: j for j, i in enumerate(match_col)}
+    for root in range(n):
+        flow = {}
+        queue = [root]
+        for i in queue:
+            j = mate[i]
+            flow[(i, j)] = supply[i]
+            for k in range(n):
+                if ext_cost[k][j][0] == 0 and k not in queue:
+                    flow[(k, j)] = ZERO
+                    queue.append(k)
+        if len(queue) == n:
+            return flow, set(flow), root
+    return None
 
 
 def solve_transport(ext_cost, supply, demand):
@@ -109,10 +105,11 @@ def solve_transport(ext_cost, supply, demand):
 
     start = _matching_start(ext_cost, supply, demand)
     if start is not None:
-        flow, basis_set = start
+        flow, basis_set, root = start
     else:
-        # Northwest-corner start; ties add one degenerate basic cell so
-        # the basis always has exactly m+n-1 cells (a spanning tree).
+        # Northwest-corner start from row 0; ties add one degenerate
+        # basic cell, row i+1 below column j, so the basis always has
+        # exactly m+n-1 cells (a spanning tree).
         rem_s = list(supply)
         rem_d = list(demand)
         flow = {}
@@ -129,6 +126,7 @@ def solve_transport(ext_cost, supply, demand):
             else:
                 j += 1
         basis_set = set(flow)
+        root = 0
 
     def tree_adjacency():
         rows = [[] for _ in range(m)]
@@ -158,85 +156,104 @@ def solve_transport(ext_cost, supply, demand):
                         stack.append(("r", bi))
         return u, v
 
-    def find_cycle(ei, ej):
-        # Unique path in the basis tree from row ei to col ej, found by
-        # DFS over basic cells; the entering cell closes the cycle.
+    def parents():
+        # Each node's parent in the basis tree hung from the root row,
+        # found by DFS over basic cells.
         rows, cols = tree_adjacency()
-        parent = {}
-        start = ("r", ei)
-        target = ("c", ej)
-        stack = [start]
-        seen = {start}
+        up = {("r", root): None}
+        stack = [("r", root)]
         while stack:
             node = stack.pop()
-            if node == target:
-                break
             kind, k = node
-            if kind == "r":
-                for bj in rows[k]:
-                    nxt = ("c", bj)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        parent[nxt] = node
-                        stack.append(nxt)
-            else:
-                for bi in cols[k]:
-                    nxt = ("r", bi)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        parent[nxt] = node
-                        stack.append(nxt)
-        path = [target]
-        while path[-1] != start:
-            path.append(parent[path[-1]])
-        path.reverse()
-        # path alternates r,c,r,c,... ; convert node path to cell list
-        cells = [(ei, ej)]
-        for a, b in zip(path, path[1:]):
-            if a[0] == "r":
-                cells.append((a[1], b[1]))
-            else:
-                cells.append((b[1], a[1]))
-        return cells  # cells[0] entering (+), then alternating -,+,...
+            nxt = [("c", bj) for bj in rows[k]] if kind == "r" else [("r", bi) for bi in cols[k]]
+            for y in nxt:
+                if y not in up:
+                    up[y] = node
+                    stack.append(y)
+        assert len(up) == m + n, "the basis is not a spanning tree"
+        return up
 
+    def assert_strongly_feasible():
+        # Every zero-flow basic cell is a row hanging below its column,
+        # so positive flow could be sent from any node to the root.
+        up = parents()
+        for (bi, bj), f in flow.items():
+            assert f >= 0
+            if f == 0:
+                assert up[("r", bi)] == ("c", bj), f"zero-flow cell {(bi, bj)} points away from the root"
+
+    def pivot_walk(ei, ej):
+        # The nodes of the cycle the entering cell closes, walked along
+        # the entering cell from the apex (the deepest common ancestor of
+        # its row and column): down to row ei, across to column ej, back
+        # up to the apex.
+        up = parents()
+
+        def to_root(node):
+            path = [node]
+            while up[path[-1]] is not None:
+                path.append(up[path[-1]])
+            return path
+
+        from_row = to_root(("r", ei))
+        from_col = to_root(("c", ej))
+        apex = next(x for x in from_row if x in from_col)
+        down = from_row[: from_row.index(apex) + 1][::-1]
+        return down + from_col[: from_col.index(apex) + 1]
+
+    finite = [[j for j in range(n) if ext_cost[i][j][0] == 0] for i in range(m)]
+    priced = [i for i in range(m) if finite[i]]
+    arc_count = sum(len(cells) for cells in finite)
+    block = 0
+    while block * block < arc_count:
+        block += 1
+    at = 0
+    assert_strongly_feasible()
     while True:
+        # Block search over the priced rows, cyclically from `at`: the
+        # most negative reduced cost (the first among ties) of the first
+        # block of whole rows holding at least `block` finite cells that
+        # has a negative one.  Only finite cells are priced: an INF cell
+        # never enters.
         u, v = potentials()
         entering = None
-        for ci in range(m):
-            row_c = ext_cost[ci]
-            ui = u[ci]
-            for cj in range(n):
-                # only finite cells are priced: an INF cell never enters
-                if (ci, cj) in basis_set or row_c[cj][0]:
+        best = None
+        size = 0
+        for t in range(len(priced)):
+            ci = priced[(at + t) % len(priced)]
+            for cj in finite[ci]:
+                if (ci, cj) in basis_set:
                     continue
-                r = _sub(_sub(row_c[cj], ui), v[cj])
-                if _is_neg(r):
+                r = _sub(_sub(ext_cost[ci][cj], u[ci]), v[cj])
+                if _is_neg(r) and (best is None or _is_neg(_sub(r, best))):
+                    best = r
                     entering = (ci, cj)
+            size += len(finite[ci])
+            if size >= block:
+                if entering:
                     break
-            if entering:
-                break
+                size = 0
         if entering is None:
             break
+        at = (at + t + 1) % len(priced)
 
-        cells = find_cycle(*entering)
-        minus = cells[1::2]
-        theta = None
-        leaving = None
-        for cell in minus:
-            f = flow[cell]
-            if theta is None or f < theta or (f == theta and cell < leaving):
-                theta = f
-                leaving = cell
-        for k, cell in enumerate(cells):
-            if k == 0:
-                flow[cell] = theta
-            elif k % 2 == 1:
-                flow[cell] -= theta
+        walk = pivot_walk(*entering)
+        cells = []  # (cell, sign) along the walk
+        for x, y in zip(walk, walk[1:]):
+            if x[0] == "r":
+                cells.append(((x[1], y[1]), 1))
             else:
-                flow[cell] += theta
+                cells.append(((y[1], x[1]), -1))
+        theta = min(flow[cell] for cell, sign in cells if sign < 0)
+        # Cunningham's rule: the last blocking cell on the walk.
+        leaving = [cell for cell, sign in cells if sign < 0 and flow[cell] == theta][-1]
+        flow[entering] = ZERO
+        for cell, sign in cells:
+            flow[cell] += sign * theta
         basis_set.remove(leaving)
         basis_set.add(entering)
         del flow[leaving]
+        assert_strongly_feasible()
 
     value = (0, ZERO)
     for (bi, bj), f in flow.items():

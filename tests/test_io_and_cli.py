@@ -123,10 +123,20 @@ def test_cli_solve_infeasible_exit(tmp_path):
     assert main(["solve", str(inst)]) == 3
 
 
-def test_cli_solve_parse_error(tmp_path):
+def test_cli_solve_parse_error(tmp_path, capsys):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
     assert main(["solve", str(p)]) == 2
+    for text, message in (
+        ("[]", "instance must be a JSON object"),
+        ('"cost"', "instance must be a JSON object"),
+        ('{"n": 1}', "instance has no 'cost' key"),
+        ('{"cost": [[0]], "mu": ["1/1"]}', "instance has no 'nu' key"),
+    ):
+        capsys.readouterr()
+        p.write_text(text)
+        assert main(["solve", str(p)]) == 2
+        assert capsys.readouterr().err == f"cannot parse instance: {message}\n"
 
 
 def test_cli_construct_and_verify(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -720,3 +721,184 @@ def test_is_feasible_flags_the_smallest_excess():
     assert DualPair([F(1, 3), F(1, 6)], [0, F(1, 12)]).is_feasible(cost)
     assert DualPair([F(1, 3), F(1, 6)], [0, 10**9]).is_feasible(CostMatrix([[1, INF], [INF, INF]]))
     assert not DualPair([F(1, 3) + F(1, 10**9), 0], [0, 0]).is_feasible(cost)
+
+
+# --- block pricing on strongly feasible trees ---
+
+
+def _assert_strongly_feasible(flow, root, m, n):
+    """The start's cells form a spanning tree on the m rows and n
+    columns in which every zero-flow cell is a row hanging below its
+    column, with `root` the root row."""
+    assert len(flow) == m + n - 1
+    adj = {("r", i): [] for i in range(m)} | {("c", j): [] for j in range(n)}
+    for i, j in flow:
+        adj[("r", i)].append(("c", j))
+        adj[("c", j)].append(("r", i))
+    up = {("r", root): None}
+    order = [("r", root)]
+    for x in order:
+        for y in adj[x]:
+            if y not in up:
+                up[y] = x
+                order.append(y)
+    assert len(up) == m + n, "the start does not span"
+    for (i, j), f in flow.items():
+        assert f >= 0
+        if f == 0:
+            assert up[("r", i)] == ("c", j), (i, j)
+
+
+def test_both_starts_are_strongly_feasible():
+    rng = random.Random(21)
+    starts = {"matching": 0, "matching_root_not_0": 0, "north_west": 0}
+    for k in range(400):
+        m = rng.randint(1, 12)
+        square = k % 2 == 0
+        n = m if square else rng.randint(1, 12)
+        p_inf = rng.choice([0.0, 0.3, 0.6])
+        arcs = [
+            {j: F(rng.randint(0, 9)) for j in range(n) if rng.random() >= p_inf}
+            for _ in range(m)
+        ]
+        if square:
+            supply = demand = [F(1, n)] * n
+        else:
+            supply = [F(rng.randint(1, 4)) for _ in range(m)]
+            demand = [F(rng.randint(1, 4)) for _ in range(n)]
+            demand = [x * sum(supply) / sum(demand) for x in demand]
+        trees = [(simplex._north_west_start(supply, demand), 0)]
+        starts["north_west"] += 1
+        matching = simplex._matching_start(arcs, supply, demand)
+        if matching is not None:
+            trees.append(matching)
+            assert all(j in arcs[i] for i, j in matching[0])
+            starts["matching"] += 1
+            starts["matching_root_not_0"] += matching[1] != 0
+        for flow, root in trees:
+            _assert_strongly_feasible(flow, root, m, n)
+            assert [sum(f for (i, _), f in flow.items() if i == r) for r in range(m)] == supply
+            assert [sum(f for (_, j), f in flow.items() if j == c) for c in range(n)] == demand
+    assert min(starts.values()) >= 10, starts
+
+
+def test_matching_start_roots_where_every_pair_is_reached():
+    # Row 1's column reaches row 0 through the finite cell (0, 1), but
+    # row 0's column 0 has no finite cell in row 1: only a tree rooted
+    # at row 1 spans with zero-flow cells below their columns.
+    flow, root = simplex._matching_start([{0: 3, 1: 5}, {1: 1}], [1, 1], [1, 1])
+    assert root == 1
+    assert flow == {(1, 1): 1, (0, 1): 0, (0, 0): 1}
+    # No finite connector leaves either matched pair: no strongly
+    # feasible tree exists around the matching.
+    assert simplex._matching_start([{0: 3}, {1: 1}], [1, 1], [1, 1]) is None
+
+
+# strong_monotone_potentials calls over the feasible _oracle_instances(seed)
+# under solve_dual, counted with Bland pricing on a matching start whose
+# connectors came from a union-find pass: the strongly feasible starts
+# must not fall back more often.
+_FALLBACKS_BEFORE_BLOCK_PRICING = {1: 1, 2: 0, 3: 2}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_strongly_feasible_starts_add_no_monotonicity_fallbacks(seed, monkeypatch):
+    calls = []
+    smp = solvers.strong_monotone_potentials
+
+    def recording(support, cost):
+        calls.append(support)
+        return smp(support, cost)
+
+    monkeypatch.setattr(solvers, "strong_monotone_potentials", recording)
+    solved = 0
+    for cost, marg, _ in _oracle_instances(seed):
+        try:
+            pair = solve_dual(cost, marg)
+        except NoFinitePlan:
+            continue
+        solved += 1
+        assert pair.is_feasible(cost)
+    assert solved >= 100
+    assert len(calls) <= _FALLBACKS_BEFORE_BLOCK_PRICING[seed]
+
+
+def _degenerate_cost(rng, family, m, n):
+    if family == "zeros":
+        return CostMatrix([[0] * n for _ in range(m)])
+    if family == "zero_one":
+        return CostMatrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(m)])
+    if family == "identity":
+        return CostMatrix([[0 if i == j else 1 for j in range(n)] for i in range(m)])
+    # heavily tied: three distinct values
+    return CostMatrix([[F(rng.randint(0, 2), 2) for _ in range(n)] for _ in range(m)])
+
+
+def _degenerate_instances():
+    """(family, cost, marginals) over the four tie-heavy cost families,
+    square and rectangular shapes up to 40, uniform and non-uniform
+    masses."""
+    rng = random.Random(31)
+    shapes = [(1, 1), (2, 2), (3, 3), (5, 5), (7, 7), (12, 12), (40, 40),
+              (2, 5), (6, 3), (4, 8), (9, 6), (25, 40), (40, 16)]
+    out = []
+    for family in ("zeros", "zero_one", "identity", "tied"):
+        for m, n in shapes:
+            for uniform in (True, False):
+                if uniform:
+                    marg = Marginals([F(1, m)] * m, [F(1, n)] * n)
+                else:
+                    mu = [F(rng.randint(1, 3)) for _ in range(m)]
+                    nu = [F(rng.randint(1, 3)) for _ in range(n)]
+                    nu = [v * sum(mu) / sum(nu) for v in nu]
+                    marg = Marginals(mu, nu)
+                out.append((family, _degenerate_cost(rng, family, m, n), marg))
+    return out
+
+
+@pytest.mark.parametrize("start", ["default", "north_west"])
+def test_degenerate_families_terminate_with_exact_values(start, monkeypatch):
+    """Tie-heavy costs, on which a careless leaving rule cycles: every
+    solve ends within a pivot budget, with the networkx value (and the
+    best permutation for uniform square instances up to 7), a
+    certificate, and no monotonicity fallback.  With start="north_west"
+    the matching start is switched off, so the uniform square instances
+    run from the north-west corner too."""
+    if start == "north_west":
+        monkeypatch.setattr(simplex, "_matching_start", lambda *args: None)
+    pivots = []
+    reroot = simplex._reroot
+
+    def counting(q, w, adj, *rest):
+        if w >= 0:  # w < 0 hangs the start tree from its root
+            pivots[-1] += 1
+            assert pivots[-1] <= 10 * len(adj) ** 2, "pivot budget exceeded"
+        return reroot(q, w, adj, *rest)
+
+    monkeypatch.setattr(simplex, "_reroot", counting)
+    monkeypatch.setattr(solvers, "strong_monotone_potentials", _refuse)
+    for family, cost, marg in _degenerate_instances():
+        m, n = cost.n_rows, cost.n_cols
+        pivots.append(0)
+        plan, pair = solve_certified(cost, marg)
+        assert plan.value == pair.value == _network_simplex_value(cost, marg), (family, m, n)
+        if m == n <= 7 and len(set(marg.mu)) == 1:
+            assert plan.value == brute_force_value(cost, n)
+        assert plan.check_marginals(marg)
+        assert check_complementary_slackness(plan, pair, cost).passed
+    assert sum(pivots) > 0
+
+
+def test_cli_solve_dense_200(tmp_path, capsys):
+    from otlab.cli import main
+    from otlab.finite_ot import save_instance
+
+    n = 200
+    cost = random_cost(random.Random(200), n)
+    marg = Marginals.uniform(n)
+    path = tmp_path / "dense200.json"
+    save_instance(path, cost, marg)
+    assert main(["solve", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = _network_simplex_value(cost, marg)
+    assert report["primal"] == report["dual"] == f"{expected.numerator}/{expected.denominator}"
