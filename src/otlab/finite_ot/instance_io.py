@@ -1,7 +1,8 @@
 """Bit-exact JSON instance files.
 
 Schema: {"n": int, "cost": [[rational or "inf"]], "mu": [...], "nu": [...]}
-with every rational serialized as a canonical "p/q" string.
+with every rational serialized as a canonical "p/q" string.  "n", the
+number of cost rows, may be left out; when given it must be that int.
 """
 
 from __future__ import annotations
@@ -41,8 +42,12 @@ def instance_from_json(text: str):
     for key in ("cost", "mu", "nu"):
         if key not in obj:
             raise ValueError(f"instance has no {key!r} key")
-    rows = (_list(row, "a cost row") for row in _list(obj["cost"], "cost"))
-    cost = CostMatrix([[parse_rational_str(v) for v in row] for row in rows])
+    rows = _list(obj["cost"], "cost")
+    n = obj.get("n", len(rows))
+    # A bool is an int to isinstance, so "n": true is no row count.
+    if type(n) is not int or n != len(rows):
+        raise ValueError(f'"n" is {json.dumps(n)}, the number of cost rows is {len(rows)}')
+    cost = CostMatrix([[parse_rational_str(v) for v in _list(row, "a cost row")] for row in rows])
     mu, nu = ([parse_rational_str(v) for v in _list(obj[k], k)] for k in ("mu", "nu"))
     return cost, Marginals(mu, nu)
 

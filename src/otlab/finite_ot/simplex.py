@@ -67,10 +67,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import isqrt, lcm
+from math import isqrt
 from operator import itemgetter, sub
 
-from ..rational import INF
+from ..rational import INF, over_common_denominator
+from .types import integer_arcs
 
 
 def _perfect_finite_matching(adj, n):
@@ -241,16 +242,11 @@ def solve_transport(arcs, supply, demand):
     unit is None.
     """
     m, n = len(supply), len(demand)
-    cost_scale = lcm(*{c.denominator for row in arcs for c in row.values()})
-    cost = [
-        {j: c.numerator * (cost_scale // c.denominator) for j, c in row.items()}
-        for row in arcs
-    ]
+    cost, _, cost_scale = integer_arcs(arcs)
     top = max((c for row in cost for c in row.values()), default=0)
     big = 2 * (2 * (m + n) + 1) * top + 1
-    mass_scale = lcm(*{x.denominator for x in supply}, *{x.denominator for x in demand})
-    supply = [x.numerator * (mass_scale // x.denominator) for x in supply]
-    demand = [x.numerator * (mass_scale // x.denominator) for x in demand]
+    masses, mass_scale = over_common_denominator([*supply, *demand])
+    supply, demand = masses[:m], masses[m:]
 
     def cell_cost(i, j):
         return cost[i].get(j, big)

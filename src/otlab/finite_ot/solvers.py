@@ -12,6 +12,13 @@ strong-monotonicity potentials of the optimal support.  Either way
 the potentials are checked exactly: feasible on every finite cell, with
 the plan's value.
 
+Every certificate check runs in plain ints: `types.integer_arcs` puts
+the arc costs, with the potentials when a check has them, over one
+common denominator, once per check.  `DualPair.is_feasible`,
+`check_complementary_slackness` and the monotonicity Bellman-Ford all
+scale through it, and scaling by a positive integer keeps each verdict
+of the Fraction comparison it replaces.
+
 The budgeted relaxed dual runs on the same solves.  With A = phi.mu +
 psi.nu and B the pi0-weighted excess of phi+psi over c on supp(pi0), its
 value V(eps) = max{A : B <= eps} is concave and piecewise linear, and by
@@ -40,6 +47,7 @@ from .types import (
     NoFinitePlan,
     Pi0NotACoupling,
     TransportPlan,
+    integer_arcs,
 )
 
 ZERO = Fraction(0)
@@ -160,23 +168,26 @@ def check_complementary_slackness(
 
     A charged INF cell is a support violation: no finite potentials are
     tight on it.  Both lists empty iff plan and potentials are
-    simultaneously optimal (given each is feasible on its own).
+    simultaneously optimal (given each is feasible on its own).  Each
+    list is in row-major order.  phi, psi and the arc costs are compared
+    as ints over their one common denominator (`types.integer_arcs`),
+    which gives the verdicts of the Fraction comparisons exactly.
     """
     if plan.n_rows != cost.n_rows or plan.n_cols != cost.n_cols:
         raise DimensionMismatch("plan does not fit cost matrix")
     if len(duals.phi) != cost.n_rows or len(duals.psi) != cost.n_cols:
         raise DimensionMismatch("potentials do not fit cost matrix")
-    phi, psi = duals.phi, duals.psi
+    rows, (phi, psi), _ = integer_arcs(cost.arcs, duals.phi, duals.psi)
     feas_bad = [
         (i, j)
-        for i, row in enumerate(cost.arcs)
+        for i, (p, row) in enumerate(zip(phi, rows))
         for j, c in row.items()
-        if c - phi[i] - psi[j] < 0
+        if p + psi[j] > c
     ]
     support_bad = [
         (i, j)
         for (i, j), w in plan.cells.items()
-        if w > 0 and (j not in cost.arcs[i] or cost.arcs[i][j] - phi[i] - psi[j] > 0)
+        if w > 0 and (j not in rows[i] or phi[i] + psi[j] < rows[i][j])
     ]
     return SlacknessReport(support_bad, feas_bad)
 

@@ -9,6 +9,7 @@ dense table.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ..rational import INF, as_fraction, is_inf, over_common_denominator
@@ -60,6 +61,22 @@ def _dot(xs, ys) -> Fraction:
     a, d = over_common_denominator(xs)
     b, e = over_common_denominator(ys)
     return Fraction(sum(map(mul, a, b)), d * e)
+
+
+def integer_arcs(arcs, *vectors):
+    """(rows, ints, d): the per-row arcs `arcs` (dicts {column:
+    Fraction}, as in `CostMatrix.arcs`) and each Fraction vector of
+    `vectors` as plain ints over their least common denominator d.
+    rows[i] keeps the column order of arcs[i] and ints[k] is vectors[k];
+    sums and comparisons of the ints are those of the Fractions times d,
+    so checks and shortest paths run exactly without a Fraction per
+    step."""
+    d = lcm(
+        *{c.denominator for row in arcs for c in row.values()},
+        *{x.denominator for v in vectors for x in v},
+    )
+    rows = [{j: c.numerator * (d // c.denominator) for j, c in row.items()} for row in arcs]
+    return rows, [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 class CostMatrix:
@@ -230,12 +247,9 @@ class DualPair:
         # No constraint where cost is +inf: any finite sum is <= inf.  The
         # potentials and arc costs are compared as ints over one common
         # denominator.
-        arc_costs = [c for row in cost.arcs for c in row.values()]
-        scaled, _ = over_common_denominator([*self.phi, *self.psi, *arc_costs])
-        m, n = len(self.phi), len(self.psi)
-        phi, psi, costs = scaled[:m], scaled[m : m + n], iter(scaled[m + n :])
-        for p, row in zip(phi, cost.arcs):
-            for j, c in zip(row, costs):
+        rows, (phi, psi), _ = integer_arcs(cost.arcs, self.phi, self.psi)
+        for p, row in zip(phi, rows):
+            for j, c in row.items():
                 if p + psi[j] > c:
                     return False
         return True

@@ -1,9 +1,11 @@
-"""The two Bellman-Fords that `otlab.finite_ot.monotonicity` replaced.
+"""The Bellman-Fords that `otlab.finite_ot.monotonicity` replaced.
 
 The verdict ran on the cell graph of the support; the potentials then
 ran a second pass on the row/column difference-constraint graph with
-the finite arcs first.  The tests compare the single row/column pass
-against both.
+the finite arcs first.  Then one row/column pass over Fractions did
+both (`fraction_bellman_ford`).  The tests compare the single integer
+row/column pass against all three: the same verdict as the first two,
+and the same witness and potentials as the Fraction pass.
 """
 
 from fractions import Fraction
@@ -80,3 +82,47 @@ def strong_monotone_potentials(support, cost):
         if not changed:
             break
     return DualPair([-dist[i] for i in range(m)], [dist[m + j] for j in range(n)])
+
+
+def fraction_bellman_ford(support, cost):
+    """(dist, None) with the shortest distances from a virtual source at 0
+    to every node, or (None, witness) with the support cells of a
+    negative cycle in cycle order: the single row/column pass, relaxing
+    Fractions, in the arc order the integer pass keeps."""
+    cells = sorted(support)
+    m, n = cost.n_rows, cost.n_cols
+    into = [[] for _ in range(m)]
+    for i, j in cells:
+        into[i].append((m + j, i, -cost[i, j]))
+    arcs = []
+    for i, row in enumerate(cost.arcs):
+        arcs += into[i]
+        arcs += [(i, m + j, c) for j, c in row.items()]
+
+    nn = m + n
+    dist = [ZERO] * nn
+    pred = [None] * nn
+    for _ in range(nn):
+        last = None
+        for a, b, w in arcs:
+            d = dist[a] + w
+            if d < dist[b]:
+                dist[b] = d
+                pred[b] = a
+                last = b
+        if last is None:
+            return dist, None
+    node = last
+    for _ in range(nn):
+        node = pred[node]
+    cycle = [node]
+    cur = pred[node]
+    while cur != node:
+        cycle.append(cur)
+        cur = pred[cur]
+    cycle.reverse()
+    return None, [
+        (cycle[(t + 1) % len(cycle)], col - m)
+        for t, col in enumerate(cycle)
+        if col >= m
+    ]

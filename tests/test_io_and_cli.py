@@ -58,6 +58,14 @@ def test_instance_from_json_requires_lists(obj):
         instance_from_json(json.dumps(obj))
 
 
+def test_instance_n_must_count_the_cost_rows():
+    obj = {"n": 7, "cost": [["0/1"]], "mu": ["1/1"], "nu": ["1/1"]}
+    with pytest.raises(ValueError, match=r'^"n" is 7, the number of cost rows is 1$'):
+        instance_from_json(json.dumps(obj))
+    del obj["n"]
+    assert instance_from_json(json.dumps(obj))[0].n_rows == 1
+
+
 def test_cost_matrix_needs_a_column():
     with pytest.raises(ValueError, match="at least one column"):
         CostMatrix([[]])
@@ -402,6 +410,12 @@ BAD_INSTANCES = {
     # a cost row of width 0, with and without row mass
     "zero_width_massless": {"n": 1, "cost": [[]], "mu": ["0/1"], "nu": []},
     "zero_width_with_mass": {"n": 1, "cost": [[]], "mu": ["1/1"], "nu": []},
+    # "n" must be the int count of cost rows; a 1x1 instance is solvable
+    "n_disagrees": {"n": 7, "cost": [["0/1"]], "mu": ["1/1"], "nu": ["1/1"]},
+    "n_bool": {"n": True, "cost": [["0/1"]], "mu": ["1/1"], "nu": ["1/1"]},
+    "n_string": {"n": "2"},
+    "n_float": {"n": 2.0},
+    "n_null": {"n": None},
 }
 
 

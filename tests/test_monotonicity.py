@@ -16,6 +16,7 @@ from otlab.finite_ot import (
     TransportPlan,
 )
 from otlab.finite_ot import monotonicity
+from otlab.finite_ot.types import integer_arcs
 from otlab.rational import INF
 
 
@@ -141,6 +142,48 @@ def _seeded_supports(count, seed=2024):
         )
         finite = list(cost.finite_cells())
         yield cost, rng.sample(finite, rng.randint(0, min(8, len(finite))))
+
+
+_PRIMES = [p for p in range(2, 114) if all(p % q for q in range(2, p))]
+
+
+def _coprime_supports(count, seed=2025):
+    """Like `_seeded_supports` on 4..6 x 4..6 costs, each finite cell a
+    multiple of 1/p for its own prime p of the first 30 (in a shuffled
+    order, repeating past 30 cells), so the common denominator of a cost
+    with 16 or more such cells exceeds 2^64."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(4, 6), rng.randint(4, 6)
+        primes = rng.sample(_PRIMES, len(_PRIMES))
+        cost = CostMatrix(
+            [[INF if rng.random() < 0.25 else F(rng.randint(0, 12 * p), p)
+              for p in (primes[(i * n + j) % len(primes)] for j in range(n))]
+             for i in range(m)]
+        )
+        finite = list(cost.finite_cells())
+        yield cost, rng.sample(finite, rng.randint(0, min(8, len(finite))))
+
+
+def test_integer_pass_matches_the_fraction_pass():
+    """The verdict, the witness (the same cells in the same order) and
+    the potentials of the Fraction pass, also where the ints grow far
+    past 64 bits."""
+    assert len(_PRIMES) == 30
+    verdicts = {True: 0, False: 0}
+    wide = 0
+    for cost, support in itertools.chain(_seeded_supports(2000), _coprime_supports(300)):
+        dist, witness = cell_graph.fraction_bellman_ford(support, cost)
+        assert is_cyclically_monotone(support, cost) == (witness is None, witness)
+        pair = strong_monotone_potentials(support, cost)
+        verdicts[witness is None] += 1
+        if dist is None:
+            assert pair is None
+        else:
+            m = cost.n_rows
+            assert pair.phi == tuple(-d for d in dist[:m]) and pair.psi == tuple(dist[m:])
+        wide += integer_arcs(cost.arcs)[2] > 2**64
+    assert verdicts[True] >= 1100 and verdicts[False] >= 600 and wide >= 200
 
 
 def test_single_pass_agrees_with_the_cell_graph_oracle():

@@ -22,6 +22,8 @@ from otlab.finite_ot import (
 from otlab.finite_ot import simplex
 from otlab.rational import INF
 
+import fraction_slackness
+
 
 def random_cost(rng, n, hi=40):
     return CostMatrix(
@@ -194,6 +196,60 @@ def test_slackness_lists_mass_moved_onto_an_inf_cell():
     )
     assert report.support_violations == ((0, 2), (1, 0), (2, 1))
     assert report.feasibility_violations == ()
+
+
+# Mersenne primes: pairwise coprime, with a product near 2^415
+_WIDE_PRIMES = [2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+
+
+def _moved(values, rng):
+    return [x + F(rng.randint(-3, 3), rng.choice(_WIDE_PRIMES)) for x in values]
+
+
+def test_slackness_audit_matches_the_fraction_audit():
+    """The same two lists, cell for cell and in order, as the Fraction
+    audit: on certified pairs of costs with INF cells and zero-mass rows
+    and columns; on their potentials moved by multiples of 1/p for wide
+    primes p, or with one potential nudged by +-1/p, which on an integer
+    cost breaks its row by one unit of the common denominator; and on
+    plans charging an INF cell or holding a negative cell."""
+    rng = random.Random(404)
+    seen = dict.fromkeys(["passed", "support", "feasibility", "inf_charged", "zero_mass"], 0)
+    for _ in range(300):
+        m, n, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 3)
+        cost = CostMatrix(
+            [[INF if rng.random() < 0.3 else F(rng.randint(0, 12), rng.randint(1, q))
+              for _ in range(n)] for _ in range(m)]
+        )
+        finite = list(cost.finite_cells())
+        if not finite:
+            continue
+        # the masses of a plan on a few finite cells: rows and columns it
+        # misses have zero mass
+        mass = {c: F(rng.randint(1, 4)) for c in rng.sample(finite, rng.randint(1, len(finite)))}
+        mu = [sum((w for (i, _), w in mass.items() if i == r), F(0)) for r in range(m)]
+        nu = [sum((w for (_, j), w in mass.items() if j == c), F(0)) for c in range(n)]
+        seen["zero_mass"] += 0 in mu or 0 in nu
+        plan, pair = solve_certified(cost, Marginals(mu, nu))
+        moved = DualPair(_moved(pair.phi, rng), _moved(pair.psi, rng))
+        phi = list(pair.phi)
+        phi[rng.randrange(m)] += F(rng.choice((-1, 1)), rng.choice(_WIDE_PRIMES))
+        nudged = DualPair(phi, pair.psi)
+        cells = dict(plan.cells)
+        cells[rng.choice(finite)] = F(-1, 5)
+        inf_cells = [(i, j) for i in range(m) for j in range(n) if not cost.is_finite(i, j)]
+        if inf_cells:
+            cells[rng.choice(inf_cells)] = F(1, 7)
+        other = TransportPlan.from_cells(m, n, cells, plan.value)
+        for p, d in [(plan, pair), (plan, moved), (plan, nudged), (other, pair), (other, moved)]:
+            report = check_complementary_slackness(p, d, cost)
+            got = (report.support_violations, report.feasibility_violations)
+            assert got == fraction_slackness.slackness_violations(p, d, cost)
+            seen["passed"] += report.passed
+            seen["support"] += bool(report.support_violations)
+            seen["feasibility"] += bool(report.feasibility_violations)
+            seen["inf_charged"] += any(not cost.is_finite(*c) for c in report.support_violations)
+    assert min(seen.values()) >= 100, seen
 
 
 def _recursive_kuhn(adj, n):
