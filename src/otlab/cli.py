@@ -43,12 +43,25 @@ def _cannot_write(e: OSError, path: str):
     _progress(f"cannot write {e.filename or path}: {e.strerror or e}")
 
 
+def _print_data(text: str):
+    """Print text to stdout.  When the reader has closed it, the rest of
+    the output goes to os.devnull, as the Python docs on SIGPIPE show, so
+    neither this write nor the flush at exit raises."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_report(report, out: Optional[str]) -> bool:
     """Print the report, or write it to the file `out`; False, after one
     stderr line, when that file cannot be written."""
     text = serialize.dumps(report)
     if not out:
-        print(text)
+        _print_data(text)
         return True
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -98,10 +111,11 @@ def cmd_solve(args) -> int:
 _BYTES_PER_INDEX = 40
 
 # Peak RSS of `gap` per arc of the truncated cost, whose (M+1)*M_j graph
-# cells bound the arc count, rounded up: measured 863 bytes at (5, 18041)
-# (M_j = 90,205) and 765 at (5, 30011) (M_j = 150,055), where the
-# interpreter's 30 MB is a smaller share.  Above that share both grow by
-# about 620 bytes per arc.
+# cells bound the arc count, rounded up: measured 822 bytes at (5, 16001)
+# (M_j = 80,005), 763 at (5, 30011) (M_j = 150,055) and 701 at the
+# paper-compliant (5, 125101) (M_j = 625,505), where the interpreter's
+# 30 MB is a smaller share.  Above that share it grows by about 690
+# bytes per arc.
 _BYTES_PER_ARC = 900
 
 # Where Linux reports the memory a new process can use without swapping.
@@ -307,7 +321,7 @@ def cmd_verify(args) -> int:
         failures += _saved_failures(outdir, level, name, blocks, fresh)
     for f in failures:
         _progress(f)
-    print(serialize.dumps({"levels_checked": depth, "failures": failures}))
+    _print_data(serialize.dumps({"levels_checked": depth, "failures": failures}))
     return EXIT_OK if not failures else EXIT_FAIL
 
 

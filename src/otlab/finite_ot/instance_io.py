@@ -47,8 +47,18 @@ def instance_from_json(text: str):
     # A bool is an int to isinstance, so "n": true is no row count.
     if type(n) is not int or n != len(rows):
         raise ValueError(f'"n" is {json.dumps(n)}, the number of cost rows is {len(rows)}')
-    cost = CostMatrix([[parse_rational_str(v) for v in _list(row, "a cost row")] for row in rows])
-    mu, nu = ([parse_rational_str(v) for v in _list(obj[k], k)] for k in ("mu", "nu"))
+    parsed = {}  # one Fraction (or INF) per distinct entry string
+
+    def parse(v):
+        if type(v) is not str:  # a list is unhashable; parsing rejects it
+            return parse_rational_str(v)
+        f = parsed.get(v)
+        if f is None:
+            f = parsed[v] = parse_rational_str(v)
+        return f
+
+    cost = CostMatrix([[parse(v) for v in _list(row, "a cost row")] for row in rows])
+    mu, nu = ([parse(v) for v in _list(obj[k], k)] for k in ("mu", "nu"))
     return cost, Marginals(mu, nu)
 
 

@@ -34,7 +34,11 @@ positive flow could be pushed from any node to the root (Cunningham,
 Math. Programming 11, 1976).  Both starts are built that way: the
 north-west corner, rooted at row 0, for any instance, and for uniform
 square instances a tree around a finite perfect matching, rooted at the
-lowest row from which it spans (`_matching_start`).
+lowest row from which it spans (`_matching_start`).  The matching tries
+each row's arcs cheapest first, ties by column, so the start plan is
+near the optimum when the rows' cheap arcs rarely share a column; when
+they form a permutation it is the optimal plan, and only degenerate
+pivots (on the zero-flow cells) follow.
 
 Pricing is block search (Grigoriadis, Math. Programming Study 26,
 1986).  The rows with arcs are scanned cyclically in blocks of whole
@@ -76,7 +80,7 @@ from .types import integer_arcs
 
 def _perfect_finite_matching(adj, n):
     """Kuhn's algorithm on a square instance whose row i has finite
-    cells in the columns adj[i], in increasing order; None when no
+    cells in the columns adj[i], tried in that order; None when no
     perfect finite matching exists.  The augmenting-path search is a
     depth-first search on an explicit stack of (row, column iterator)
     frames."""
@@ -111,18 +115,20 @@ def _perfect_finite_matching(adj, n):
 
 def _matching_start(adj, supply, demand):
     """Uniform square case: a strongly feasible spanning tree around a
-    finite perfect matching, for finite cells in the columns adj[i] of
-    each row i.  A breadth-first search from the root row gives each row
-    its matched cell (the mass) and each reached column, as zero-flow
-    children, the unreached rows with a finite cell in it, so every
-    zero-flow cell is a row hanging below its column.  The root is the
-    lowest row from which that tree spans every row.  Returns (flow on
-    the tree's cells, root row), or None when no row spans or the
-    instance is not uniform square."""
+    finite perfect matching, for the finite cells adj[i] of each row i
+    (dicts {column: cost} in increasing column order), each row trying
+    its cells cheapest first, ties by column.  A breadth-first search
+    from the root row gives each row its matched cell (the mass) and
+    each reached column, as zero-flow children, the unreached rows with
+    a finite cell in it, so every zero-flow cell is a row hanging below
+    its column.  The root is the lowest row from which that tree spans
+    every row.  Returns (flow on the tree's cells, root row), or None
+    when no row spans or the instance is not uniform square."""
     m, n = len(supply), len(demand)
     if m != n or len(set(supply)) != 1 or len(set(demand)) != 1 or supply[0] != demand[0]:
         return None
-    match_col = _perfect_finite_matching(adj, n)
+    # A stable sort of each row's increasing columns by cost.
+    match_col = _perfect_finite_matching([sorted(row, key=row.__getitem__) for row in adj], n)
     if match_col is None:
         return None
     mate = [0] * n

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from ..rational import INF, as_fraction, is_inf, over_common_denominator
+from ..rational import INF, as_fraction, over_common_denominator
 
 
 class FiniteOTError(Exception):
@@ -79,6 +79,14 @@ def integer_arcs(arcs, *vectors):
     return rows, [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
+def _arc_cost(v) -> Fraction:
+    """The rational v as an arc cost; ValueError when it is negative."""
+    f = v if type(v) is Fraction else as_fraction(v)
+    if f.numerator < 0:
+        raise ValueError(f"cost entries must be >= 0, got {f}")
+    return f
+
+
 class CostMatrix:
     """Extended-rational cost held by its finite arcs: `arcs[i]` maps
     each column j of a finite cell of row i, in increasing order, to its
@@ -95,11 +103,14 @@ class CostMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged cost matrix")
-        self._set_arcs(
-            len(rows),
-            width,
-            ((i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if not is_inf(v)),
+        if width < 1:
+            raise ValueError("cost matrix must have at least one column")
+        # Each row's dict is built in column order, so it needs no sort.
+        self.arcs = tuple(
+            {j: _arc_cost(v) for j, v in enumerate(row) if v is not INF} for row in rows
         )
+        self.n_rows = len(rows)
+        self.n_cols = width
 
     @classmethod
     def from_arcs(cls, n_rows: int, n_cols: int, arcs) -> "CostMatrix":
@@ -120,10 +131,7 @@ class CostMatrix:
                 raise ValueError(f"arc {(i, j)} outside the {n_rows}x{n_cols} cost")
             if j in rows[i]:
                 raise ValueError(f"arc {(i, j)} given twice")
-            f = as_fraction(v)
-            if f.numerator < 0:
-                raise ValueError(f"cost entries must be >= 0, got {f}")
-            rows[i][j] = f
+            rows[i][j] = _arc_cost(v)
         self.arcs = tuple(dict(sorted(row.items())) for row in rows)
         self.n_rows = n_rows
         self.n_cols = n_cols

@@ -270,14 +270,45 @@ def _separation_radius(free_rows, free_cols, Mj: int) -> int:
     columns: the least, over perfect matchings, largest circle distance
     (index units) of a matched pair; 0 when nothing is free.  A cyclic
     shift of the two sorted lists attains it (Werman, Peleg, Melter and
-    Kong, J. Algorithms 7, 1986)."""
+    Kong, J. Algorithms 7, 1986), so it is the least radius r for which
+    some shift keeps every pair within r: a bisection on r in
+    [0, Mj // 2], at whose top every pair is."""
     rows = np.sort(np.asarray(free_rows, dtype=np.int64))
     cols = np.sort(np.asarray(free_cols, dtype=np.int64))
-    best = 0 if rows.size == 0 else Mj
-    for k in range(rows.size):
-        d = np.abs(rows - np.roll(cols, k))
-        best = min(best, int(np.minimum(d, Mj - d).max()))
-    return best
+    n = rows.size
+    if n == 0:
+        return 0
+    # Column index t % n at its place on the circle and one turn either
+    # side, so the columns within r of a row are one run of indices t.
+    around = np.concatenate([cols - Mj, cols, cols + Mj])
+    row_index = np.arange(n)
+
+    def within(r):
+        """Whether some shift k puts every rows[i] within circle distance
+        r of cols[(i + k) % n]."""
+        first = np.searchsorted(around, rows - r, side="left")
+        count = np.searchsorted(around, rows + r, side="right") - first
+        if count.min() == 0:
+            return False
+        # The shifts a row allows are the cyclic interval [start, start +
+        # count) mod n; a row with count >= n allows every shift.  Count
+        # the intervals over each shift with a difference array on
+        # 0..2n-1, folded onto 0..n-1.
+        some = count < n
+        start = (first[some] - row_index[some]) % n
+        diff = np.bincount(start, minlength=2 * n + 1)
+        diff -= np.bincount(start + count[some], minlength=2 * n + 1)
+        cover = np.cumsum(diff[: 2 * n])
+        return bool((cover[:n] + cover[n:] == some.sum()).any())
+
+    lo, hi = 0, Mj // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _cheap_partial_plans(family: GapFamily, trunc: TruncatedCost):

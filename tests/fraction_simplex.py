@@ -5,8 +5,9 @@ This is the pair-arithmetic form of `otlab.finite_ot.simplex`: costs are
 Fractions, and the tree potentials, the rooted tree and the pivot cycle
 are rebuilt from scratch on every pivot.  It runs the same rules over
 the finite cells only: the same start trees (the north-west corner from
-row 0, or the matching tree grown breadth-first from the lowest row from
-which it spans), block-search pricing over whole rows of at least
+row 0, or the tree around a matching that tries each row's finite cells
+cheapest first, ties by column, grown breadth-first from the lowest row
+from which it spans), block-search pricing over whole rows of at least
 ceil(sqrt(finite cell count)) cells, scanned cyclically, and
 Cunningham's leaving rule (the last blocking cell on the cycle walked
 from its apex along the entering cell).  So the integer solver must
@@ -31,11 +32,18 @@ def _is_neg(a):
 
 
 def _perfect_finite_matching(ext_cost, n):
-    """Kuhn's algorithm on the finite cells of a square instance; None
-    when no perfect finite matching exists.  The augmenting-path search
-    is a depth-first search on an explicit stack of (row, column
-    iterator) frames."""
-    adj = [[j for j in range(n) if ext_cost[i][j][0] == 0] for i in range(n)]
+    """Kuhn's algorithm on the finite cells of a square instance, each
+    row trying its cells cheapest first, ties by column; None when no
+    perfect finite matching exists.  The augmenting-path search is a
+    depth-first search on an explicit stack of (row, column iterator)
+    frames."""
+    adj = [
+        sorted(
+            (j for j in range(n) if ext_cost[i][j][0] == 0),
+            key=lambda j: (ext_cost[i][j][1], j),
+        )
+        for i in range(n)
+    ]
     match_col = [-1] * n
 
     def augment(root, seen):

@@ -374,3 +374,51 @@ def test_separation_radius_matches_brute_force():
         assert _separation_radius(rows, cols, Mj) == expected, (rows, cols, Mj)
         if rows == cols:
             assert expected == 0
+
+
+def _all_shifts_radius(free_rows, free_cols, Mj):
+    """The separation radius by trying every cyclic shift of the sorted
+    columns against the sorted rows: O(n^2), as `gap` computed it before
+    the bisection."""
+    rows = np.sort(np.asarray(free_rows, dtype=np.int64))
+    cols = np.sort(np.asarray(free_cols, dtype=np.int64))
+    best = 0 if rows.size == 0 else Mj
+    for k in range(rows.size):
+        d = np.abs(rows - np.roll(cols, k))
+        best = min(best, int(np.minimum(d, Mj - d).max()))
+    return best
+
+
+def _cheap_plan_free_sets(floor):
+    """(free rows, free columns, M_j) of every cheap partial plan on the
+    truncated cost (M = 2) of the (5, floor) tower."""
+    fam = build_gap_family(build_tower(5, 2, growth_floor=[floor]), 2)
+    trunc = materialize_cost(fam, 2, 2)
+    Mj = trunc.cost.n_rows
+    everything = np.arange(Mj)
+    out = []
+    for cells, _ in _cheap_partial_plans(fam, trunc):
+        rows = np.setdiff1d(everything, [i for i, _ in cells])
+        cols = np.setdiff1d(everything, [jj for _, jj in cells])
+        out.append((rows, cols, Mj))
+    return out
+
+
+def test_bisected_separation_radius_matches_all_shifts():
+    rng = random.Random(20261019)
+    cases = [([], [], 1), ([], [], 8), ([], [], 9), ([0], [0], 1), ([3], [7], 8), ([3], [8], 9)]
+    for Mj in (1, 2, 7, 8, 155, 156):
+        everything = list(range(Mj))  # every row free
+        cases.append((everything, everything, Mj))
+        cases.append((everything, everything[::-1], Mj))
+    for _ in range(1500):
+        Mj = rng.randint(1, 120)
+        n = rng.randint(0, Mj)
+        cases.append((rng.sample(range(Mj), n), rng.sample(range(Mj), n), Mj))
+    for floor in (31, 101):
+        cases += _cheap_plan_free_sets(floor)
+    assert {Mj % 2 for _, _, Mj in cases} == {0, 1}
+    for rows, cols, Mj in cases:
+        assert _separation_radius(rows, cols, Mj) == _all_shifts_radius(rows, cols, Mj), (
+            rows, cols, Mj
+        )

@@ -196,18 +196,49 @@ def test_cli_verify_catches_singular_set_tampering(tmp_path):
     assert main(["verify", str(d)]) == 1
 
 
-def _otlab_in_child(*argv, cwd=None):
+def _child_env():
     src = str(Path(otlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _otlab_in_child(*argv, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "otlab.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
+        capture_output=True, text=True, env=_child_env(), timeout=120, cwd=cwd,
     )
 
 
 def _verify_in_child(d):
     return _otlab_in_child("verify", str(d))
+
+
+def _otlab_into_closed_pipe(*argv):
+    """Run the CLI in a child whose stdout is a pipe with no reader left:
+    the read end is closed before the child starts, so its first write
+    fails whatever the timing."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "otlab.cli", *argv],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=120,
+        )
+    finally:
+        os.close(w)
+
+
+def test_cli_solve_and_verify_into_closed_stdout(tmp_path):
+    """A reader that closes stdout early (`otlab solve x.json | head -c 1`)
+    costs the report, not the verdict: no traceback, the usual exit code."""
+    inst = tmp_path / "inst.json"
+    save_instance(inst, CostMatrix([[0 if i == j else 1 for j in range(3)] for i in range(3)]), Marginals.uniform(3))
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    for argv in (("solve", str(inst)), ("verify", str(d))):
+        out = _otlab_into_closed_pipe(*argv)
+        assert "Traceback" not in out.stderr, out.stderr
+        assert out.returncode == 0, (argv, out.stderr)
 
 
 def test_cli_verify_malformed_rle_fails_cleanly(tmp_path):

@@ -20,6 +20,7 @@ from otlab.finite_ot import (
     solve_primal,
 )
 from otlab.finite_ot import simplex
+from otlab.finite_ot.types import integer_arcs
 from otlab.rational import INF
 
 import fraction_slackness
@@ -943,6 +944,46 @@ def test_degenerate_families_terminate_with_exact_values(start, monkeypatch):
         assert plan.check_marginals(marg)
         assert check_complementary_slackness(plan, pair, cost).passed
     assert sum(pivots) > 0
+
+
+def _cheap_permutation_cost(n, off):
+    """An n x n cost that is 0 on a seeded permutation and off(rng)
+    elsewhere, with that permutation."""
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    return CostMatrix(
+        [[0 if j == perm[i] else off(rng) for j in range(n)] for i in range(n)]
+    ), perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 40])
+def test_matching_start_takes_the_cheapest_arc_permutation(n, monkeypatch):
+    """The matching start tries each row's cheapest arcs first, so when
+    those form a permutation the start carries its mass on it: the start
+    plan is optimal, and any pivot after it is degenerate.  With every
+    other cell the same cost the start tree is optimal too: no pivot."""
+    cost, perm = _cheap_permutation_cost(n, lambda rng: rng.randint(1, 9))
+    supply = demand = [F(1, n)] * n
+    flow, _ = simplex._matching_start(integer_arcs(cost.arcs)[0], supply, demand)
+    assert {cell for cell, f in flow.items() if f} == {(i, perm[i]) for i in range(n)}
+    plan, pair = solve_certified(cost, Marginals.uniform(n))
+    assert plan.value == pair.value == 0
+    assert plan.support() == {(i, perm[i]) for i in range(n)}
+
+    pivots = []
+    reroot = simplex._reroot
+
+    def counting(q, w, adj, *rest):
+        if w >= 0:  # w < 0 hangs the start tree from its root
+            pivots.append((q, w))
+        return reroot(q, w, adj, *rest)
+
+    monkeypatch.setattr(simplex, "_reroot", counting)
+    cost, perm = _cheap_permutation_cost(n, lambda rng: 5)
+    plan, pair = solve_certified(cost, Marginals.uniform(n))
+    assert pivots == []
+    assert plan.value == pair.value == 0
+    assert plan.support() == {(i, perm[i]) for i in range(n)}
 
 
 def test_cli_solve_dense_200(tmp_path, capsys):
