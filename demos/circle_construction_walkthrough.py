@@ -6,7 +6,7 @@ step functions, and the exact singular-mass ledger.
 """
 
 from otlab.circle import build_tower, phi_level
-from otlab.duals import corrected_pair, dual_value, verify_feasibility
+from otlab.duals import level_scalars, verify_feasibility
 from otlab.tau import (
     build_levels,
     quasi_cost,
@@ -47,7 +47,7 @@ print()
 
 print("the raw potentials are already tight on all three graphs:")
 for level in levels:
-    pair = corrected_pair(level, tower)
-    feas = verify_feasibility(pair, level, tower)
+    s = level_scalars(level, tower)
+    feas = verify_feasibility(level, tower)
     print(f"  level {level.level}: feasible {feas.passed}, "
-          f"dual value {dual_value(pair)}, correction norm {pair.correction_norm}")
+          f"dual value {s.dual_value}, correction norm {s.correction_norm}")

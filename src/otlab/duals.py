@@ -1,15 +1,27 @@
 """Dual pairs along the construction and the singular-mass diagnostics.
 
-The raw pair at level n is (phi^n, 1 - phi^n).  Its corrected version
-subtracts the positive part of the constraint excess on each of the
-three level-n graphs (diagonal, one rotation step, the constructed
-permutation).  The diagonal excess phi + (1 - phi) - 1 and the
-constructed-graph excess q - q (q the quasi-cost) vanish identically, so
-only the one-step excess is computed; the raw pair meets that constraint
-too -- with equality off the middle interval -- so the correction comes
-out zero.  The quantities that actually shrink with the level (the
-good-set deviation from the stable value and the rotation drift against
-the next level's angle) are reported instead.
+The pair at level n is (phi^n, psi^n = 1 - phi^n).  Along the rotation
+orbit phi steps by the weight w of the index it leaves (+1 on L^n, 0 on
+the middle interval, -1 on R^n), and the orbit's +-1 weights balance on
+every odd modulus, so phi(l + P) = phi(l) + w(l) for every index l and
+the one-step quasi-cost is
+
+    q(l) = 1 + phi(l) - phi(l + P) = 1 - w(l):  0 on L^n, 1 on the
+    middle interval, 2 on R^n.
+
+The corrected pair subtracts from phi the positive part of the
+constraint excess on each of the three level-n graphs (diagonal, one
+rotation step, the constructed permutation).  The diagonal excess
+phi + (1 - phi) - 1 and the constructed-graph excess q - q vanish
+identically, so only the one-step excess is computed, against the bound
+0 on L^n and 2 on the middle interval and R^n.  By the identity above
+it is never positive: every level's correction is 0 and its dual value
+is 1.
+
+`level_scalars` is the one per-level record: the singular ledger, the
+singular build-up diagnostic, and the dual value and correction norm,
+from one chunked pass over the quasi-cost.  `verify_feasibility` is the
+index-by-index check of the pair on the three graphs.
 """
 
 from __future__ import annotations
@@ -20,17 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import ModulusTower, phi_level, quasi_cost_values
-from .tau import (
-    LedgerSums,
-    RefinementSums,
-    SingularLedger,
-    TauLevel,
-    fold_quasi_cost,
-    quasi_cost,
-)
-
-ZERO = Fraction(0)
+from .circle import ModulusTower, one_step_quasi_cost, phi_level, quasi_cost_values
+from .tau import LedgerSums, SingularLedger, TauLevel, fold_quasi_cost, quasi_cost
 
 
 def _one_step_cost(tower: ModulusTower, n: int, lo: int = 0, hi: Optional[int] = None):
@@ -59,79 +62,24 @@ def _correction(level: TauLevel, tower: ModulusTower, phi, lo: int, hi: int):
 
 
 class _CorrectionSums:
-    """Chunk sums of the correction and of the corrected pair; fills
-    phi_corrected when given an array for it."""
+    """Chunk sums of the correction.  With psi = 1 - phi the corrected
+    pair integrates to 1 - correction norm, so only the correction is
+    summed."""
 
-    def __init__(self, level: TauLevel, tower: ModulusTower, phi_corrected=None):
+    def __init__(self, level: TauLevel, tower: ModulusTower):
         self.level = level
         self.tower = tower
         self.phi = phi_level(tower, level.level).values
-        self.phi_corrected = phi_corrected
         self.correction = 0
-        self.pair = 0
 
     def add(self, lo: int, q):
-        hi = lo + len(q)
-        ph = self.phi[lo:hi]
-        corr = _correction(self.level, self.tower, self.phi, lo, hi)
-        phi_corr = ph - corr
-        if self.phi_corrected is not None:
-            self.phi_corrected[lo:hi] = phi_corr
+        corr = _correction(self.level, self.tower, self.phi, lo, lo + len(q))
         self.correction += int(corr.sum(dtype=np.int64))
-        self.pair += int(phi_corr.sum(dtype=np.int64)) + int((1 - ph).sum(dtype=np.int64))
 
     def result(self):
         """(dual value, correction norm)."""
-        M = self.level.modulus
-        return Fraction(self.pair, M), Fraction(self.correction, M)
-
-
-@dataclass
-class DualPairLevel:
-    """Raw and corrected potentials at one level, with exact norms."""
-
-    level: int
-    phi_raw: np.ndarray
-    psi: np.ndarray
-    phi_corrected: np.ndarray
-    correction_norm: Fraction
-    good_deviation: Fraction
-    refinement_deviation: Fraction
-    rotation_drift_bound: Optional[Fraction]
-
-    @property
-    def modulus(self) -> int:
-        return int(self.phi_raw.shape[0])
-
-
-def corrected_pair(level: TauLevel, tower: ModulusTower) -> DualPairLevel:
-    """The raw and corrected pair of a construction level, with the
-    ledger's good deviation and the refinement deviation, from one
-    chunked pass over the quasi-cost."""
-    level.require_masks("corrected_pair")
-    n = level.level
-    phi = phi_level(tower, n).values
-    phi_corr = np.empty_like(phi)
-    ledger, refinement, (_, norm) = fold_quasi_cost(
-        level, tower,
-        LedgerSums(level, tower), RefinementSums(level, tower),
-        _CorrectionSums(level, tower, phi_corr),
-    )
-
-    drift = None
-    if n < tower.depth:
-        drift = Fraction(4 * tower.M[n - 1], tower.primes[n])
-
-    return DualPairLevel(
-        level=n,
-        phi_raw=phi,
-        psi=1 - phi,
-        phi_corrected=phi_corr,
-        correction_norm=norm,
-        good_deviation=ledger.good_deviation,
-        refinement_deviation=refinement,
-        rotation_drift_bound=drift,
-    )
+        norm = Fraction(self.correction, self.level.modulus)
+        return 1 - norm, norm
 
 
 @dataclass
@@ -149,18 +97,18 @@ class FeasibilityReport:
         return not (self.diag_violations or self.rot_violations or self.tau_violations)
 
 
-def verify_feasibility(
-    pair: DualPairLevel, level: TauLevel, tower: ModulusTower, phi=None
-) -> FeasibilityReport:
+def verify_feasibility(level: TauLevel, tower: ModulusTower, phi=None) -> FeasibilityReport:
     """Check phi+psi <= cost on the diagonal, the one-step graph and the
     constructed graph, index by index; also measure where the pair is
-    tight on the diagonal and the one-step graph simultaneously."""
+    tight on the diagonal and the one-step graph simultaneously.  phi is
+    the level's raw potential unless given; psi is always 1 - phi_raw."""
     n = level.level
     M = level.modulus
     P = tower.step(n)
+    phi_raw = phi_level(tower, n)
     if phi is None:
-        phi = pair.phi_corrected
-    psi = pair.psi
+        phi = phi_raw.values
+    psi = 1 - phi_raw.values
     idx = np.arange(M, dtype=np.int64)
 
     diag = phi + psi
@@ -177,7 +125,7 @@ def verify_feasibility(
 
     # Tightness against the graded (step-count) one-step values, which
     # differ from the bound only on the middle interval.
-    one_step_graded = quasi_cost_values(phi_level(tower, n).values, rot)
+    one_step_graded = one_step_quasi_cost(tower, n, phi_raw).values
     tight = (diag == 1) & (pair_rot == one_step_graded)
     eq_measure = Fraction(int(tight.sum()), M)
 
@@ -188,14 +136,6 @@ def verify_feasibility(
         tau_violations=tau_bad.tolist(),
         equality_measure=eq_measure,
     )
-
-
-def dual_value(pair: DualPairLevel) -> Fraction:
-    M = pair.modulus
-    total = int(pair.phi_corrected.sum(dtype=np.int64)) + int(
-        pair.psi.sum(dtype=np.int64)
-    )
-    return Fraction(total, M)
 
 
 @dataclass
@@ -278,7 +218,7 @@ class LevelScalars:
 def level_scalars(level: TauLevel, tower: ModulusTower) -> LevelScalars:
     """The ledger, the singular diagnostic (default delta grid), and the
     dual value and correction norm of the corrected pair, from one
-    chunked pass over the quasi-cost."""
+    chunked pass over the quasi-cost: the one per-level dual record."""
     level.require_masks("level_scalars")
     ledger, diagnostic, (value, norm) = fold_quasi_cost(
         level, tower,

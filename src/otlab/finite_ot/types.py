@@ -116,11 +116,6 @@ class CostMatrix:
     def from_arcs(cls, n_rows: int, n_cols: int, arcs) -> "CostMatrix":
         """The n_rows x n_cols cost that is finite exactly on the arcs,
         (i, j, cost) triples in any order, each cell at most once."""
-        self = cls.__new__(cls)
-        self._set_arcs(n_rows, n_cols, arcs)
-        return self
-
-    def _set_arcs(self, n_rows, n_cols, arcs):
         if n_rows < 1:
             raise ValueError("cost matrix must have at least one row")
         if n_cols < 1:
@@ -132,9 +127,11 @@ class CostMatrix:
             if j in rows[i]:
                 raise ValueError(f"arc {(i, j)} given twice")
             rows[i][j] = _arc_cost(v)
+        self = cls.__new__(cls)
         self.arcs = tuple(dict(sorted(row.items())) for row in rows)
         self.n_rows = n_rows
         self.n_cols = n_cols
+        return self
 
     def __getitem__(self, ij):
         i, j = ij

@@ -393,13 +393,6 @@ class RefinementSums:
         return Fraction(self.total, self.level.modulus)
 
 
-def singular_mass(level: TauLevel, tower: ModulusTower) -> Fraction:
-    """Exact total of (phi - phi o sigma)/M over the singular set;
-    -1 + 3/M_1 at level 1."""
-    level.require_masks("singular_mass")
-    return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0].singular_mass
-
-
 def singular_ledger(level: TauLevel, tower: ModulusTower) -> SingularLedger:
     level.require_masks("singular_ledger")
     return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from otlab.circle import build_tower, verify_oscillations
-from otlab.duals import corrected_pair, dual_value, singular_buildup, verify_feasibility
+from otlab.duals import level_scalars, singular_buildup, verify_feasibility
 from otlab.finite_ot import (
     CostMatrix,
     Marginals,
@@ -33,7 +33,7 @@ from otlab.tau import (
     build_tau_level1,
     potential_drop,
     quasi_cost,
-    singular_mass,
+    singular_ledger,
     transport_cost_tau,
     verify_level,
 )
@@ -159,7 +159,7 @@ def test_criterion_04_level1_construction():
         assert vals[mid] == 1
         good = level.good_mask
         assert (vals[good] == 2).all()
-        assert singular_mass(level, tower) == F(-1) + F(3, m1)
+        assert singular_ledger(level, tower).singular_mass == F(-1) + F(3, m1)
         assert q.integral() == 1
     elapsed = time.monotonic() - t0
     assert elapsed < 1
@@ -196,7 +196,7 @@ def test_criterion_06_level2_compliant(tower_5c, levels_5c):
     l2 = levels_5c[1]
     drop = potential_drop(l2, tower_5c)
     assert (drop[l2.singular_mask] <= F(-m2, 10) + 20 * 5**4).all()
-    mass = singular_mass(l2, tower_5c)
+    mass = singular_ledger(l2, tower_5c).singular_mass
     c_reported = (mass - (F(-1) + F(3, 5))) * m2
     assert mass <= F(-1) + F(3, 5) + c_reported / m2
     assert c_reported <= 40 * 5**4 * 2  # explicit ceiling from the split bound
@@ -212,11 +212,11 @@ def test_criterion_06_level2_compliant(tower_5c, levels_5c):
 def test_criterion_07_dual_sequence(tower_5_11, levels_5_11, tower_5c, levels_5c):
     for tower, levels in ((tower_5_11, levels_5_11), (tower_5c, levels_5c)):
         for level in levels:
-            pair = corrected_pair(level, tower)
-            assert verify_feasibility(pair, level, tower).passed
-            assert dual_value(pair) + pair.correction_norm == 1
+            s = level_scalars(level, tower)
+            assert verify_feasibility(level, tower).passed
+            assert s.dual_value + s.correction_norm == 1
             if level.level == 1:
-                assert dual_value(pair) == 1
+                assert s.dual_value == 1
     _ok(7, "corrected pairs feasible; dual_value + correction_norm == 1 on both towers")
 
 

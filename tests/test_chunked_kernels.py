@@ -4,6 +4,7 @@ what `construct` allocates per index."""
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,10 +71,9 @@ def test_level_scalars_match_whole_array_formulas(name, chunk):
     for level in tau.build_levels(tower, tower.depth):
         grid = duals.default_delta_grid(level.modulus)
         s = duals.level_scalars(level, tower)
-        phi_corr, value, norm = oracle.corrected_pair(level, tower)
+        _, value, norm = oracle.corrected_pair(level, tower)
         assert s.ledger == oracle.singular_ledger(level, tower)
         assert tau.singular_ledger(level, tower) == s.ledger
-        assert tau.singular_mass(level, tower) == s.ledger.singular_mass
         assert (s.dual_value, s.correction_norm) == (value, norm)
         d = s.diagnostic
         assert (
@@ -82,11 +82,32 @@ def test_level_scalars_match_whole_array_formulas(name, chunk):
         ) == oracle.diagnostic(level, tower, grid)
         assert duals.singular_buildup([level], tower) == [d]
 
-        pair = duals.corrected_pair(level, tower)
-        assert np.array_equal(pair.phi_corrected, phi_corr)
-        assert (duals.dual_value(pair), pair.correction_norm) == (value, norm)
-        assert pair.good_deviation == s.ledger.good_deviation
-        assert pair.refinement_deviation == oracle.refinement_deviation(level, tower)
+
+@pytest.mark.parametrize(
+    "name,chunk", [("5_11", 7), ("5_11", DEFAULT_CHUNK), ("5c", DEFAULT_CHUNK)],
+    indirect=["chunk"], ids=["5_11-7", f"5_11-{DEFAULT_CHUNK}", f"5c-{DEFAULT_CHUNK}"],
+)
+def test_nonzero_correction_matches_whole_array_formula(monkeypatch, name, chunk):
+    # Every real pair has correction 0; a phi raised by one at index 0
+    # (on L^n, where the one-step bound is 0) exceeds it by exactly 1
+    # there and nowhere else.
+    tower = TOWERS[name]()
+    levels = tau.build_levels(tower, tower.depth)
+    real = circle.phi_level
+
+    def bumped(tower, n):
+        phi = real(tower, n).values.copy()
+        phi[0] += 1
+        return circle.StepFunction(n, phi)
+
+    monkeypatch.setattr(duals, "phi_level", bumped)
+    monkeypatch.setattr(oracle, "phi_level", bumped)
+    for level in levels:
+        s = duals.level_scalars(level, tower)
+        assert s.correction_norm > 0
+        assert s.correction_norm == Fraction(1, level.modulus)
+        _, value, norm = oracle.corrected_pair(level, tower)
+        assert (s.dual_value, s.correction_norm) == (value, norm)
 
 
 @_cases()

@@ -2,15 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from otlab.circle import build_tower
+from otlab.circle import build_tower, phi_level
 from otlab.duals import (
-    corrected_pair,
     default_delta_grid,
-    dual_value,
+    level_scalars,
     singular_buildup,
     verify_feasibility,
 )
-from otlab.tau import build_levels, build_tau_level1
+from otlab.tau import build_levels, build_tau_level1, verify_level
 
 
 @pytest.fixture(scope="module")
@@ -24,45 +23,34 @@ def levels(tower):
 
 
 def test_corrections_vanish(tower, levels):
-    # the raw pair already meets all three graph constraints exactly
+    # the raw pair already meets all three graph constraints exactly;
+    # the correction is >= 0 index by index, so a zero norm means the
+    # corrected phi is the raw one
     for level in levels:
-        pair = corrected_pair(level, tower)
-        assert pair.correction_norm == 0
-        assert (pair.phi_corrected == pair.phi_raw).all()
-        assert (pair.psi == 1 - pair.phi_raw).all()
+        assert level_scalars(level, tower).correction_norm == 0
 
 
 def test_dual_value_identity(tower, levels):
     for level in levels:
-        pair = corrected_pair(level, tower)
-        assert dual_value(pair) + pair.correction_norm == 1
-        assert dual_value(pair) == 1
+        s = level_scalars(level, tower)
+        assert s.dual_value + s.correction_norm == 1
+        assert s.dual_value == 1
 
 
 def test_feasibility_exact(tower, levels):
     for level in levels:
-        pair = corrected_pair(level, tower)
-        rep = verify_feasibility(pair, level, tower)
+        rep = verify_feasibility(level, tower)
         assert rep.passed
         # equality holds on the full index set off the correction support
         assert rep.equality_measure == 1
 
 
 def test_feasibility_negative_control(tower, levels):
-    pair = corrected_pair(levels[1], tower)
-    bumped = pair.phi_corrected.copy()
-    bumped.setflags(write=True)
+    bumped = phi_level(tower, 2).values.copy()
     bumped[3] += 1
-    rep = verify_feasibility(pair, levels[1], tower, phi=bumped)
+    rep = verify_feasibility(levels[1], tower, phi=bumped)
     assert not rep.passed
     assert 3 in rep.diag_violations
-
-
-def test_rotation_drift_bound_reported(tower, levels):
-    pair1 = corrected_pair(levels[0], tower)
-    assert pair1.rotation_drift_bound == F(4 * 5, 11)
-    pair2 = corrected_pair(levels[1], tower)
-    assert pair2.rotation_drift_bound is None  # no deeper level built
 
 
 def test_refinement_deviation_decays_with_growth():
@@ -74,10 +62,10 @@ def test_refinement_deviation_decays_with_growth():
     dev, bound, whole = [], [], []
     for t in (t_small, t_big):
         l2 = build_levels(t, 2)[1]
-        pair = corrected_pair(l2, t)
-        dev.append(pair.refinement_deviation)
+        rep = verify_level(l2, t)
+        dev.append(rep.refinement_deviation)
         bound.append(F(4 * 25, t.primes[1]))
-        whole.append(pair.good_deviation)
+        whole.append(rep.good_deviation)
     assert dev[1] < dev[0]
     assert dev[0] < bound[0] and dev[1] < bound[1]
     assert abs(whole[1] - F(2, 5)) < F(1, 50)

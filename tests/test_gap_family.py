@@ -31,7 +31,6 @@ from otlab.tau import (
     build_tau_level1,
     quasi_cost,
     singular_ledger,
-    singular_mass,
     transport_cost_tau,
     verify_level,
 )
@@ -53,7 +52,7 @@ def family31():
 
 
 @pytest.mark.parametrize(
-    "fn", [singular_ledger, singular_mass, verify_level, transport_cost_tau],
+    "fn", [singular_ledger, verify_level, transport_cost_tau],
     ids=lambda fn: fn.__name__,
 )
 def test_mask_free_cells_refuse_mask_quantities(tower, family, fn):

@@ -11,7 +11,6 @@ from otlab.tau import (
     extend_tau,
     quasi_cost,
     singular_ledger,
-    singular_mass,
     transport_cost_tau,
     verify_level,
 )
@@ -64,7 +63,7 @@ def test_level1_quasi_cost(m1, expected_q):
 @pytest.mark.parametrize("m1", [5, 7, 11, 13])
 def test_level1_singular_mass(m1):
     t = build_tower(m1, 1)
-    assert singular_mass(build_tau_level1(t), t) == F(-1) + F(3, m1)
+    assert singular_ledger(build_tau_level1(t), t).singular_mass == F(-1) + F(3, m1)
 
 
 def test_level2_hard_invariants(tower, levels):
@@ -119,7 +118,7 @@ def test_level2_mass_balance(tower, levels):
 
 
 def test_level2_singular_mass_value(tower, levels):
-    mass = singular_mass(levels[1], tower)
+    mass = singular_ledger(levels[1], tower).singular_mass
     assert mass == F(-4, 11)
     assert mass <= 0
 
