@@ -38,8 +38,8 @@ print("re-routed into the middle of their image blocks.")
 rep = verify_level(l2, tower)
 print(f"  permutation {rep.permutation_ok}, nesting {rep.nesting_ok}, "
       f"middle avoidance {rep.middle_avoidance_ok}")
-print(f"  singular children {rep.singular_count}, mass {rep.singular_mass}")
 led2 = singular_ledger(l2, tower)
+print(f"  singular children {rep.singular_count}, mass {led2.singular_mass}")
 print(f"  change measure {led2.change_measure}, good deviation {led2.good_deviation}")
 total, positive, good_part = transport_cost_tau(l2, tower)
 print(f"  transport cost: total {total}, clipped {positive}, surviving {good_part}")

@@ -16,7 +16,7 @@ import math
 from functools import lru_cache
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -189,87 +189,6 @@ def build_tower_mode(m1: int, depth: int, mode: str) -> ModulusTower:
         floors.append(40 * tower.M[-1] ** 5 + 1)
         tower = build_tower(m1, j, growth_floor=floors)
     return tower
-
-
-class CircleIndex(NamedTuple):
-    """Interval [index/M_level, (index+1)/M_level) of the level grid."""
-
-    level: int
-    index: int
-
-    def left_endpoint(self, tower: ModulusTower) -> Fraction:
-        return Fraction(self.index, tower.modulus(self.level))
-
-    def refine(self, tower: ModulusTower) -> range:
-        """Child index block one level down the tower."""
-        m_next = tower.primes[self.level]
-        return range(self.index * m_next, (self.index + 1) * m_next)
-
-
-def rotate(tower: ModulusTower, x: CircleIndex, steps: int) -> CircleIndex:
-    M = tower.modulus(x.level)
-    P = tower.step(x.level)
-    return CircleIndex(x.level, (x.index + steps * P) % M)
-
-
-@dataclass(frozen=True)
-class HalfCirclePartition:
-    """Left run L^n, the straddling middle interval, and the right run R^n."""
-
-    level: int
-    modulus: int
-    middle: int
-
-    @property
-    def left_range(self) -> range:
-        return range(0, self.middle)
-
-    @property
-    def right_range(self) -> range:
-        return range(self.middle + 1, self.modulus)
-
-    def weight(self, index: int) -> int:
-        """+1 on L^n, 0 on the middle interval, -1 on R^n."""
-        return int(_half_weights(self.middle, index))
-
-
-def half_partition(tower: ModulusTower, n: int) -> HalfCirclePartition:
-    return HalfCirclePartition(
-        level=n, modulus=tower.modulus(n), middle=tower.middle_index(n)
-    )
-
-
-def orbit_visit_balance(tower: ModulusTower, x: CircleIndex, steps: int):
-    """Visit counts of the rotation orbit from x to L/R/middle.
-
-    For steps >= 0 the window is i in {0, ..., steps-1}; for steps < 0 it
-    is {steps+1, ..., 0}.  Returns (visits_L, visits_R, visits_middle);
-    the running-count value 1 + visits_L - visits_R is exposed by
-    callers that need it.
-    """
-    n = x.level
-    M = tower.modulus(n)
-    if abs(steps) > M:
-        raise ValueError(f"|steps| must be <= {M}")
-    first = 0 if steps >= 0 else steps + 1
-    mid = tower.middle_index(n)
-    counts = np.zeros(3, dtype=np.int64)  # visits to R^n, the middle, L^n
-    for lo, hi in index_chunks(abs(steps)):
-        # |i| < M and P < M, so |i * P| + x.index < M^2 + M < 2^63
-        orbit = np.arange(first + lo, first + hi, dtype=np.int64)
-        orbit *= tower.step(n)
-        orbit += x.index
-        orbit %= M
-        counts += np.bincount(_half_weights(mid, orbit) + 1, minlength=3)
-    r_cnt, m_cnt, l_cnt = counts.tolist()
-    return l_cnt, r_cnt, m_cnt
-
-
-def running_count_value(tower: ModulusTower, x: CircleIndex, steps: int) -> int:
-    """1 + visits_L - visits_R over the orbit window; the value the
-    level step functions accumulate along the rotation."""
-    l, r, _ = orbit_visit_balance(tower, x, steps)
-    return 1 + l - r
 
 
 class StepFunction:
@@ -445,22 +364,6 @@ def phi_level(tower: ModulusTower, n: int) -> StepFunction:
     """
     tower.require_level(n)
     return StepFunction(n, _phi_values(tower, n))
-
-
-def psi_level(tower: ModulusTower, n: int) -> StepFunction:
-    phi = phi_level(tower, n)
-    return StepFunction(n, 1 - phi.values)
-
-
-def one_step_quasi_cost(tower: ModulusTower, n: int, phi: Optional[StepFunction] = None) -> StepFunction:
-    """phi + psi composed with one rotation step: 0 on L^n, 1 on the
-    middle interval, 2 on R^n."""
-    if phi is None:
-        phi = phi_level(tower, n)
-    M = tower.modulus(n)
-    P = tower.step(n)
-    idx = (np.arange(M, dtype=np.int64) + P) % M
-    return StepFunction(n, quasi_cost_values(phi.values, idx))
 
 
 def quasi_cost_values(phi: np.ndarray, sigma: np.ndarray, lo: int = 0) -> np.ndarray:

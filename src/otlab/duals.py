@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import ModulusTower, one_step_quasi_cost, phi_level, quasi_cost_values
+from .circle import ModulusTower, phi_level, quasi_cost_values
 from .tau import LedgerSums, SingularLedger, TauLevel, fold_quasi_cost, quasi_cost
 
 
@@ -125,7 +125,7 @@ def verify_feasibility(level: TauLevel, tower: ModulusTower, phi=None) -> Feasib
 
     # Tightness against the graded (step-count) one-step values, which
     # differ from the bound only on the middle interval.
-    one_step_graded = one_step_quasi_cost(tower, n, phi_raw).values
+    one_step_graded = quasi_cost_values(phi_raw.values, rot)
     tight = (diag == 1) & (pair_rot == one_step_graded)
     eq_measure = Fraction(int(tight.sum()), M)
 

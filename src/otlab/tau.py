@@ -319,13 +319,6 @@ def quasi_cost_csv(level: TauLevel, tower: ModulusTower):
     return csv_blocks(level.modulus, quasi_cost_chunks(level, tower))
 
 
-def potential_drop(level: TauLevel, tower: ModulusTower):
-    """phi - phi o sigma as an int64 array (quasi-cost minus one)."""
-    drop = quasi_cost(level, tower).values
-    drop -= 1
-    return drop
-
-
 def _changed_per_parent(level: TauLevel, tower: ModulusTower):
     """Number of changed children of each parent index."""
     m = tower.primes[level.level - 1]
@@ -378,7 +371,7 @@ class RefinementSums:
         self.total = 0
         if level.parent is not None:
             self.m = tower.primes[level.level - 1]
-            self.parent_drop = potential_drop(level.parent, tower)
+            self.parent_q = quasi_cost(level.parent, tower).values
 
     def add(self, lo: int, q):
         parent = self.level.parent
@@ -386,7 +379,7 @@ class RefinementSums:
             return
         parent_of = np.arange(lo, lo + len(q), dtype=np.int64) // self.m
         gp = parent.good_mask[parent_of]
-        diff = q[gp] - 1 - self.parent_drop[parent_of[gp]]
+        diff = q[gp] - self.parent_q[parent_of[gp]]  # the drops' -1s cancel
         self.total += int(np.abs(diff).sum(dtype=np.int64))
 
     def result(self) -> Fraction:
@@ -400,7 +393,9 @@ def singular_ledger(level: TauLevel, tower: ModulusTower) -> SingularLedger:
 
 @dataclass
 class LevelReport:
-    """Machine checks of every construction invariant at one level."""
+    """Machine checks of every construction invariant at one level, and
+    its refinement deviation.  The level's singular ledger comes from
+    `singular_ledger` or `duals.level_scalars`."""
 
     level: int
     permutation_ok: bool
@@ -412,9 +407,6 @@ class LevelReport:
     singular_count_ok: bool
     change_per_good_parent_ok: bool
     drop_nonpositive_on_singular: bool
-    singular_mass: Fraction
-    good_deviation: Fraction
-    change_measure: Fraction
     refinement_deviation: Fraction
 
     @property
@@ -464,11 +456,13 @@ class _LevelChecks:
 
 
 def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
+    """The construction's invariant checks at one level and its
+    refinement deviation, from one pass over the quasi-cost chunks (see
+    `LevelReport`); the ledger is `singular_ledger`'s."""
     level.require_masks("verify_level")
     n = level.level
-    ledger, refinement, checks = fold_quasi_cost(
-        level, tower,
-        LedgerSums(level, tower), RefinementSums(level, tower), _LevelChecks(level, tower),
+    refinement, checks = fold_quasi_cost(
+        level, tower, RefinementSums(level, tower), _LevelChecks(level, tower)
     )
     bad = _avoidance_violations(
         level.tau, tower.step_inverse(n), tower.middle_index(n)
@@ -498,9 +492,6 @@ def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
         singular_count_ok=singular_count_ok,
         change_per_good_parent_ok=change_per_good_parent_ok,
         drop_nonpositive_on_singular=checks.drop_nonpositive,
-        singular_mass=ledger.singular_mass,
-        good_deviation=ledger.good_deviation,
-        change_measure=ledger.change_measure,
         refinement_deviation=refinement,
     )
 

@@ -31,7 +31,6 @@ from otlab.gap import (
 from otlab.tau import (
     build_levels,
     build_tau_level1,
-    potential_drop,
     quasi_cost,
     singular_ledger,
     transport_cost_tau,
@@ -194,7 +193,7 @@ def test_criterion_06_level2_compliant(tower_5c, levels_5c):
     assert osc.neighbor_max <= 100
     assert osc.block_rise_min >= F(m2, 10) - 10 * 5**3
     l2 = levels_5c[1]
-    drop = potential_drop(l2, tower_5c)
+    drop = quasi_cost(l2, tower_5c).values - 1
     assert (drop[l2.singular_mask] <= F(-m2, 10) + 20 * 5**4).all()
     mass = singular_ledger(l2, tower_5c).singular_mass
     c_reported = (mass - (F(-1) + F(3, 5))) * m2

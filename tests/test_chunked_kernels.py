@@ -157,6 +157,7 @@ def test_broken_levels_match_whole_array_formulas(chunk, edit):
     assert tau.is_permutation(broken.sigma) == oracle.is_permutation(broken.sigma)
     got = dataclasses.asdict(tau.verify_level(broken, tower))
     assert got == dataclasses.asdict(oracle.verify_level(broken, tower))
+    assert tau.singular_ledger(broken, tower) == oracle.singular_ledger(broken, tower)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)

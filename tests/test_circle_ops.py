@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from otlab.circle import (
-    CircleIndex,
     build_tower,
-    half_partition,
-    one_step_quasi_cost,
-    orbit_visit_balance,
+    build_tower_mode,
     phi_level,
-    psi_level,
-    rotate,
+    quasi_cost_values,
     verify_oscillations,
 )
 
@@ -21,41 +17,35 @@ def tower():
     return build_tower(5, 2)
 
 
-def test_rotate_identity_and_full_cycle(tower):
-    x = CircleIndex(2, 17)
-    assert rotate(tower, x, 0) == x
-    assert rotate(tower, x, 55) == x
+def _rotation_towers():
+    towers = [build_tower(m1, 2) for m1 in (5, 7, 11, 13)]
+    towers += [build_tower_mode(m1, 2, "paper_compliant") for m1 in (5, 7, 11)]
+    towers += [build_tower(5, 3, growth_floor=[11, 1000]), build_tower(7, 3)]
+    return towers
 
 
 def test_rotate_level1_steps_one_interval(tower):
+    # one level-1 rotation step is one interval: P_1 = 1
     for k in range(5):
-        assert rotate(tower, CircleIndex(1, k), 1).index == (k + 1) % 5
+        assert (k + tower.step(1)) % tower.modulus(1) == (k + 1) % 5
+    for t in _rotation_towers():
+        assert t.step(1) == 1
 
 
 def test_rotate_shift_identities(tower):
-    # M_1 rotation steps shift by M_1 indices; m_2 - 2 steps shift by -2
-    x = CircleIndex(2, 30)
-    assert rotate(tower, x, 5).index == 35
-    assert rotate(tower, x, 9).index == 28
-
-
-def test_orbit_visit_balance_examples(tower):
-    assert orbit_visit_balance(tower, CircleIndex(1, 0), 0) == (0, 0, 0)
-    assert orbit_visit_balance(tower, CircleIndex(1, 0), 2) == (2, 0, 0)
-    # full orbit: equal halves, middle exactly once
-    assert orbit_visit_balance(tower, CircleIndex(1, 0), 5) == (2, 2, 1)
-    assert orbit_visit_balance(tower, CircleIndex(2, 12), 55) == (27, 27, 1)
-
-
-def test_orbit_negative_window(tower):
-    # steps < 0 is the window {steps+1, ..., 0}
-    l, r, m = orbit_visit_balance(tower, CircleIndex(1, 2), -1)
-    assert (l, r, m) == (0, 0, 1)
-
-
-def test_orbit_step_bound(tower):
-    with pytest.raises(ValueError):
-        orbit_visit_balance(tower, CircleIndex(1, 0), 6)
+    # M_1 rotation steps shift by M_1 indices; m_2 - 2 steps shift by -2.
+    # Both follow from P_2 = m_2 + 1 and m_2 = 1 (mod m_1); the first holds
+    # at every level j >= 2 as M_{j-1} P_j = M_{j-1} (mod M_j), since
+    # P_j = P_{j-1} m_j + 1.
+    M2, P2 = tower.modulus(2), tower.step(2)
+    assert (30 + 5 * P2) % M2 == 35
+    assert (30 + 9 * P2) % M2 == 28
+    for t in _rotation_towers():
+        M2, m2, P2 = t.modulus(2), t.primes[1], t.step(2)
+        assert (m2 - 2) * P2 % M2 == M2 - 2
+        for j in range(2, t.depth + 1):
+            M_prev, M_j = t.modulus(j - 1), t.modulus(j)
+            assert M_prev * t.step(j) % M_j == M_prev
 
 
 @pytest.mark.parametrize(
@@ -78,14 +68,6 @@ def test_phi_anchor_and_spread(tower):
         assert int(vals.max() - vals.min()) <= (tower.M[n - 1] - 1) // 2
 
 
-def test_psi_complement(tower):
-    phi = phi_level(tower, 2).values
-    psi = psi_level(tower, 2).values
-    assert ((phi + psi) == 1).all()
-    total = F(int(phi.sum()), 55) + F(int(psi.sum()), 55)
-    assert total == 1
-
-
 def test_phi_integral_two_ways(tower):
     # orbit-order partial sums vs index-order summation agree
     phi = phi_level(tower, 2)
@@ -94,21 +76,25 @@ def test_phi_integral_two_ways(tower):
     assert F(by_orbit, 55) == phi.integral()
 
 
-def test_one_step_quasi_cost_sides(tower):
-    for n in (1, 2):
-        q = one_step_quasi_cost(tower, n).values
-        part = half_partition(tower, n)
-        mid = part.middle
-        assert (q[:mid] == 0).all()
-        assert q[mid] == 1
-        assert (q[mid + 1 :] == 2).all()
-        assert int(q.sum()) == tower.M[n - 1]
-
-
-def test_half_partition_weights(tower):
-    part = half_partition(tower, 1)
-    assert [part.weight(i) for i in range(5)] == [1, 1, 0, -1, -1]
-    assert part.middle == 2
+def test_one_step_quasi_cost_sides():
+    # phi(l + P) = phi(l) + w(l) on every level, so the one-step
+    # quasi-cost 1 + phi - phi(. + P) is 1 - w: 0 on L^n, 1 on the middle
+    # interval, 2 on R^n
+    towers = [
+        build_tower(5, 2),
+        build_tower(7, 2),
+        build_tower(5, 3, growth_floor=[11, 1000]),
+        build_tower_mode(5, 2, "paper_compliant"),
+    ]
+    for tower in towers:
+        for n in range(1, tower.depth + 1):
+            M, mid = tower.modulus(n), tower.middle_index(n)
+            rot = (np.arange(M, dtype=np.int64) + tower.step(n)) % M
+            q = quasi_cost_values(phi_level(tower, n).values, rot)
+            assert (q[:mid] == 0).all()
+            assert q[mid] == 1
+            assert (q[mid + 1 :] == 2).all()
+            assert int(q.sum()) == M
 
 
 def test_oscillation_report_level2(tower):
@@ -133,17 +119,3 @@ def test_step_function_csv(tower):
     assert lines[1] == "0,0/1,0/1"
     assert lines[3] == "2,2/5,2/1"
     assert len(lines) == 6
-
-
-def test_circle_index_refine(tower):
-    block = CircleIndex(1, 3).refine(tower)
-    assert list(block) == list(range(33, 44))
-
-
-def test_running_count_value(tower):
-    from otlab.circle import running_count_value
-
-    # matches the step-function increment: 1 + L - R over the window
-    assert running_count_value(tower, CircleIndex(1, 0), 2) == 3
-    assert running_count_value(tower, CircleIndex(1, 3), 1) == 0
-    assert running_count_value(tower, CircleIndex(1, 0), 0) == 1

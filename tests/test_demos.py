@@ -17,12 +17,12 @@ def test_demos_found():
     assert len(DEMOS) == 5
 
 
-def _run_demo(demo, cwd):
+def _run_demo(demo, cwd, *args):
     src = str(Path(otlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, str(demo), *args],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
     )
     assert "Traceback" not in out.stderr
@@ -108,6 +108,45 @@ carrier scale, which is the finite shadow of a purely singular part.
 """
 
 
+# The paper-compliant (7, 672323) tower behind the demo's --compliant flag.
+SINGULAR_MASS_BUILDUP_COMPLIANT = """\
+tower: (7, 672323) (paper_compliant growth)
+
+level          carrier    negative mass   singular set
+    1              2/7             -2/7            2/7
+    2         8/672323 -2689234/4706261       8/672323
+
+carrier shrink factor: 28/672323
+|negative mass| vs 1 - 3/7: 2689234/4706261 vs 0.571429
+
+small-set suprema at level 2 (greedy most-negative mass under mu(A) < delta):
+  delta =      1/2: 2689234/4706261
+  delta =      1/4: 2689234/4706261
+  delta =      1/8: 2689234/4706261
+  delta =     1/16: 2689234/4706261
+  delta =     1/32: 2689234/4706261
+  delta =     1/64: 2689234/4706261
+  delta =    1/128: 2689234/4706261
+  delta =    1/256: 2689234/4706261
+  delta =    1/512: 2689234/4706261
+  delta =   1/1024: 2689234/4706261
+  delta =   1/2048: 2689234/4706261
+  delta =   1/4096: 2689234/4706261
+  delta =   1/8192: 2689234/4706261
+  delta =  1/16384: 2689234/4706261
+  delta =  1/32768: 2689234/4706261
+  delta =  1/65536: 2689234/4706261
+  delta = 1/131072: 240111/672323
+  delta = 1/262144: 816381/4706261
+  delta = 1/524288: 384183/4706261
+  delta = 1/1048576: 192092/4706261
+  delta = 1/2097152: 96046/4706261
+
+the suprema saturate at the full negative mass long before the
+carrier scale, which is the finite shadow of a purely singular part.
+"""
+
+
 # The table as the dense-tableau LP printed it; the exact relaxed-dual
 # values must not move when the solver behind them changes.
 BUDGETED_DUAL_TABLE = """\
@@ -143,3 +182,8 @@ def test_demo_runs(tmp_path, demo):
 def test_budgeted_demo_prints_the_pinned_table(tmp_path):
     out = _run_demo(DEMO_DIR / "budgeted_dual_relaxation.py", tmp_path)
     assert out == BUDGETED_DUAL_TABLE
+
+
+def test_singular_mass_buildup_compliant_prints_the_pinned_table(tmp_path):
+    out = _run_demo(DEMO_DIR / "singular_mass_buildup.py", tmp_path, "--compliant")
+    assert out == SINGULAR_MASS_BUILDUP_COMPLIANT

@@ -164,7 +164,6 @@ def verify_level(level, tower):
     else:
         change_ok = True
     drop = quasi_cost(level, tower) - 1
-    ledger = singular_ledger(level, tower)
     return LevelReport(
         level=n,
         permutation_ok=is_permutation(level.sigma),
@@ -176,8 +175,5 @@ def verify_level(level, tower):
         singular_count_ok=singular_count_ok,
         change_per_good_parent_ok=change_ok,
         drop_nonpositive_on_singular=bool((drop[level.singular_mask] <= 0).all()),
-        singular_mass=ledger.singular_mass,
-        good_deviation=ledger.good_deviation,
-        change_measure=ledger.change_measure,
         refinement_deviation=refinement_deviation(level, tower),
     )
