@@ -1,10 +1,11 @@
 """Double-indexed map family and the truncated-cost gap demonstration.
 
 A grid of interval permutations tau_{n,j} (1 <= n <= j): row n is seeded
-at column n by a fresh within-block shuffle at scale n (built with a
-positive singular mass: the quasi-cost vanishes on the long bulk runs
-and spikes to about m_n/(2*M_{n-1}) on 2*M_{n-1} sub-blocks per block),
-and each later column refines the row by the keep-and-fill rule.  Every
+at column n by the inverse of the outward shuffle at scale n
+(`tau.outward_shuffle`; a positive singular mass: the quasi-cost
+vanishes on the long bulk runs and spikes to about m_n/(2*M_{n-1}) on
+2*M_{n-1} sub-blocks per block), and each later column refines the row
+by the keep-and-fill rule.  Every
 cell is a mask-free `tau.TauLevel`, and the column step is
 `tau.extend_tau`, which keeps and fills every block of such a cell.  The
 limit maps behind the truncated costs are the deepest column of each
@@ -34,13 +35,11 @@ from .finite_ot import CostMatrix, Marginals, solve_certified
 from .finite_ot import solve_primal  # noqa: F401
 from .rational import format_rational
 from .tau import (
-    GrowthTooSmall,
     TauLevel,
-    _avoidance_step,
     _require_permutation,
-    build_tau_level1,
     extend_tau,
     is_permutation,
+    outward_shuffle,
     sigma_of,
 )
 
@@ -60,47 +59,8 @@ def _invert(tau, sigma):
 
 
 def _diagonal_seed(tower: ModulusTower, j: int) -> TauLevel:
-    """Fresh row-j map: inverse of the within-block shuffle that moves
-    the bulk outward by M_{j-1} sub-blocks and throws the 2*M_{j-1}
-    boundary sub-blocks onto the central gaps."""
-    m = tower.primes[j - 1]
-    M = tower.M[j - 1]
-    M_prev = tower.M[j - 2] if j >= 2 else 1
-    Pinv = tower.step_inverse(j)
-    mid = tower.middle_index(j)
-    half = (m - 1) // 2
-
-    if j == 1:
-        # scale-1 seed: inverse of the level-1 construction map
-        base = build_tau_level1(tower)
-        tau = _invert(base.tau, base.sigma)
-        return TauLevel(1, tau, sigma_of(tower, 1, tau))
-
-    if m < 2 * M_prev + 1:
-        raise GrowthTooSmall(f"m_{j} = {m} < 2*M_{j-1}+1 = {2 * M_prev + 1}")
-
-    tau_fwd = np.zeros(M, dtype=np.int64)
-    subs = np.arange(m)
-    left_bulk = (subs >= M_prev) & (subs <= half - 1)
-    right_bulk = (subs >= half + 1) & (subs <= m - 1 - M_prev)
-    boundary = (subs < M_prev) | (subs >= m - M_prev)
-    covered = np.zeros(m, dtype=bool)
-    covered[subs[left_bulk] - M_prev] = True
-    covered[subs[right_bulk] + M_prev] = True
-    covered[half] = True
-    gaps = subs[~covered]
-    bnd = subs[boundary]
-    if gaps.shape[0] != bnd.shape[0]:
-        raise GrowthTooSmall("diagonal seed gaps do not match its boundary")
-
-    for p in range(M_prev):
-        lo = p * m
-        tau_fwd[lo + subs[left_bulk]] = -M_prev
-        tau_fwd[lo + subs[right_bulk]] = M_prev
-        tau_fwd[lo + half] = 0
-        for s, d in zip(bnd, gaps):
-            tau_fwd[lo + s] = _avoidance_step(M, Pinv, mid, lo + int(s), lo + int(d))
-
+    """Fresh row-j map: the inverse of the outward shuffle at scale j."""
+    tau_fwd = outward_shuffle(tower, j)
     sigma_fwd = sigma_of(tower, j, tau_fwd)
     _require_permutation(sigma_fwd, f"diagonal seed at level {j}")
     tau = _invert(tau_fwd, sigma_fwd)

@@ -1,11 +1,15 @@
 """Inductive construction of the interval permutations tau_n.
 
-Level 1 shifts the outermost interval to the spot left of the middle
-(and mirror-symmetrically on the right) while the bulk drifts one step
-the other way; each refinement keeps tau on the interior of good blocks,
-re-routes the overflowing boundary sub-blocks into the gaps they leave,
-and splits singular blocks into compensating good halves plus a small
-singular core thrown into the middle region of the image block.
+One router moves the sub-blocks of a block (`shuffle_block`): the
+staying sub-blocks take their step counts, and the movers fill the
+positions those leave uncovered in the image block, in order.  Level 1
+is the outward shuffle at scale 1 (`outward_shuffle`, which also gives
+the gap grid's diagonal seeds): the outermost intervals move next to the
+middle while the bulk steps one interval outward.  Each refinement keeps
+tau on the interior of good blocks, wraps the overflowing boundary
+sub-blocks round into the gaps they leave, and routes each singular
+block as compensating good halves plus a small singular core thrown
+into the middle region of the image block.
 
 Displacements are stored as step counts tau(l) with the induced map
 sigma(l) = l + tau(l) * P_n (mod M_n).  Wherever a sub-block is assigned
@@ -164,32 +168,73 @@ def _require_permutation(sigma, what: str):
         raise GrowthTooSmall(f"{what} is not a permutation")
 
 
-def build_tau_level1(tower: ModulusTower) -> TauLevel:
-    """The seed permutation: outer blocks jump next to the middle, the
-    left bulk steps left, the right bulk steps right, middle fixed."""
-    tower.require_level(1)
-    M = tower.M[0]
-    half = (M - 3) // 2
-    mid = tower.middle_index(1)
-    tau = np.zeros(M, dtype=np.int64)
-    tau[0] = half
-    tau[1 : mid] = -1
-    tau[mid] = 0
-    tau[mid + 1 : M - 1] = 1
-    tau[M - 1] = -half
+def shuffle_block(tau, lo, dst, steps, movers, M: int, Pinv: int, mid: int):
+    """Route the sub-blocks of the block at lo into the image block at dst.
 
-    good = np.zeros(M, dtype=bool)
-    good[1:mid] = True
-    good[mid + 1 : M - 1] = True
-    singular = np.zeros(M, dtype=bool)
-    singular[0] = singular[M - 1] = True
+    Sub-block s takes the step count steps[s] and covers position
+    s + steps[s] of the image block, except the movers (ascending), which
+    fill the positions left uncovered, in order, by middle-avoiding
+    steps."""
+    m = len(steps)
+    tau[lo : lo + m] = steps
+    stay = np.ones(m, dtype=bool)
+    stay[movers] = False
+    covered = np.zeros(m, dtype=bool)
+    covered[np.flatnonzero(stay) + steps[stay]] = True
+    gaps = np.flatnonzero(~covered)
+    if gaps.shape[0] != len(movers):
+        raise GrowthTooSmall(
+            f"{gaps.shape[0]} uncovered positions for {len(movers)} movers "
+            f"in the block at {lo}"
+        )
+    for s, d in zip(movers, gaps):
+        tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + int(s), dst + int(d))
 
-    level = TauLevel(1, tau, sigma_of(tower, 1, tau), good, singular)
-    _require_permutation(level.sigma, "sigma at level 1")
-    bad = _avoidance_violations(tau, tower.step_inverse(1), mid)
+
+def outward_shuffle(tower: ModulusTower, n: int):
+    """tau of the within-block shuffle at scale n: in every level-(n-1)
+    block the bulk steps M_{n-1} sub-blocks outward (M_0 = 1), the middle
+    sub-block stays, and the 2*M_{n-1} boundary sub-blocks fill the
+    central gaps."""
+    tower.require_level(n)
+    m = tower.primes[n - 1]
+    M = tower.M[n - 1]
+    M_prev = tower.M[n - 2] if n >= 2 else 1
+    if m < 2 * M_prev + 1:
+        raise GrowthTooSmall(f"m_{n} = {m} < 2*M_{n-1}+1 = {2 * M_prev + 1}")
+    steps = np.sign(np.arange(m) - (m - 1) // 2) * M_prev
+    movers = np.r_[0:M_prev, m - M_prev : m]
+    Pinv, mid = tower.step_inverse(n), tower.middle_index(n)
+    tau = np.empty(M, dtype=np.int64)
+    for lo in range(0, M, m):
+        shuffle_block(tau, lo, lo, steps, movers, M, Pinv, mid)
+    return tau
+
+
+def _checked(level: TauLevel, tower: ModulusTower) -> TauLevel:
+    """The level, once its sigma is a permutation and every orbit avoids
+    the middle index; GrowthTooSmall otherwise."""
+    n = level.level
+    _require_permutation(level.sigma, f"sigma at level {n}")
+    bad = _avoidance_violations(level.tau, tower.step_inverse(n), tower.middle_index(n))
     if bad.size:
-        raise GrowthTooSmall(f"middle avoidance fails at level 1: {bad[:5]}")
+        raise GrowthTooSmall(
+            f"middle avoidance fails at level {n} for {bad.size} indices "
+            f"(first: {bad[:5]})"
+        )
     return level
+
+
+def build_tau_level1(tower: ModulusTower) -> TauLevel:
+    """The seed permutation: the outward shuffle at scale 1, whose bulk
+    is good and whose two movers, the outer intervals, are singular."""
+    tau = outward_shuffle(tower, 1)
+    M = tower.M[0]
+    good = np.ones(M, dtype=bool)
+    good[[0, tower.middle_index(1), M - 1]] = False
+    singular = np.zeros(M, dtype=bool)
+    singular[[0, M - 1]] = True
+    return _checked(TauLevel(1, tau, sigma_of(tower, 1, tau), good, singular), tower)
 
 
 def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
@@ -198,9 +243,10 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     A parent block keeps its step on the interior and re-routes its
     overflowing boundary sub-blocks onto the gaps at the opposite end of
     the image block (keep-and-fill), unless it is singular with a strict
-    potential drop, in which case it splits.  A parent without masks (a
-    gap-grid cell) keeps and fills every block and yields a child
-    without masks.
+    potential drop, in which case it splits: the good halves step tau_r
+    or tau_l and the singular core fills the gaps (`shuffle_block`).  A
+    parent without masks (a gap-grid cell) keeps and fills every block
+    and yields a child without masks.
     """
     n = prev.level + 1
     tower.require_level(n)
@@ -215,18 +261,12 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     tau = np.zeros(M, dtype=np.int64)
     good = np.zeros(M, dtype=bool) if masked else None
     singular = np.zeros(M, dtype=bool) if masked else None
-    half_sub = (m - 1) // 2
-
-    def fill_gaps(block_lo, srcs, dsts):
-        for s, d in zip(srcs, dsts):
-            l_src = block_lo + int(s)
-            tau[l_src] = _avoidance_step(M, Pinv, mid, l_src, int(d))
+    right_half = np.arange(m) >= (m - 1) // 2
 
     for p in range(M_prev):
         t = int(prev.tau[p])
         q = int(prev.sigma[p])
         lo = p * m
-        block = slice(lo, lo + m)
         is_singular_parent = masked and bool(prev.singular_mask[p])
         dphi = int(phi_prev[q]) - int(phi_prev[p]) if is_singular_parent else 0
 
@@ -236,13 +276,14 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
             )
 
         if not is_singular_parent or dphi == 0:
-            tau[block] = t
-            if t > 0:
-                fill_gaps(lo, range(m - t, m), range(q * m, q * m + t))
-            elif t < 0:
-                fill_gaps(lo, range(-t), range(q * m + m + t, q * m + m))
+            tau[lo : lo + m] = t
+            # the |t| sub-blocks that overflow the image block wrap round
+            # to the gaps at its other end
+            wrap = t - m if t > 0 else t + m
+            for s in range(m - t, m) if t > 0 else range(-t):
+                tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + s, q * m + s + wrap)
             if masked and (prev.good_mask[p] or is_singular_parent):
-                good[block] = True
+                good[lo : lo + m] = True
             continue
 
         tau_r = t + dphi * M_prev
@@ -252,41 +293,19 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
                 f"singular split at level {n} does not fit: "
                 f"tau_r={tau_r}, tau_l={tau_l}, m={m}"
             )
-        is_sing_sub = np.zeros(m, dtype=bool)
-        is_sing_sub[: -tau_l] = True
-        is_sing_sub[m - tau_r :] = True
-        subs = np.arange(m)
-        good_subs = subs[~is_sing_sub]
-        right = good_subs >= half_sub
-        tau[lo + good_subs[right]] = tau_r
-        tau[lo + good_subs[~right]] = tau_l
-        covered = np.zeros(m, dtype=bool)
-        covered[good_subs[right] + tau_r] = True
-        covered[good_subs[~right] + tau_l] = True
-        gaps = subs[~covered]
-        sing_subs = subs[is_sing_sub]
-        if gaps.shape[0] != sing_subs.shape[0]:
-            raise GrowthTooSmall(
-                f"gap count {gaps.shape[0]} != singular count "
-                f"{sing_subs.shape[0]} in parent {p}"
-            )
-        fill_gaps(lo, sing_subs, q * m + gaps)
-        good[lo + good_subs] = True
-        singular[lo + sing_subs] = True
+        core = np.r_[0:-tau_l, m - tau_r : m]
+        shuffle_block(tau, lo, q * m, np.where(right_half, tau_r, tau_l), core,
+                      M, Pinv, mid)
+        good[lo - tau_l : lo + m - tau_r] = True
+        singular[lo + core] = True
 
     changed = np.empty(M, dtype=bool)
     np.not_equal(tau.reshape(M_prev, m), prev.tau[:, None], out=changed.reshape(M_prev, m))
 
-    level = TauLevel(n, tau, sigma_of(tower, n, tau), good, singular, changed,
-                     parent=prev)
-    _require_permutation(level.sigma, f"sigma at level {n}")
-    bad = _avoidance_violations(tau, Pinv, mid)
-    if bad.size:
-        raise GrowthTooSmall(
-            f"middle avoidance fails at level {n} for {bad.size} indices "
-            f"(first: {bad[:5]})"
-        )
-    return level
+    return _checked(
+        TauLevel(n, tau, sigma_of(tower, n, tau), good, singular, changed, parent=prev),
+        tower,
+    )
 
 
 def quasi_cost_chunks(level: TauLevel, tower: ModulusTower):
@@ -360,32 +379,6 @@ class LedgerSums:
         )
 
 
-class RefinementSums:
-    """Chunk sums of |drop - parent drop| over the children of good
-    parents (zero without a parent): the refinement deviation, the L1
-    distance between the potential drop and its parent value, nonzero
-    only on re-routed boundary sub-blocks and of order M^2/m at level 2."""
-
-    def __init__(self, level: TauLevel, tower: ModulusTower):
-        self.level = level
-        self.total = 0
-        if level.parent is not None:
-            self.m = tower.primes[level.level - 1]
-            self.parent_q = quasi_cost(level.parent, tower).values
-
-    def add(self, lo: int, q):
-        parent = self.level.parent
-        if parent is None:
-            return
-        parent_of = np.arange(lo, lo + len(q), dtype=np.int64) // self.m
-        gp = parent.good_mask[parent_of]
-        diff = q[gp] - self.parent_q[parent_of[gp]]  # the drops' -1s cancel
-        self.total += int(np.abs(diff).sum(dtype=np.int64))
-
-    def result(self) -> Fraction:
-        return Fraction(self.total, self.level.modulus)
-
-
 def singular_ledger(level: TauLevel, tower: ModulusTower) -> SingularLedger:
     level.require_masks("singular_ledger")
     return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0]
@@ -424,15 +417,20 @@ class LevelReport:
 
 class _LevelChecks:
     """Chunk checks of verify_level: nesting under the parent map, the
-    good/singular/middle-block partition, and a non-positive drop on the
-    singular set."""
+    good/singular/middle-block partition, a non-positive drop on the
+    singular set, and the refinement deviation, the sum of
+    |drop - parent drop| over the children of good parents (zero without
+    a parent; nonzero only on re-routed boundary sub-blocks and of order
+    M^2/m at level 2)."""
 
     def __init__(self, level: TauLevel, tower: ModulusTower):
         self.level = level
         self.mid1 = level.middle1_block(tower)
         if level.parent is not None:
             self.m = tower.primes[level.level - 1]
+            self.parent_q = quasi_cost(level.parent, tower).values
         self.nesting_ok = self.partition_ok = self.drop_nonpositive = True
+        self.deviation = 0
 
     def add(self, lo: int, q):
         level = self.level
@@ -445,11 +443,15 @@ class _LevelChecks:
             not (good & sing).any() and ((good | sing) ^ mid1).all()
         )
         self.drop_nonpositive &= bool((q[sing] - 1 <= 0).all())
-        if level.parent is not None:
+        parent = level.parent
+        if parent is not None:
             parent_of = np.arange(lo, hi, dtype=np.int64) // self.m
             self.nesting_ok &= bool(
-                (level.sigma[lo:hi] // self.m == level.parent.sigma[parent_of]).all()
+                (level.sigma[lo:hi] // self.m == parent.sigma[parent_of]).all()
             )
+            gp = parent.good_mask[parent_of]
+            diff = q[gp] - self.parent_q[parent_of[gp]]  # the drops' -1s cancel
+            self.deviation += int(np.abs(diff).sum(dtype=np.int64))
 
     def result(self):
         return self
@@ -461,12 +463,8 @@ def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
     `LevelReport`); the ledger is `singular_ledger`'s."""
     level.require_masks("verify_level")
     n = level.level
-    refinement, checks = fold_quasi_cost(
-        level, tower, RefinementSums(level, tower), _LevelChecks(level, tower)
-    )
-    bad = _avoidance_violations(
-        level.tau, tower.step_inverse(n), tower.middle_index(n)
-    )
+    (checks,) = fold_quasi_cost(level, tower, _LevelChecks(level, tower))
+    bad = _avoidance_violations(level.tau, tower.step_inverse(n), tower.middle_index(n))
     singular_count = int(np.count_nonzero(level.singular_mask))
     if n == 1:
         singular_count_ok = singular_count == 2
@@ -492,7 +490,7 @@ def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
         singular_count_ok=singular_count_ok,
         change_per_good_parent_ok=change_per_good_parent_ok,
         drop_nonpositive_on_singular=checks.drop_nonpositive,
-        refinement_deviation=refinement,
+        refinement_deviation=Fraction(checks.deviation, level.modulus),
     )
 
 

@@ -1,20 +1,24 @@
-"""SHA-256 pins of the `construct` artifacts and the `gap` reports.
+"""SHA-256 pins of the `construct` artifacts, the `gap` reports, and the
+raw arrays of a depth-3 construction and of the gap grid cells.
 
 The construct digests were taken from the per-element writers that
 predate the vectorised ones, and the gap digests from the bisection over
 dense-simplex feasibility probes that predates the closed-form
 separation radius, so a change that alters a single byte of any
-artifact or report fails here.
+artifact or report fails here.  The array pins cover what no artifact
+shows: a level-3 tau and its masks, and each grid cell's tau.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from otlab import serialize
 from otlab.circle import build_tower
 from otlab.cli import main
 from otlab.gap import build_gap_family, gap_demonstration
+from otlab.tau import build_levels
 
 DIGESTS = {
     "5_11": {
@@ -68,3 +72,67 @@ def test_gap_report_digests(tower):
     assert "_".join(map(str, t.primes)) == tower
     text = serialize.dumps(gap_demonstration(build_gap_family(t, 2), 2, 2))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _array_digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of the raw bytes of tau (int64), good_mask and singular_mask
+# (bool) at each level of build_levels on the (5, 11, 1409) tower, the
+# one depth-3 construction the suite pins
+LEVEL_DIGESTS = {
+    1: (
+        "cf2dd152f699e18013bb3ea85c0e56faeaa4d918c7f0ff3522500f5e3b68f1a9",
+        "01e246b58d8e782fc96881c090d833eefa37e804cb308aeae0f7471c9ef1ea1a",
+        "a1cb20470d89874f33383802c72d3c27a0668ebffd81934705ab0cfcbf1a1e3a",
+    ),
+    2: (
+        "15ccd959394fdb78a22a81d55fbaa1a4fca6b27f8b83ed8b5b622c9cbc73b7e0",
+        "523b92519e2d4c9794ef72a6ebc340b4ce86493c8c19413d63657343f2e344af",
+        "ba96fd3124cb82f81abc145e46f24741c5e4ef0979eee28555b0b159e50b5ccb",
+    ),
+    3: (
+        "2476de750d6a65a2754b38fcc653fb9e0ecf246b61aae8088f97455af715eebc",
+        "4ee6593b6fee6dc555c9775d3264c3254546d686fa6f391e79ac73ce97c936e4",
+        "0f0be6878790ee9942aed703bbf9dd01ca8ea228d33084029a1f507cfc647094",
+    ),
+}
+
+
+def test_depth3_level_digests():
+    t = build_tower(5, 3, growth_floor=[11, 1000])
+    assert t.primes == (5, 11, 1409)
+    got = {
+        lv.level: tuple(
+            _array_digest(a) for a in (lv.tau, lv.good_mask, lv.singular_mask)
+        )
+        for lv in build_levels(t, 3)
+    }
+    assert got == LEVEL_DIGESTS
+
+
+# sha256 of the raw int64 bytes of every grid cell's tau, by (row, column)
+_CELLS_5_31 = {
+    (1, 1): "cf2dd152f699e18013bb3ea85c0e56faeaa4d918c7f0ff3522500f5e3b68f1a9",
+    (1, 2): "bc5e7dc45d060083fe5f4437ba1ce590b7de9be8841e4b1fb2d817ea1e9db596",
+    (2, 2): "eafbf93654b376a43144733cb1debcaee54f34ebc7d2b7a206fb30daab796876",
+}
+GRID_DIGESTS = {
+    "5_31": ([31], 2, _CELLS_5_31),
+    "5_31_1489": ([31, 31], 3, {
+        **_CELLS_5_31,
+        (1, 3): "b11e0ad14b5a20bc5831313c52793d4af3b9c81b1fa6110e513553540b83a570",
+        (2, 3): "c08eb537d391e29f75388e5705cce43ccd44f15e03e58b028a3c219a80007d09",
+        (3, 3): "fb07f2da8522ecb11806afad5759f14139f2f65ccecaef4a6afaf5daaa750447",
+    }),
+}
+
+
+@pytest.mark.parametrize("tower", sorted(GRID_DIGESTS))
+def test_gap_grid_tau_digests(tower):
+    floor, j_max, digests = GRID_DIGESTS[tower]
+    t = build_tower(5, j_max, growth_floor=floor)
+    assert "_".join(map(str, t.primes)) == tower
+    grid = build_gap_family(t, j_max).grid
+    assert {k: _array_digest(v.tau) for k, v in grid.items()} == digests

@@ -5,11 +5,13 @@ import pytest
 
 from otlab.circle import build_tower
 from otlab.tau import (
+    GrowthTooSmall,
     TauLevel,
     build_levels,
     build_tau_level1,
     extend_tau,
     quasi_cost,
+    shuffle_block,
     singular_ledger,
     transport_cost_tau,
     verify_level,
@@ -33,13 +35,28 @@ def test_level1_pattern_m5(tower):
     assert list(l1.singular_indices()) == [0, 4]
 
 
-def test_level1_pattern_m11():
-    t = build_tower(11, 1)
+@pytest.mark.parametrize("m1", [5, 7, 11, 13, 31])
+def test_level1_pattern(m1):
+    """The closed form of level 1: the outer intervals jump (M-3)/2 steps
+    to the middle's neighbours, the bulk steps one interval outward."""
+    t = build_tower(m1, 1)
     l1 = build_tau_level1(t)
-    assert l1.tau[0] == 4 and l1.tau[10] == -4
-    assert (l1.tau[1:5] == -1).all()
-    assert l1.tau[5] == 0
-    assert (l1.tau[6:10] == 1).all()
+    M, mid, half = m1, (m1 - 1) // 2, (m1 - 3) // 2
+    assert l1.tau[0] == half and l1.tau[M - 1] == -half
+    assert (l1.tau[1:mid] == -1).all()
+    assert l1.tau[mid] == 0
+    assert (l1.tau[mid + 1 : M - 1] == 1).all()
+    assert list(l1.good_indices()) == [*range(1, mid), *range(mid + 1, M - 1)]
+    assert list(l1.singular_indices()) == [0, M - 1]
+
+
+def test_shuffle_block_refuses_a_gap_count_unlike_the_mover_count():
+    # sub-blocks 1..6 stay and cover positions 0, 1, 3, 4, 4 and 6, which
+    # leaves two positions (2 and 5) for the one mover
+    tau = np.zeros(7, dtype=np.int64)
+    steps = np.array([0, -1, -1, 0, 0, -1, 0])
+    with pytest.raises(GrowthTooSmall, match="2 uncovered positions for 1 movers"):
+        shuffle_block(tau, 0, 0, steps, np.array([0]), 7, 1, 3)
 
 
 @pytest.mark.parametrize("m1", [5, 7, 11, 13])
