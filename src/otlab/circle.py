@@ -220,10 +220,10 @@ class StepFunction:
 
 
 # Indices per chunk of every level-sized pass: a chunk's int64 temporaries
-# and the character planes of its CSV rows stay in cache, and no pass holds
-# a level-sized temporary.  A row takes one text byte and one mask byte per
-# character slot: 28 slots for most rows of (7c) level 2, with no sign plane
-# for the index and left-endpoint columns.
+# and the text matrix of its CSV rows stay in cache, and no pass holds a
+# level-sized temporary.  A row takes one byte per character slot of the
+# chunk's widest row: 28 slots for most chunks of (7c) level 2, with no sign
+# slot for the index and left-endpoint columns.
 _CHUNK = 1 << 15
 
 
@@ -250,11 +250,12 @@ def csv_blocks(M: int, chunks):
     powers = _prime_powers(M)
     for lo, values in chunks:
         l = np.arange(lo, lo + len(values), dtype=np.int64)
-        g = np.ones(len(l), dtype=np.int64)  # gcd(l, M), one pass per p^k | M
+        # l/M divided by gcd(l, M): by p once for each p^k | M that divides l
+        num, den = l.copy(), np.full(len(l), M, dtype=np.int64)
         for p, pk in powers:
-            g[l % pk == 0] *= p
-        rows = _render_rows((l, l // g, M // g, values), (b",", b"/", b",", b"/1\n"))
-        yield rows.tobytes()
+            num[-lo % pk :: pk] //= p
+            den[-lo % pk :: pk] //= p
+        yield _render_rows((l, num, den, values), (b",", b"/", b",", b"/1\n"))
 
 
 @lru_cache(maxsize=16)
@@ -278,48 +279,76 @@ def _prime_powers(M: int) -> tuple:
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
-def _render_rows(columns, seps) -> np.ndarray:
-    """ASCII text of the rows "c0 s0 c1 s1 ... ck sk" as a uint8 array.
+@lru_cache(maxsize=1)
+def _four_digit_words() -> np.ndarray:
+    """Entry r is the uint32 word whose four bytes spell r as "0000".."9999".
+    Built on first use: only the CSV writers need it."""
+    text = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    text[..., 0] = digits[:, None, None, None]
+    text[..., 1] = digits[:, None, None]
+    text[..., 2] = digits[:, None]
+    text[..., 3] = digits
+    words = text.view(np.uint32).reshape(10_000)
+    words.setflags(write=False)
+    return words
+
+
+def _render_rows(columns, seps) -> bytearray:
+    """ASCII text of the rows "c0 s0 c1 s1 ... ck sk".
 
     Each column is an int64 array (one entry per row) written in decimal
     with a leading '-' when negative; each separator is literal bytes
-    following its column.  Every character slot gets one plane of a
-    (slots, rows) matrix plus a mask of the rows that use it; the text is
-    the masked matrix read row by row.  A column has a sign plane only
-    when it holds a negative entry.  Its digits come from `//` by the
-    scalar 10 (several times faster than `np.divmod`) in the narrowest
-    unsigned dtype that holds its largest magnitude: uint32 below 2^32,
-    else uint64.
+    following its column.  Every row is laid out at the widest field
+    widths of the chunk, in one C-contiguous (rows, width) byte matrix
+    made of copies of a template row that holds the separators.  A
+    column has a sign slot only when it holds a negative entry.  The
+    slots a row does not use (the sign slot of a non-negative entry, the
+    leading zeros of an entry with fewer digits than the widest) are set
+    to NUL, and the text is the matrix with its NULs dropped.
+
+    Digits come from `//` by a scalar (several times faster than
+    `np.divmod`) in the narrowest unsigned dtype that holds the column's
+    largest magnitude: uint32 below 2^32, else uint64.  Each full group of
+    four digits is one uint32 word of `_four_digit_words`, written through a
+    uint32 view of its four slots; the digits left over go one slot at a
+    time.
     """
+    n = len(columns[0])
+    template = bytearray()
     fields = []
-    for c in columns:
+    for c, sep in zip(columns, seps):
         lo, hi = int(c.min()), int(c.max())
         if lo == np.iinfo(np.int64).min:
             raise OverflowError("int64 minimum has no int64 magnitude")
         top = max(-lo, hi)
         D = 1 + int(np.searchsorted(_POW10, top, side="right"))
-        fields.append((lo < 0, D, np.uint32 if top < 1 << 32 else np.uint64))
-    slots = sum(neg + D + len(sep) for (neg, D, _), sep in zip(fields, seps))
-    text = np.empty((slots, len(columns[0])), dtype=np.uint8)
-    used = np.ones(text.shape, dtype=bool)
-    off = 0
-    for c, (neg, D, dtype), sep in zip(columns, fields, seps):
+        fields.append((len(template), lo < 0, D, np.uint32 if top < 1 << 32 else np.uint64))
+        template += b"-" * (lo < 0) + b"0" * D + sep
+    rows = template * n
+    text = np.frombuffer(rows, dtype=np.uint8).reshape(n, len(template))
+    for c, (off, neg, D, dtype) in zip(columns, fields):
         if neg:
-            text[off] = ord("-")
-            np.less(c, 0, out=used[off])
+            np.multiply(c < 0, ord("-"), out=text[:, off], casting="unsafe")
             off += 1
-        mag = np.abs(c, out=np.empty(len(c), dtype=dtype), casting="unsafe")
-        for k in range(D):  # k-th digit from the right; mag = |c| // 10^k
-            slot = off + D - 1 - k
-            if k:
-                np.greater(mag, 0, out=used[slot])
-            q = mag // 10
-            np.add(mag - q * 10, ord("0"), out=text[slot], casting="unsafe")
-            mag = q
-        off += D
-        text[off : off + len(sep)] = np.frombuffer(sep, dtype=np.uint8)[:, None]
-        off += len(sep)
-    return text.T[used.T]
+        mag = np.abs(c, out=np.empty(n, dtype=dtype), casting="unsafe")
+        rest, end = mag, off + D  # rest = mag // 10^(off + D - end)
+        for _ in range(D // 4):
+            q = rest // 10_000
+            words = text[:, end - 4 : end].view(np.uint32)
+            words[:, 0] = _four_digit_words().take(rest - q * 10_000)
+            rest = q
+            end -= 4
+        for slot in range(end - 1, off - 1, -1):
+            q = rest // 10
+            np.add(rest - q * 10, ord("0"), out=text[:, slot], casting="unsafe")
+            rest = q
+        # Leading zeros: slot off + j pads the rows of fewer than D - j digits.
+        short = np.flatnonzero(mag < 10 ** (D - 1))
+        for j in range(D - 1):
+            text[short, off + j] = 0
+            short = short[mag[short] < 10 ** (D - 2 - j)]
+    return rows.replace(b"\0", b"")
 
 
 def _half_weights(mid: int, index):

@@ -286,6 +286,9 @@ def cmd_verify(args) -> int:
     try:
         with open(os.path.join(outdir, "tower.json"), "r", encoding="utf-8") as fh:
             primes = json.load(fh)["primes"]
+        # A bool is an int to isinstance, and 11.0 == 11: neither is a prime.
+        if type(primes) is not list or not primes or any(type(p) is not int for p in primes):
+            raise ValueError(f'"primes" is {json.dumps(primes)}, not a list of integers')
         floors = primes[1:]  # rebuild with each saved prime as its own floor
         tower = circle.build_tower(primes[0], len(primes), growth_floor=floors or None)
         level_files = sorted(

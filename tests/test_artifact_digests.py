@@ -39,11 +39,22 @@ DIGESTS = {
         "tau_level_2.json": "28178775ba5c26957a479d10784975219151e90e5d1bcf829cdc13ca87eed86e",
         "tower.json": "8982bc63c5d422502a3c367a850fa675c9ef631dff393fca024c69cc500a6f83",
     },
+    # M = 4,706,261: the one pinned CSV with millions of rows and 7-digit fields
+    "7c": {
+        "diagnostics.jsonl": "64f8ae44469b748de1514cc1e408fd999cde429ede98ba39c9b68550f528a7bb",
+        "quasi_cost_level_1.csv": "e4783638223cf42f13d6c2da5ee1eb753c2a51726579c09e08025d5673a4d013",
+        "quasi_cost_level_2.csv": "aced60649d3a50b97d0685bd2047e8dd64a2c26050fcd692de6794a898d3a744",
+        "singular_ledger.json": "45455291d69de3fa38a30655289c71a3eddee0ec8c1bef47bdc6b273cf0097ee",
+        "tau_level_1.json": "fb1ab52829134b9a0db6bce28eed8891ac8d33b18390d7dd7360ca23d3a5a816",
+        "tau_level_2.json": "9daeed92647754aab1c0f265682373bf615f0321226701aa9739185b4b9ce1a1",
+        "tower.json": "e0b16b0ee86241092f875910f9b241c6d597e84cb8e462552bc5daf1ea61e028",
+    },
 }
 
 ARGS = {
     "5_11": ["--m1", "5", "--depth", "2"],
     "5c": ["--m1", "5", "--depth", "2", "--mode", "paper_compliant"],
+    "7c": ["--m1", "7", "--depth", "2", "--mode", "paper_compliant"],
 }
 
 
@@ -55,6 +66,7 @@ def test_construct_artifact_digests(tmp_path, tower):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in d.iterdir()
     }
     assert got == DIGESTS[tower]
+    assert main(["verify", str(d)]) == 0
 
 
 # sha256 of serialize.dumps(gap_demonstration(family, 2, 2)) at jmax = 2;

@@ -78,6 +78,39 @@ def test_to_csv_around_the_unsigned_dtype_switch(monkeypatch, chunk):
     assert StepFunction(1, shifted).to_csv() == csv_oracle(shifted)
 
 
+def _width_chunk(D, negative):
+    """Values whose widest field has D digits: the D-digit edges (10^(D-1)
+    and 10^D - 1, capped at the int64 maximum); 10^(d-1), a middle d-digit
+    value and 10^d - 1 for every shorter digit count d; and 0.  With
+    negative, each nonzero value also once negated."""
+    top = min(10**D - 1, INT64.max)
+    rows = [10 ** (D - 1), top]
+    for d in range(1, D):
+        rows += [10 ** (d - 1), 5 * 10 ** (d - 1) + 3 * (d > 1), 10**d - 1]
+    rows.append(0)
+    if negative:
+        rows += [-v for v in rows if v]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 15])
+def test_to_csv_every_digit_width(monkeypatch, chunk):
+    """Every width 1..19 of the value column, with rows of each shorter
+    digit count in both signs: the full and partial four-digit groups
+    (D = 4, 5, 8, 9, 12, 13, 16, 17) and the short rows' padding."""
+    monkeypatch.setattr(circle, "_CHUNK", chunk)
+    for D in range(1, 20):
+        for negative in (False, True):
+            values = _width_chunk(D, negative)
+            M = len(values)
+            blocks = list(
+                circle.csv_blocks(M, ((lo, values[lo:hi]) for lo, hi in circle.index_chunks(M)))
+            )
+            assert not any(b"\0" in block for block in blocks)
+            assert b"".join(blocks).decode("ascii") == csv_oracle(values)
+            assert StepFunction(1, values).to_csv() == csv_oracle(values)
+
+
 def test_to_csv_modulus_one_and_int64_extremes():
     assert StepFunction(1, np.array([-3], dtype=np.int64)).to_csv() == (
         "index,left_endpoint,value\n0,0/1,-3/1\n"

@@ -289,6 +289,19 @@ BAD_ARTIFACTS = {
     "tower_prime_not_int": (
         "tower.json", _rewritten(lambda t: '{"primes": [5, "x"]}'), 2, "cannot read artifacts: "
     ),
+    # Only JSON integers are primes: true would pass as the floor 1, and 11.0
+    # and "5" would reach build_tower's arithmetic.
+    **{
+        f"tower_prime_{kind}": (
+            "tower.json",
+            _rewritten(lambda t, primes=primes: f'{{"primes": {primes}}}'),
+            2,
+            f'cannot read artifacts: "primes" is {primes}, not a list of integers',
+        )
+        for kind, primes in (
+            ("true", "[5, true]"), ("float", "[5, 11.0]"), ("string", '["5", 11]'), ("empty", "[]")
+        )
+    },
     "tower_mode": (
         "tower.json",
         _rewritten(lambda t: t.replace('"relaxed"', '"paper_compliant"')),
