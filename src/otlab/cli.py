@@ -4,6 +4,10 @@ Subcommands: solve (certify a transport instance file), construct (build
 towers and levels, emit plot-ready artifacts), gap (truncated-cost gap
 report), verify (re-check saved construction artifacts).  Data goes to
 stdout or files; progress notes go to stderr only.
+
+Each verb imports the layers it runs when it runs: `solve` loads
+`finite_ot`, `serialize` and `rational` only, and numpy with the circle
+construction loads only for `construct`, `gap` and `verify`.
 """
 
 from __future__ import annotations
@@ -16,16 +20,7 @@ import re
 import sys
 from typing import Optional
 
-from . import circle, duals, gap, serialize, tau
-from .finite_ot import (
-    DimensionMismatch,
-    NoFinitePlan,
-    InfeasibleMarginals,
-    check_complementary_slackness,
-    is_cyclically_monotone,
-    load_instance,
-    solve_certified,
-)
+from . import serialize
 from .rational import format_rational
 
 EXIT_OK = 0
@@ -73,6 +68,16 @@ def _emit_report(report, out: Optional[str]) -> bool:
 
 
 def cmd_solve(args) -> int:
+    from .finite_ot import (
+        DimensionMismatch,
+        InfeasibleMarginals,
+        NoFinitePlan,
+        check_complementary_slackness,
+        is_cyclically_monotone,
+        load_instance,
+        solve_certified,
+    )
+
     try:
         cost, marg = load_instance(args.instance)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
@@ -155,6 +160,8 @@ def _check_memory(what: str, need: int):
 
 
 def cmd_construct(args) -> int:
+    from . import circle, tau
+
     try:
         tower = circle.build_tower_mode(args.m1, args.depth, args.mode)
     except ValueError as e:
@@ -179,6 +186,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    from . import circle, gap
+
     try:
         tower = circle.build_tower_mode(args.m1, args.jmax, args.mode)
     except ValueError as e:
@@ -204,6 +213,8 @@ def _artifacts(tower, levels):
     blocks and `verify` compares them with the saved file.  The fresh
     object is the tau-level dict or the list of level records the file
     was rendered from, or None."""
+    from . import duals, tau
+
     tower_json = serialize.artifact_json(serialize.tower_to_dict(tower))
     yield None, "tower.json", [tower_json.encode()], None
     ledgers = []
@@ -224,12 +235,21 @@ def _artifacts(tower, levels):
     yield None, "diagnostics.jsonl", [diag_jsonl.encode()], diag_records
 
 
+def _load_json(text: str):
+    """The JSON value of a saved artifact's text; ValueError when it does
+    not parse, also when it nests deeper than the parser's limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _explain(where: str, name: str, text: str, fresh) -> list:
     """Which RLE of a tau level, or which level record of a series file,
     differs between the saved text and the fresh object; ValueError when
     the saved text does not parse."""
     if isinstance(fresh, dict):
-        saved = json.loads(text)
+        saved = _load_json(text)
         failures = []
         for key, what in (
             ("tau_rle", "tau"), ("good_rle", "good set"), ("singular_rle", "singular set")
@@ -245,9 +265,9 @@ def _explain(where: str, name: str, text: str, fresh) -> list:
                     failures.append(f"{where}{what} differs from a fresh build")
         return failures
     if name.endswith(".jsonl"):
-        saved = [json.loads(line) for line in text.splitlines()]
+        saved = [_load_json(line) for line in text.splitlines()]
     else:
-        saved = json.loads(text)
+        saved = _load_json(text)
     if not isinstance(saved, list):
         saved = []
     return [
@@ -282,10 +302,12 @@ def cmd_verify(args) -> int:
     """Rebuild the construction from the saved tower, compare every saved
     artifact of each of its levels with a fresh rendering of it, and
     re-run the level invariant checks."""
+    from . import circle, tau
+
     outdir = args.artifacts
     try:
         with open(os.path.join(outdir, "tower.json"), "r", encoding="utf-8") as fh:
-            primes = json.load(fh)["primes"]
+            primes = _load_json(fh.read())["primes"]
         # A bool is an int to isinstance, and 11.0 == 11: neither is a prime.
         if type(primes) is not list or not primes or any(type(p) is not int for p in primes):
             raise ValueError(f'"primes" is {json.dumps(primes)}, not a list of integers')
@@ -360,7 +382,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
+    if args.command == "solve":
+        return args.func(args)
     # Every construction failure of the tower verbs exits here, one line.
+    from . import circle, tau
+
     try:
         return args.func(args)
     except _TooLarge as e:

@@ -36,7 +36,10 @@ def _list(value, what: str):
 
 
 def instance_from_json(text: str):
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # the parser's own limit, not a Python bug
+        raise ValueError("instance JSON is nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ValueError("instance must be a JSON object")
     for key in ("cost", "mu", "nu"):

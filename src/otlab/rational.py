@@ -10,6 +10,7 @@ and gcd(p, q) = 1, so byte-identical inputs give byte-identical outputs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -72,8 +73,14 @@ def over_common_denominator(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+# An optional sign and ASCII digits, then optionally "/" and ASCII digits:
+# int() alone would also take "1_000", inner spaces and non-ASCII digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational_str(s: str):
-    """Parse 'p/q', 'p', or 'inf' (case-insensitive).
+    """Parse 'p/q', 'p', or 'inf' (case-insensitive), ignoring surrounding
+    whitespace; p is ASCII digits with an optional sign, q ASCII digits.
 
     Raises ValueError on anything else, including a non-string (such as
     a bare JSON number) and a zero denominator.
@@ -83,12 +90,16 @@ def parse_rational_str(s: str):
     t = s.strip()
     if t.lower() in ("inf", "+inf", "infinity"):
         return INF
-    if "/" in t:
-        num, den = (int(part) for part in t.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(num, den)
-    return Fraction(int(t))
+    m = _RATIONAL.fullmatch(t)
+    if m is None:
+        raise ValueError(f"expected a 'p/q' string of ASCII digits, got {s!r}")
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), den)
 
 
 def format_rational(x) -> str:

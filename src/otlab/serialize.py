@@ -3,23 +3,34 @@
 All rationals go out as canonical "p/q" strings, JSON keys are sorted,
 and nothing carries a timestamp, so identical inputs give byte-identical
 artifacts (the regression tests diff them).
+
+Only the RLE functions of the construction's tau levels use numpy, and
+import it when called: `otlab solve` and `finite_ot` callers that write
+their reports with `dumps` never load numpy or the construction modules.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .circle import ModulusTower, index_chunks
 from .rational import format_rational
-from .tau import TauLevel
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .circle import ModulusTower
+    from .tau import TauLevel
 
 
 def rle_encode(values) -> list:
     """[[value, run_length], ...] over the sequence, as Python ints; run
     starts are found one index chunk at a time."""
+    import numpy as np
+
+    from .circle import index_chunks
+
     a = np.asarray(values)
     if a.size == 0:
         return []
@@ -35,6 +46,8 @@ def rle_pairs(pairs) -> np.ndarray:
     """The RLE as a (runs, 2) int64 array; ValueError unless pairs is a
     list of [value, run_length] integer pairs with non-negative run
     lengths."""
+    import numpy as np
+
     if not pairs:
         return np.zeros((0, 2), dtype=np.int64)
     a = np.asarray(pairs)
@@ -47,6 +60,8 @@ def rle_pairs(pairs) -> np.ndarray:
 
 def rle_decode(pairs) -> np.ndarray:
     """Inverse of rle_encode; ValueError as `rle_pairs`."""
+    import numpy as np
+
     a = rle_pairs(pairs)
     return np.repeat(a[:, 0], a[:, 1])
 

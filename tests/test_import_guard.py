@@ -1,12 +1,21 @@
-"""No production module imports the dense tableau LP.
+"""Import guards.
 
+No production module imports the dense tableau LP:
 `otlab.finite_ot.lp` is only the oracle of `tests/relaxed_dual_lp_oracle.py`;
 the relaxed dual runs on transport solves.  Every import in
 `src/otlab/**/*.py` is resolved to absolute module names, relative
 imports included, and none may be the LP module.
+
+The solve path loads neither numpy nor the circle construction: a fresh
+interpreter that imports `finite_ot` and `serialize` and runs
+`otlab solve` ends with none of them in `sys.modules`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +75,33 @@ def test_no_production_module_imports_the_tableau_lp():
         and _imports_lp(path.read_text(encoding="utf-8"), _package_of(path))
     ]
     assert offenders == []
+
+
+# Run in a fresh interpreter: prints the report, then the names of the
+# modules that must stay unloaded but were loaded.
+SOLVE_PATH = """
+import json
+import sys
+import otlab.finite_ot, otlab.serialize
+from otlab import cli
+code = cli.main(["solve", sys.argv[1]])
+heavy = ["numpy", "otlab.circle", "otlab.tau", "otlab.duals", "otlab.gap"]
+print(json.dumps({"exit": code, "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_solve_path_leaves_numpy_unimported(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "cost": [["0/1", "inf", "3/2"], ["1/2", "0/1", "inf"], ["2/1", "1/3", "0/1"]],
+        "mu": ["1/3", "1/3", "1/3"],
+        "nu": ["1/3", "1/3", "1/3"],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", SOLVE_PATH, str(inst)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    verdict = json.loads(out.stdout.splitlines()[-1])
+    assert verdict == {"exit": 0, "loaded": []}

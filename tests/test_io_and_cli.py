@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import otlab
-from otlab import circle, cli, tau
+from otlab import circle, cli, gap, tau
 from otlab.cli import main
 from otlab.finite_ot import (
     CostMatrix,
@@ -30,6 +30,14 @@ def test_rational_round_trip():
     assert parse_rational_str("inf") is INF
     assert format_rational(INF) == "inf"
     assert parse_rational_str("4/6") == F(2, 3)
+    assert parse_rational_str(" -3/1\n") == -3
+
+
+# int() reads these parts as 1000, 1 (the Arabic-Indic digit one), -3 and 3
+@pytest.mark.parametrize("text", ["1_000", "\u0661", "1/-3", "1 / 3"])
+def test_parse_rational_takes_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="ASCII digits"):
+        parse_rational_str(text)
 
 
 def test_instance_round_trip():
@@ -316,6 +324,15 @@ BAD_ARTIFACTS = {
     ),
     "level_no_good_rle": ("tau_level_2.json", _rewritten(_drop_good_rle), 1, "level 2: "),
     "level_truncated": ("tau_level_2.json", _rewritten(_truncate), 1, "level 2: "),
+    # deeper than the JSON parser's recursion limit
+    "tower_nested_too_deep": (
+        "tower.json", _rewritten(lambda t: "[" * 100_000), 2,
+        "cannot read artifacts: JSON nested too deeply to parse",
+    ),
+    "level_nested_too_deep": (
+        "tau_level_1.json", _rewritten(lambda t: "[" * 100_000), 1,
+        "level 1: unreadable tau_level_1.json: JSON nested too deeply to parse",
+    ),
     # the saved tower still has two levels
     "level_deepest_missing": (
         "tau_level_2.json", Path.unlink, 1, "level 2: unreadable tau_level_2.json: "
@@ -443,8 +460,13 @@ def test_cli_verify_level_beyond_tower_fails_cleanly(tmp_path):
     ]
 
 
+# an update of a good instance, or the whole text of the file
 BAD_INSTANCES = {
     "zero_denominator": {"cost": [["1/0", "1/1"], ["0/1", "0/1"]]},
+    # int() accepts both; the instance format is ASCII "p/q"
+    "digit_separator": {"cost": [["1_000", "1/1"], ["0/1", "0/1"]]},
+    "arabic_indic_digit": {"cost": [["\u0661", "1/1"], ["0/1", "0/1"]]},
+    "nested_too_deep": "[" * 100_000,
     "bare_number": {"cost": [[1, "1/1"], ["0/1", "0/1"]]},
     "marginals_misfit": {"nu": ["1/3", "1/3", "1/3"]},
     "cost_not_rows": {"cost": 5},
@@ -471,9 +493,14 @@ def test_cli_solve_bad_instance_usage(tmp_path, capsys, case):
         "mu": ["1/2", "1/2"],
         "nu": ["1/2", "1/2"],
     }
-    obj.update(BAD_INSTANCES[case])
+    bad = BAD_INSTANCES[case]
+    if isinstance(bad, str):
+        text = bad
+    else:
+        obj.update(bad)
+        text = json.dumps(obj)
     p = tmp_path / f"{case}.json"
-    p.write_text(json.dumps(obj))
+    p.write_text(text, encoding="utf-8")
     assert main(["solve", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -520,9 +547,9 @@ def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, ver
         args += ["--outdir", str(d)]
     capsys.readouterr()
     monkeypatch.setattr(cli, "_available_memory", lambda: 16 << 20)
-    monkeypatch.setattr(cli.tau, "build_levels", None)  # never reached
-    monkeypatch.setattr(cli.tau, "build_tau_level1", None)
-    monkeypatch.setattr(cli.gap, "build_gap_family", None)
+    monkeypatch.setattr(tau, "build_levels", None)  # never reached
+    monkeypatch.setattr(tau, "build_tau_level1", None)
+    monkeypatch.setattr(gap, "build_gap_family", None)
     assert main([verb, *args]) == 4
     assert capsys.readouterr().err == expected
 
@@ -553,7 +580,7 @@ def test_cli_size_guard_compares_with_available_memory(tmp_path, monkeypatch, ca
     meminfo = tmp_path / "meminfo"
     meminfo.write_text("MemTotal: 8221884 kB\nMemAvailable: 16384 kB\n", encoding="ascii")
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
-    monkeypatch.setattr(cli.tau, "build_levels", None)  # never reached
+    monkeypatch.setattr(tau, "build_levels", None)  # never reached
     argv = ["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", str(tmp_path / "a")]
     assert main(argv) == 4
     assert capsys.readouterr().err == (
@@ -650,7 +677,7 @@ def test_cli_verify_reports_a_failed_level_invariant(tmp_path, monkeypatch, caps
     assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(d)]) == 0
     capsys.readouterr()
     failing = types.SimpleNamespace(hard_invariants_ok=False)
-    monkeypatch.setattr(cli.tau, "verify_level", lambda level, tower: failing)
+    monkeypatch.setattr(tau, "verify_level", lambda level, tower: failing)
     assert main(["verify", str(d)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("level 1: invariant check failed"), lines
