@@ -20,10 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# int64 index arithmetic multiplies an index by a step count; keep the
-# product clear of 2^63.  The one bound on a tower: no level modulus,
-# M_1 = m_1 included, may exceed it.
-_MAX_MODULUS = 3_000_000_000
+# The one bound on a tower: no level modulus, M_1 = m_1 included, may
+# exceed it.  Every level array is int32, and below 2^31 - 1 each stored
+# value fits: 0 <= sigma < M, |tau| < M, |phi| <= (M-1)/2 and the
+# quasi-cost |1 + phi - phi o sigma| <= M.  Products of an index by a step
+# count (< 2^62) are formed in int64 chunk temporaries.
+_MAX_MODULUS = 2**31 - 1
 
 
 class TowerError(Exception):
@@ -193,7 +195,7 @@ def build_tower_mode(m1: int, depth: int, mode: str) -> ModulusTower:
 
 class StepFunction:
     """Exact function constant on the M_n level-n intervals, held as an
-    int64 array of its values."""
+    integer array of its values (int32 for phi and the quasi-costs)."""
 
     __slots__ = ("level", "values")
 
@@ -219,8 +221,9 @@ class StepFunction:
         return b"".join(csv_blocks(M, chunks)).decode("ascii")
 
 
-# Indices per chunk of every level-sized pass: a chunk's int64 temporaries
-# and the text matrix of its CSV rows stay in cache, and no pass holds a
+# Indices per chunk of every level-sized pass: a chunk's temporaries (int64
+# where an index is multiplied by a step count, as in sigma = l + tau*P) and
+# the text matrix of its CSV rows stay in cache, and no pass holds a
 # level-sized temporary.  A row takes one byte per character slot of the
 # chunk's widest row: 28 slots for most chunks of (7c) level 2, with no sign
 # slot for the index and left-endpoint columns.
@@ -297,15 +300,16 @@ def _four_digit_words() -> np.ndarray:
 def _render_rows(columns, seps) -> bytearray:
     """ASCII text of the rows "c0 s0 c1 s1 ... ck sk".
 
-    Each column is an int64 array (one entry per row) written in decimal
-    with a leading '-' when negative; each separator is literal bytes
-    following its column.  Every row is laid out at the widest field
-    widths of the chunk, in one C-contiguous (rows, width) byte matrix
-    made of copies of a template row that holds the separators.  A
-    column has a sign slot only when it holds a negative entry.  The
-    slots a row does not use (the sign slot of a non-negative entry, the
-    leading zeros of an entry with fewer digits than the widest) are set
-    to NUL, and the text is the matrix with its NULs dropped.
+    Each column is an int64 or int32 array (one entry per row) written
+    in decimal with a leading '-' when negative; each separator is
+    literal bytes following its column.  Every row is laid out at the
+    widest field widths of the chunk, in one C-contiguous (rows, width)
+    byte matrix made of copies of a template row that holds the
+    separators.  A column has a sign slot only when it holds a negative
+    entry.  The slots a row does not use (the sign slot of a non-negative
+    entry, the leading zeros of an entry with fewer digits than the
+    widest) are set to NUL, and the text is the matrix with its NULs
+    dropped.
 
     Digits come from `//` by a scalar (several times faster than
     `np.divmod`) in the narrowest unsigned dtype that holds the column's
@@ -372,7 +376,7 @@ def _phi_values(tower: ModulusTower, n: int):
     """phi at the orbit index of step i is the sum of the weights of
     steps 0..i-1, accumulated chunk by chunk with a carry."""
     M = tower.modulus(n)
-    phi = np.empty(M, dtype=np.int64)
+    phi = np.empty(M, dtype=np.int32)
     carry = 0
     for lo, hi in index_chunks(M):
         orbit, w = _orbit_weights(tower, n, lo, hi)

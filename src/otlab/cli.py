@@ -110,10 +110,11 @@ def cmd_solve(args) -> int:
 
 
 # Peak RSS of `construct` and of `verify` per index of the deepest level,
-# rounded up: measured 37.4 bytes on the (7c) tower (M = 4,706,261) and
-# 27.5 on (11c) (M = 70,862,693), where the interpreter's fixed share is
-# smaller.  The level arrays (tau, sigma, phi, three masks) are 27 bytes.
-_BYTES_PER_INDEX = 40
+# rounded up: measured 22.1 bytes on the (7c) tower (M = 4,706,261), of
+# which the interpreter's fixed share is about 7; it is smaller on larger
+# towers.  The level arrays (tau, sigma, phi in int32, three bool masks)
+# are 15 bytes.
+_BYTES_PER_INDEX = 23
 
 # Peak RSS of `gap` per arc of the truncated cost, whose (M+1)*M_j graph
 # cells bound the arc count, rounded up: measured 822 bytes at (5, 16001)

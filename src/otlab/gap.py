@@ -84,9 +84,9 @@ class GapFamily:
         rotation step, n >= 2: row n at the deepest column)."""
         M = self.tower.M[self.j_max - 1]
         if n == 0:
-            return np.zeros(M, dtype=np.int64)
+            return np.zeros(M, dtype=np.int32)
         if n == 1:
-            return np.ones(M, dtype=np.int64)
+            return np.ones(M, dtype=np.int32)
         return self.grid[(n, self.j_max)].tau
 
     def limit_sigma(self, n: int):

@@ -69,7 +69,7 @@ def _avoidance_violations(tau, P_inv: int, mid: int):
         istar = mid - np.arange(lo, hi, dtype=np.int64)  # orbit step onto mid
         istar *= P_inv
         istar %= M
-        hit = ((t > 0) & (istar <= t)) | ((t < 0) & (istar >= M + t))
+        hit = ((t > 0) & (istar <= t)) | ((t < 0) & (istar - M >= t))
         if lo <= mid < hi and t[mid - lo] != 0:
             hit[mid - lo] = True
         bad.append(np.flatnonzero(hit) + lo)
@@ -90,7 +90,7 @@ class SingularLedger:
 class TauLevel:
     """A level-n interval permutation of Z/M_nZ.
 
-    tau, sigma are int64 arrays.  Construction levels carry disjoint
+    tau, sigma are int32 arrays.  Construction levels carry disjoint
     good/singular boolean masks excluding the level-1 middle block, whose
     indices keep tau = 0 at every level; gap-grid cells carry no masks.
     A refined level records its parent and where tau changed against it.
@@ -139,14 +139,21 @@ class TauLevel:
 
 
 def sigma_of(tower: ModulusTower, n: int, tau):
-    """The induced map sigma(l) = l + tau(l) * P_n (mod M_n)."""
+    """The induced map sigma(l) = l + tau(l) * P_n (mod M_n), as int32;
+    tau(l) * P_n (up to about M_n^2) is formed in one int64 chunk buffer,
+    which every chunk reuses."""
     M, P = tower.modulus(n), tower.step(n)
-    sigma = np.empty(M, dtype=np.int64)
+    sigma = np.empty(M, dtype=np.int32)
+    buf = np.empty(0, dtype=np.int64)
     for lo, hi in index_chunks(M):
-        s = sigma[lo:hi]
-        np.multiply(tau[lo:hi], P, out=s)
+        if buf.size < hi - lo:  # the first chunk, the longest
+            buf = np.empty(hi - lo, dtype=np.int64)
+        s = buf[: hi - lo]
+        s[:] = tau[lo:hi]
+        s *= P
         s += np.arange(lo, hi, dtype=np.int64)
         s %= M
+        sigma[lo:hi] = s
     return sigma
 
 
@@ -205,7 +212,7 @@ def outward_shuffle(tower: ModulusTower, n: int):
     steps = np.sign(np.arange(m) - (m - 1) // 2) * M_prev
     movers = np.r_[0:M_prev, m - M_prev : m]
     Pinv, mid = tower.step_inverse(n), tower.middle_index(n)
-    tau = np.empty(M, dtype=np.int64)
+    tau = np.empty(M, dtype=np.int32)
     for lo in range(0, M, m):
         shuffle_block(tau, lo, lo, steps, movers, M, Pinv, mid)
     return tau
@@ -258,7 +265,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     phi_prev = phi_level(tower, n - 1).values
 
     masked = prev.singular_mask is not None
-    tau = np.zeros(M, dtype=np.int64)
+    tau = np.zeros(M, dtype=np.int32)
     good = np.zeros(M, dtype=bool) if masked else None
     singular = np.zeros(M, dtype=bool) if masked else None
     right_half = np.arange(m) >= (m - 1) // 2
@@ -327,7 +334,7 @@ def fold_quasi_cost(level: TauLevel, tower: ModulusTower, *sums):
 
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:
     """q(l) = phi(l) + psi(sigma(l)) = 1 + phi(l) - phi(sigma(l))."""
-    values = np.empty(level.modulus, dtype=np.int64)
+    values = np.empty(level.modulus, dtype=np.int32)
     for lo, q in quasi_cost_chunks(level, tower):
         values[lo : lo + len(q)] = q
     return StepFunction(level.level, values)
@@ -450,8 +457,9 @@ class _LevelChecks:
                 (level.sigma[lo:hi] // self.m == parent.sigma[parent_of]).all()
             )
             gp = parent.good_mask[parent_of]
-            diff = q[gp] - self.parent_q[parent_of[gp]]  # the drops' -1s cancel
-            self.deviation += int(np.abs(diff).sum(dtype=np.int64))
+            # the drops' -1s cancel; |q| <= M_n and |parent q| <= M_{n-1}
+            diff = np.subtract(q[gp], self.parent_q[parent_of[gp]], dtype=np.int64)
+            self.deviation += int(np.abs(diff).sum())
 
     def result(self):
         return self

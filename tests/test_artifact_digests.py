@@ -87,10 +87,14 @@ def test_gap_report_digests(tower):
 
 
 def _array_digest(a):
+    """sha256 of the raw bytes of a bool array, or of an integer array
+    widened to int64, so the pins hold whatever the stored width."""
+    if a.dtype.kind == "i":
+        a = a.astype(np.int64)
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-# sha256 of the raw bytes of tau (int64), good_mask and singular_mask
+# sha256 of the raw bytes of tau (as int64), good_mask and singular_mask
 # (bool) at each level of build_levels on the (5, 11, 1409) tower, the
 # one depth-3 construction the suite pins
 LEVEL_DIGESTS = {
@@ -124,7 +128,7 @@ def test_depth3_level_digests():
     assert got == LEVEL_DIGESTS
 
 
-# sha256 of the raw int64 bytes of every grid cell's tau, by (row, column)
+# sha256 of the raw bytes of every grid cell's tau as int64, by (row, column)
 _CELLS_5_31 = {
     (1, 1): "cf2dd152f699e18013bb3ea85c0e56faeaa4d918c7f0ff3522500f5e3b68f1a9",
     (1, 2): "bc5e7dc45d060083fe5f4437ba1ce590b7de9be8841e4b1fb2d817ea1e9db596",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import whole_array_oracles as oracle
-from otlab import circle, duals, serialize, tau
+from otlab import circle, duals, gap, serialize, tau
 from otlab.circle import build_tower, build_tower_mode
 from otlab.cli import main
 
@@ -193,12 +193,38 @@ def test_rle_encode_across_chunks(chunk):
             assert all(a[0] != b[0] for a, b in zip(pairs, pairs[1:]))
 
 
+def test_level_arrays_are_int32_and_sigma_does_not_wrap():
+    # On (5c) |tau| * P_2 passes 2^31 at level 2: an int32 product wraps,
+    # and the int64 oracle tells the two apart.
+    tower = TOWERS["5c"]()
+    levels = tau.build_levels(tower, 2)
+    for level in levels:
+        phi = circle.phi_level(tower, level.level).values
+        assert level.tau.dtype == level.sigma.dtype == phi.dtype == np.int32
+        assert tau.quasi_cost(level, tower).values.dtype == np.int32
+        assert circle.quasi_cost_values(phi, level.sigma[:64]).dtype == np.int32
+    l2 = levels[1]
+    M, P = tower.modulus(2), tower.step(2)
+    assert int(np.abs(l2.tau).max()) * P > 2**31
+    assert np.array_equal(l2.sigma, oracle.sigma_of(tower, 2, l2.tau))
+    wrapped = (np.arange(M, dtype=np.int32) + l2.tau * np.int32(P)) % M
+    assert not np.array_equal(wrapped, l2.sigma)
+
+
+def test_gap_grid_cells_are_int32():
+    family = gap.build_gap_family(build_tower(5, 2, growth_floor=[31]), 2)
+    for cell in family.grid.values():
+        assert cell.tau.dtype == cell.sigma.dtype == np.int32
+    for n in range(3):
+        assert family.limit_tau(n).dtype == family.limit_sigma(n).dtype == np.int32
+
+
 # tracemalloc's peak over `construct` on (5c), per index of level 2 (M =
-# 625,505).  The level arrays (tau, sigma, phi: 8 bytes each; good,
-# singular and changed masks: 1 each) come to 27, and the CSV chunk
-# temporaries to about 7.5 MB in all: measured 39.3 bytes per index.
-# Whole-array passes peaked at 132.
-TRACED_BYTES_PER_INDEX = 45
+# 625,505).  The level arrays (tau, sigma, phi: 4 bytes each; good,
+# singular and changed masks: 1 each) come to 15, and the CSV chunk
+# temporaries to about 7.5 MB in all: measured 21.8 bytes per index, and
+# 34.0 with int64 level arrays.  Whole-array passes peaked at 132.
+TRACED_BYTES_PER_INDEX = 28
 
 
 def test_construct_traced_peak_per_index(tmp_path):

@@ -525,13 +525,14 @@ def test_cli_out_of_range_counts_usage(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("verb", ["construct", "verify", "gap"])
 def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, verb):
-    # (5c) level 2 has M = 625,505 indices: about 24 MB at 40 bytes each,
-    # and a truncated cost (M = 2) of at most 3 * 625,505 arcs
+    # (5c) level 2 has M = 625,505 indices, and a truncated cost (M = 2)
+    # of at most 3 * 625,505 arcs: each estimate is well over 4 MB
     d = tmp_path / "artifacts"
     args = ["--m1", "5", "--mode", "paper_compliant"]
+    need = math.ceil(cli._BYTES_PER_INDEX * 625505 / 2**20)
     expected = (
-        "level modulus 625505 needs about 24 MB, "
-        "more than the 16 MB of available memory\n"
+        f"level modulus 625505 needs about {need} MB, "
+        "more than the 4 MB of available memory\n"
     )
     if verb == "verify":
         assert main(["construct", *args, "--outdir", str(d)]) == 0
@@ -541,12 +542,12 @@ def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, ver
         need = math.ceil(cli._BYTES_PER_ARC * 1876515 / 2**20)
         expected = (
             f"truncated cost of 1876515 arcs needs about {need} MB, "
-            "more than the 16 MB of available memory\n"
+            "more than the 4 MB of available memory\n"
         )
     else:
         args += ["--outdir", str(d)]
     capsys.readouterr()
-    monkeypatch.setattr(cli, "_available_memory", lambda: 16 << 20)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 4 << 20)
     monkeypatch.setattr(tau, "build_levels", None)  # never reached
     monkeypatch.setattr(tau, "build_tau_level1", None)
     monkeypatch.setattr(gap, "build_gap_family", None)
@@ -576,15 +577,16 @@ def test_available_memory_reads_meminfo(tmp_path, monkeypatch, text, expected):
 
 
 def test_cli_size_guard_compares_with_available_memory(tmp_path, monkeypatch, capsys):
-    # (5c) needs about 24 MB; physical memory is far more, available is not
+    # (5c) needs well over 4 MB; physical memory is far more, available is not
     meminfo = tmp_path / "meminfo"
-    meminfo.write_text("MemTotal: 8221884 kB\nMemAvailable: 16384 kB\n", encoding="ascii")
+    meminfo.write_text("MemTotal: 8221884 kB\nMemAvailable: 4096 kB\n", encoding="ascii")
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
     monkeypatch.setattr(tau, "build_levels", None)  # never reached
     argv = ["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", str(tmp_path / "a")]
     assert main(argv) == 4
+    need = math.ceil(cli._BYTES_PER_INDEX * 625505 / 2**20)
     assert capsys.readouterr().err == (
-        "level modulus 625505 needs about 24 MB, more than the 16 MB of available memory\n"
+        f"level modulus 625505 needs about {need} MB, more than the 4 MB of available memory\n"
     )
 
 

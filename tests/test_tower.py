@@ -56,6 +56,15 @@ def test_scan_is_bounded_by_the_index_range_alone():
         build_tower(5, 2, growth_floor=[600_000_001])
 
 
+def test_level_moduli_stop_below_2_31():
+    # The level arrays are int32: (5, 430000231) would have M_2 =
+    # 2,150,001,155, past 2^31 - 1, while a floor just below still builds.
+    with pytest.raises(TowerError, match=r"level 2 .* index range \(2147483647\)"):
+        build_tower(5, 2, growth_floor=[430_000_000])
+    t = build_tower(5, 2, growth_floor=[429_000_000])
+    assert t.primes == (5, 429000181) and t.M[1] == 2_145_000_905
+
+
 def test_m1_past_the_index_range():
     # 2^32 + 15, the least prime above 2^32
     with pytest.raises(TowerError):

@@ -2,7 +2,9 @@
 
 Each builds its level-sized temporaries in one go, as `otlab` did before
 every level pass ran over fixed-size index chunks; the tests compare the
-chunked kernels against them at several chunk sizes.
+chunked kernels against them at several chunk sizes.  Their arithmetic
+is int64 whatever the dtype of the level arrays (int32 in `otlab`), so an
+int32 product that wraps cannot agree with them.
 """
 
 from fractions import Fraction
@@ -29,7 +31,7 @@ def phi_values(tower, n):
 
 def sigma_of(tower, n, tau):
     M, P = tower.modulus(n), tower.step(n)
-    return (np.arange(M, dtype=np.int64) + tau * P) % M
+    return (np.arange(M, dtype=np.int64) + tau.astype(np.int64) * P) % M
 
 
 def is_permutation(sigma):
@@ -38,6 +40,7 @@ def is_permutation(sigma):
 
 def avoidance_violations(tau, P_inv, mid):
     M = tau.shape[0]
+    tau = tau.astype(np.int64)
     idx = np.arange(M, dtype=np.int64)
     istar = ((mid - idx) * P_inv) % M
     pos = (tau > 0) & (istar <= tau)
@@ -52,7 +55,7 @@ def changed_mask(level, tower):
 
 
 def quasi_cost(level, tower):
-    phi = phi_level(tower, level.level).values
+    phi = phi_level(tower, level.level).values.astype(np.int64)
     return 1 + phi - phi[level.sigma]
 
 
@@ -121,7 +124,7 @@ def corrected_pair(level, tower):
     n = level.level
     M = level.modulus
     P = tower.step(n)
-    phi = phi_level(tower, n).values
+    phi = phi_level(tower, n).values.astype(np.int64)
     psi = 1 - phi
     idx = np.arange(M, dtype=np.int64)
     c_rot = np.full(M, 2, dtype=np.int64)
