@@ -10,6 +10,7 @@ from otlab.duals import level_scalars, verify_feasibility
 from otlab.tau import (
     build_levels,
     quasi_cost,
+    sigma_of,
     singular_ledger,
     transport_cost_tau,
     verify_level,
@@ -25,7 +26,7 @@ print(f"  phi   {phi_level(tower, 1).values.tolist()}")
 levels = build_levels(tower, 2)
 l1, l2 = levels
 print(f"  tau   {l1.tau.tolist()}")
-print(f"  sigma {l1.sigma.tolist()}   good {l1.good_indices().tolist()} "
+print(f"  sigma {sigma_of(tower, 1, l1.tau).tolist()}   good {l1.good_indices().tolist()} "
       f"singular {l1.singular_indices().tolist()}")
 print(f"  quasi-cost {quasi_cost(l1, tower).values.tolist()}  (mean exactly 1)")
 led = singular_ledger(l1, tower)

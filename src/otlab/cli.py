@@ -110,11 +110,11 @@ def cmd_solve(args) -> int:
 
 
 # Peak RSS of `construct` and of `verify` per index of the deepest level,
-# rounded up: measured 22.1 bytes on the (7c) tower (M = 4,706,261), of
-# which the interpreter's fixed share is about 7; it is smaller on larger
-# towers.  The level arrays (tau, sigma, phi in int32, three bool masks)
-# are 15 bytes.
-_BYTES_PER_INDEX = 23
+# rounded up: measured 19.5 to 19.7 bytes on the (7c) tower (M =
+# 4,706,261), of which the interpreter's fixed share is about 6.6; it is
+# smaller on larger towers.  The level arrays (tau and phi in int32, three
+# bool masks) are 11 bytes; sigma is made one index chunk at a time.
+_BYTES_PER_INDEX = 20
 
 # Peak RSS of `gap` per arc of the truncated cost, whose (M+1)*M_j graph
 # cells bound the arc count, rounded up: measured 822 bytes at (5, 16001)
@@ -208,13 +208,19 @@ def cmd_gap(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _artifacts(tower, levels):
+def _artifacts(tower, levels, check: bool = False):
     """Every artifact of the construction, in write order, as (level or
     None, file name, byte blocks, fresh object): `construct` writes the
     blocks and `verify` compares them with the saved file.  The fresh
     object is the tau-level dict or the list of level records the file
-    was rendered from, or None."""
-    from . import duals, tau
+    was rendered from, or None.
+
+    A level's CSV blocks come from its one quasi-cost pass, which also
+    feeds its dual record and, with check, its invariant checks; the
+    chunks the caller left when it stopped at a differing block still go
+    to those, unrendered.  With check, each level's `tau.LevelReport`
+    then follows as (level, None, None, report)."""
+    from . import circle, duals, tau
 
     tower_json = serialize.artifact_json(serialize.tower_to_dict(tower))
     yield None, "tower.json", [tower_json.encode()], None
@@ -224,12 +230,21 @@ def _artifacts(tower, levels):
         n = level.level
         fresh = serialize.tau_level_to_dict(level, tower)
         yield level, f"tau_level_{n}.json", [serialize.artifact_json(fresh).encode()], fresh
-        yield level, f"quasi_cost_level_{n}.csv", tau.quasi_cost_csv(level, tower), None
-        s = duals.level_scalars(level, tower)
+        sums = [duals.LevelScalarSums(level, tower)]
+        if check:
+            sums.append(tau.LevelChecks(level, tower))
+        chunks = tau.quasi_cost_chunks(level, tower, *sums)
+        blocks = circle.csv_blocks(level.modulus, ((lo, q) for lo, _, q in chunks))
+        yield level, f"quasi_cost_level_{n}.csv", blocks, None
+        for _ in chunks:
+            pass
+        s = sums[0].result()
         ledgers.append(serialize.ledger_to_dict(s.ledger))
         diag_records.append(
             serialize.diagnostic_to_dict(s.diagnostic, s.dual_value, s.correction_norm)
         )
+        if check:
+            yield level, None, None, sums[1].result()
     ledger_json = serialize.artifact_json(ledgers)
     yield None, "singular_ledger.json", [ledger_json.encode()], ledgers
     diag_jsonl = serialize.diagnostics_jsonl(diag_records)
@@ -334,17 +349,13 @@ def cmd_verify(args) -> int:
         f"level {n}: {name} is deeper than the saved tower" for n, name in level_files if n > depth
     ]
 
-    def checked_levels():
-        level = None
-        for n in range(1, depth + 1):
-            level = tau.build_tau_level1(tower) if n == 1 else tau.extend_tau(level, tower)
-            report = tau.verify_level(level, tower)
-            if not report.hard_invariants_ok:
-                failures.append(f"level {n}: invariant check failed: {report}")
-            yield level
-
-    for level, name, blocks, fresh in _artifacts(tower, checked_levels()):
-        failures += _saved_failures(outdir, level, name, blocks, fresh)
+    levels = tau.build_levels(tower, depth)
+    for level, name, blocks, fresh in _artifacts(tower, levels, check=True):
+        if name is None:  # the level's invariant checks, done with its pass
+            if not fresh.hard_invariants_ok:
+                failures.append(f"level {level.level}: invariant check failed: {fresh}")
+        else:
+            failures += _saved_failures(outdir, level, name, blocks, fresh)
     for f in failures:
         _progress(f)
     _print_data(serialize.dumps({"levels_checked": depth, "failures": failures}))

@@ -20,7 +20,9 @@ is 1.
 
 `level_scalars` is the one per-level record: the singular ledger, the
 singular build-up diagnostic, and the dual value and correction norm,
-from one chunked pass over the quasi-cost.  `verify_feasibility` is the
+from one chunked pass over the quasi-cost.  `LevelScalarSums` gathers
+the same record from a pass that something else drives, such as the
+level's CSV pass in `construct` and `verify`.  `verify_feasibility` is the
 index-by-index check of the pair on the three graphs.
 """
 
@@ -33,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .circle import ModulusTower, phi_level, quasi_cost_values
-from .tau import LedgerSums, SingularLedger, TauLevel, fold_quasi_cost, quasi_cost
+from .tau import LedgerSums, SingularLedger, TauLevel, fold_quasi_cost, quasi_cost, sigma_of
 
 
 def _one_step_cost(tower: ModulusTower, n: int, lo: int = 0, hi: Optional[int] = None):
@@ -72,7 +74,7 @@ class _CorrectionSums:
         self.phi = phi_level(tower, level.level).values
         self.correction = 0
 
-    def add(self, lo: int, q):
+    def add(self, lo: int, sigma, q):
         corr = _correction(self.level, self.tower, self.phi, lo, lo + len(q))
         self.correction += int(corr.sum(dtype=np.int64))
 
@@ -120,7 +122,7 @@ def verify_feasibility(level: TauLevel, tower: ModulusTower, phi=None) -> Feasib
     rot_bad = np.nonzero(pair_rot > c_rot)[0]
 
     q = quasi_cost(level, tower).values
-    pair_tau = phi + psi[level.sigma]
+    pair_tau = phi + psi[sigma_of(tower, n, level.tau)]
     tau_bad = np.nonzero(pair_tau > q)[0]
 
     # Tightness against the graded (step-count) one-step values, which
@@ -169,7 +171,7 @@ class _DiagnosticSums:
         self.negatives = [np.zeros(0, dtype=np.int64)]
         self.plus = self.minus = 0
 
-    def add(self, lo: int, q):
+    def add(self, lo: int, sigma, q):
         self.negatives.append(q[q < 0])
         self.plus += int(np.where(q > 1, q - 1, 0).sum(dtype=np.int64))
         self.minus += int(np.where(q < 1, 1 - q, 0).sum(dtype=np.int64))
@@ -215,13 +217,27 @@ class LevelScalars:
     correction_norm: Fraction
 
 
+class LevelScalarSums:
+    """Chunk sums of `level_scalars`: the ledger, the diagnostic and the
+    correction, fed together by one quasi-cost pass."""
+
+    def __init__(self, level: TauLevel, tower: ModulusTower):
+        level.require_masks("level_scalars")
+        self.sums = (
+            LedgerSums(level, tower), _DiagnosticSums(level), _CorrectionSums(level, tower)
+        )
+
+    def add(self, lo: int, sigma, q):
+        for s in self.sums:
+            s.add(lo, sigma, q)
+
+    def result(self) -> LevelScalars:
+        ledger, diagnostic, (value, norm) = (s.result() for s in self.sums)
+        return LevelScalars(ledger, diagnostic, value, norm)
+
+
 def level_scalars(level: TauLevel, tower: ModulusTower) -> LevelScalars:
     """The ledger, the singular diagnostic (default delta grid), and the
     dual value and correction norm of the corrected pair, from one
     chunked pass over the quasi-cost: the one per-level dual record."""
-    level.require_masks("level_scalars")
-    ledger, diagnostic, (value, norm) = fold_quasi_cost(
-        level, tower,
-        LedgerSums(level, tower), _DiagnosticSums(level), _CorrectionSums(level, tower),
-    )
-    return LevelScalars(ledger, diagnostic, value, norm)
+    return fold_quasi_cost(level, tower, LevelScalarSums(level, tower))[0]

@@ -64,7 +64,7 @@ def _diagonal_seed(tower: ModulusTower, j: int) -> TauLevel:
     sigma_fwd = sigma_of(tower, j, tau_fwd)
     _require_permutation(sigma_fwd, f"diagonal seed at level {j}")
     tau = _invert(tau_fwd, sigma_fwd)
-    return TauLevel(j, tau, sigma_of(tower, j, tau))
+    return TauLevel(j, tau)
 
 
 @dataclass
@@ -131,9 +131,10 @@ def verify_row_map(family: GapFamily, n: int, j: int) -> RowReport:
     tower = family.tower
     cell = family.cell(n, j)
     M = cell.modulus
-    permutation_ok = is_permutation(cell.sigma)
+    sigma = sigma_of(tower, j, cell.tau)
+    permutation_ok = is_permutation(sigma)
 
-    q = quasi_cost_values(phi_level(tower, j).values, cell.sigma)
+    q = quasi_cost_values(phi_level(tower, j).values, sigma)
     mean_one = int(q.sum(dtype=np.int64)) == M
 
     eta = family.eta_closed[n]
@@ -149,7 +150,7 @@ def verify_row_map(family: GapFamily, n: int, j: int) -> RowReport:
     )
     approx_err = err / M
 
-    d = (cell.sigma - np.arange(M, dtype=np.int64)) % M
+    d = (sigma - np.arange(M, dtype=np.int64)) % M
     disp = int(np.minimum(d, M - d).max())
     block = Fraction(M, tower.M[n - 2]) if n >= 2 else Fraction(M)
 
@@ -373,7 +374,8 @@ def gap_demonstration(family: GapFamily, M_graphs: int, j: int) -> dict:
     witness_mass = {}
     phi = phi_level(tower, family.j_max).values
     for n in range(1, family.j_max + 1):
-        q = quasi_cost_values(phi, family.cell(n, family.j_max).sigma)
+        sigma = sigma_of(tower, family.j_max, family.cell(n, family.j_max).tau)
+        q = quasi_cost_values(phi, sigma)
         zero = int((q == 0).sum())
         eta_realized[n] = Fraction(Mj - zero, Mj)
         witness_mass[n] = Fraction(zero, Mj)

@@ -11,8 +11,9 @@ sub-blocks round into the gaps they leave, and routes each singular
 block as compensating good halves plus a small singular core thrown
 into the middle region of the image block.
 
-Displacements are stored as step counts tau(l) with the induced map
-sigma(l) = l + tau(l) * P_n (mod M_n).  Wherever a sub-block is assigned
+Displacements are stored as step counts tau(l); the induced map
+sigma(l) = l + tau(l) * P_n (mod M_n) is not stored but computed from tau
+one index chunk at a time (`sigma_chunks`).  Wherever a sub-block is assigned
 a target, the step count is the unique representative in (-M_n, M_n)
 whose full rotation orbit (endpoints included) avoids the middle index;
 existence is checked, never assumed.
@@ -34,7 +35,6 @@ import numpy as np
 from .circle import (
     ModulusTower,
     StepFunction,
-    csv_blocks,
     index_chunks,
     phi_level,
     quasi_cost_values,
@@ -60,20 +60,17 @@ def _avoidance_step(M: int, Pinv: int, mid: int, src: int, dst: int) -> int:
     return t0 if istar > t0 else t0 - M
 
 
-def _avoidance_violations(tau, P_inv: int, mid: int):
-    """Indices whose stored orbit (i = 0..tau or tau..0) hits the middle."""
-    M = tau.shape[0]
-    bad = [np.zeros(0, dtype=np.int64)]
-    for lo, hi in index_chunks(M):
-        t = tau[lo:hi]
-        istar = mid - np.arange(lo, hi, dtype=np.int64)  # orbit step onto mid
-        istar *= P_inv
-        istar %= M
-        hit = ((t > 0) & (istar <= t)) | ((t < 0) & (istar - M >= t))
-        if lo <= mid < hi and t[mid - lo] != 0:
-            hit[mid - lo] = True
-        bad.append(np.flatnonzero(hit) + lo)
-    return np.concatenate(bad)
+def _avoidance_hits(t, lo: int, M: int, P_inv: int, mid: int):
+    """Indices lo, lo+1, ... of the tau chunk t whose stored orbit
+    (i = 0..tau or tau..0) hits the middle index of Z/MZ."""
+    hi = lo + len(t)
+    istar = mid - np.arange(lo, hi, dtype=np.int64)  # orbit step onto mid
+    istar *= P_inv
+    istar %= M
+    hit = ((t > 0) & (istar <= t)) | ((t < 0) & (istar - M >= t))
+    if lo <= mid < hi and t[mid - lo] != 0:
+        hit[mid - lo] = True
+    return np.flatnonzero(hit) + lo
 
 
 @dataclass
@@ -88,26 +85,25 @@ class SingularLedger:
 
 @dataclass(frozen=True, eq=False)
 class TauLevel:
-    """A level-n interval permutation of Z/M_nZ.
+    """A level-n interval permutation of Z/M_nZ, held by its step counts.
 
-    tau, sigma are int32 arrays.  Construction levels carry disjoint
-    good/singular boolean masks excluding the level-1 middle block, whose
-    indices keep tau = 0 at every level; gap-grid cells carry no masks.
-    A refined level records its parent and where tau changed against it.
-    Every array is read-only.
+    tau is an int32 array; the map sigma it induces is computed from it
+    chunk by chunk (`sigma_chunks`), never stored.  Construction levels
+    carry disjoint good/singular boolean masks excluding the level-1
+    middle block, whose indices keep tau = 0 at every level; gap-grid
+    cells carry no masks.  A refined level records its parent and where
+    tau changed against it.  Every array is read-only.
     """
 
     level: int
     tau: np.ndarray
-    sigma: np.ndarray
     good_mask: Optional[np.ndarray] = None
     singular_mask: Optional[np.ndarray] = None
     changed_mask: Optional[np.ndarray] = None
     parent: Optional["TauLevel"] = None
 
     def __post_init__(self):
-        for arr in (self.tau, self.sigma, self.good_mask, self.singular_mask,
-                    self.changed_mask):
+        for arr in (self.tau, self.good_mask, self.singular_mask, self.changed_mask):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -138,36 +134,66 @@ class TauLevel:
         return slice(mid1 * span, (mid1 + 1) * span)
 
 
-def sigma_of(tower: ModulusTower, n: int, tau):
-    """The induced map sigma(l) = l + tau(l) * P_n (mod M_n), as int32;
-    tau(l) * P_n (up to about M_n^2) is formed in one int64 chunk buffer,
-    which every chunk reuses."""
+def sigma_chunk(tower: ModulusTower, n: int, tau, lo: int, hi: int, out=None):
+    """The induced map sigma(l) = l + tau(l) * P_n (mod M_n) on the
+    indices lo..hi-1, as int64: tau(l) * P_n (up to about M_n^2) does not
+    fit int32.  Written into the front of the int64 buffer out when
+    given."""
     M, P = tower.modulus(n), tower.step(n)
-    sigma = np.empty(M, dtype=np.int32)
+    s = np.empty(hi - lo, dtype=np.int64) if out is None else out[: hi - lo]
+    s[:] = tau[lo:hi]
+    s *= P
+    s += np.arange(lo, hi, dtype=np.int64)
+    s %= M
+    return s
+
+
+def sigma_chunks(tower: ModulusTower, n: int, tau):
+    """(lo, sigma[lo:hi]) over the index chunks of Z/M_nZ, in one int64
+    chunk buffer that every chunk reuses: a chunk is valid until the
+    next one is made."""
     buf = np.empty(0, dtype=np.int64)
-    for lo, hi in index_chunks(M):
+    for lo, hi in index_chunks(tau.shape[0]):
         if buf.size < hi - lo:  # the first chunk, the longest
             buf = np.empty(hi - lo, dtype=np.int64)
-        s = buf[: hi - lo]
-        s[:] = tau[lo:hi]
-        s *= P
-        s += np.arange(lo, hi, dtype=np.int64)
-        s %= M
-        sigma[lo:hi] = s
+        yield lo, sigma_chunk(tower, n, tau, lo, hi, buf)
+
+
+def sigma_of(tower: ModulusTower, n: int, tau):
+    """The whole induced map sigma as int32, filled from `sigma_chunks`."""
+    sigma = np.empty(tau.shape[0], dtype=np.int32)
+    for lo, s in sigma_chunks(tower, n, tau):
+        sigma[lo : lo + len(s)] = s
     return sigma
 
 
+class _PermutationMarks:
+    """Is a map of 0..M-1, fed chunk by chunk, one-to-one onto itself?
+    M images inside 0..M-1 that reach every index are."""
+
+    def __init__(self, M: int):
+        self.seen = np.zeros(M, dtype=bool)
+        self.in_range = True
+
+    def add(self, s):
+        if not self.in_range:
+            return
+        if s.min() < 0 or s.max() >= self.seen.shape[0]:
+            self.in_range = False
+        else:
+            self.seen[s] = True
+
+    def result(self) -> bool:
+        return self.in_range and bool(self.seen.all())
+
+
 def is_permutation(sigma) -> bool:
-    """Does sigma map 0..M-1 one-to-one onto itself (M = len(sigma))?
-    M images inside 0..M-1 that reach every index are one-to-one."""
+    """Does sigma map 0..M-1 one-to-one onto itself (M = len(sigma))?"""
     M = sigma.shape[0]
-    seen = np.zeros(M, dtype=bool)
+    marks = _PermutationMarks(M)
     for lo, hi in index_chunks(M):
-        s = sigma[lo:hi]
-        if s.min() < 0 or s.max() >= M:
-            return False
-        seen[s] = True
-    return bool(seen.all())
+        marks.add(sigma[lo:hi])
+    return marks.result()
 
 
 def _require_permutation(sigma, what: str):
@@ -220,10 +246,18 @@ def outward_shuffle(tower: ModulusTower, n: int):
 
 def _checked(level: TauLevel, tower: ModulusTower) -> TauLevel:
     """The level, once its sigma is a permutation and every orbit avoids
-    the middle index; GrowthTooSmall otherwise."""
-    n = level.level
-    _require_permutation(level.sigma, f"sigma at level {n}")
-    bad = _avoidance_violations(level.tau, tower.step_inverse(n), tower.middle_index(n))
+    the middle index, both checked in one walk over the sigma chunks;
+    GrowthTooSmall otherwise."""
+    n, M = level.level, level.modulus
+    P_inv, mid = tower.step_inverse(n), tower.middle_index(n)
+    marks = _PermutationMarks(M)
+    bad = [np.zeros(0, dtype=np.int64)]
+    for lo, s in sigma_chunks(tower, n, level.tau):
+        marks.add(s)
+        bad.append(_avoidance_hits(level.tau[lo : lo + len(s)], lo, M, P_inv, mid))
+    if not marks.result():
+        raise GrowthTooSmall(f"sigma at level {n} is not a permutation")
+    bad = np.concatenate(bad)
     if bad.size:
         raise GrowthTooSmall(
             f"middle avoidance fails at level {n} for {bad.size} indices "
@@ -241,7 +275,7 @@ def build_tau_level1(tower: ModulusTower) -> TauLevel:
     good[[0, tower.middle_index(1), M - 1]] = False
     singular = np.zeros(M, dtype=bool)
     singular[[0, M - 1]] = True
-    return _checked(TauLevel(1, tau, sigma_of(tower, 1, tau), good, singular), tower)
+    return _checked(TauLevel(1, tau, good, singular), tower)
 
 
 def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
@@ -262,6 +296,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     Pinv = tower.step_inverse(n)
     mid = tower.middle_index(n)
     M_prev = tower.M[n - 2]
+    P_prev = tower.step(n - 1)
     phi_prev = phi_level(tower, n - 1).values
 
     masked = prev.singular_mask is not None
@@ -272,7 +307,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
 
     for p in range(M_prev):
         t = int(prev.tau[p])
-        q = int(prev.sigma[p])
+        q = (p + t * P_prev) % M_prev  # the parent's sigma(p)
         lo = p * m
         is_singular_parent = masked and bool(prev.singular_mask[p])
         dphi = int(phi_prev[q]) - int(phi_prev[p]) if is_singular_parent else 0
@@ -309,40 +344,38 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     changed = np.empty(M, dtype=bool)
     np.not_equal(tau.reshape(M_prev, m), prev.tau[:, None], out=changed.reshape(M_prev, m))
 
-    return _checked(
-        TauLevel(n, tau, sigma_of(tower, n, tau), good, singular, changed, parent=prev),
-        tower,
-    )
+    return _checked(TauLevel(n, tau, good, singular, changed, parent=prev), tower)
 
 
-def quasi_cost_chunks(level: TauLevel, tower: ModulusTower):
-    """(lo, q[lo:hi]) over the index chunks of the level, for the
-    quasi-cost q = 1 + phi - phi o sigma; no level-sized array is made."""
-    phi = phi_level(tower, level.level).values
-    for lo, hi in index_chunks(level.modulus):
-        yield lo, quasi_cost_values(phi, level.sigma[lo:hi], lo)
+def quasi_cost_chunks(level: TauLevel, tower: ModulusTower, *sums):
+    """(lo, sigma[lo:hi], q[lo:hi]) over the index chunks of the level,
+    for the quasi-cost q = 1 + phi - phi o sigma; each chunk goes first
+    to every accumulator's add(lo, sigma, q).  sigma is the int64 buffer
+    of `sigma_chunks`, so both chunks are valid until the next is made;
+    no level-sized array is made."""
+    n = level.level
+    phi = phi_level(tower, n).values
+    for lo, sigma in sigma_chunks(tower, n, level.tau):
+        q = quasi_cost_values(phi, sigma, lo)
+        for s in sums:
+            s.add(lo, sigma, q)
+        yield lo, sigma, q
 
 
 def fold_quasi_cost(level: TauLevel, tower: ModulusTower, *sums):
-    """One pass over the quasi-cost chunks of the level: every chunk goes
-    to each accumulator's add(lo, q); returns their result()s in order."""
-    for lo, q in quasi_cost_chunks(level, tower):
-        for s in sums:
-            s.add(lo, q)
+    """One pass over the quasi-cost chunks of the level, feeding every
+    accumulator; returns their result()s in order."""
+    for _ in quasi_cost_chunks(level, tower, *sums):
+        pass
     return [s.result() for s in sums]
 
 
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:
     """q(l) = phi(l) + psi(sigma(l)) = 1 + phi(l) - phi(sigma(l))."""
     values = np.empty(level.modulus, dtype=np.int32)
-    for lo, q in quasi_cost_chunks(level, tower):
+    for lo, _, q in quasi_cost_chunks(level, tower):
         values[lo : lo + len(q)] = q
     return StepFunction(level.level, values)
-
-
-def quasi_cost_csv(level: TauLevel, tower: ModulusTower):
-    """Byte blocks of the level's quasi-cost CSV artifact, chunk by chunk."""
-    return csv_blocks(level.modulus, quasi_cost_chunks(level, tower))
 
 
 def _changed_per_parent(level: TauLevel, tower: ModulusTower):
@@ -361,7 +394,7 @@ class LedgerSums:
         self.singular_drop = 0
         self.good_dev = 0
 
-    def add(self, lo: int, q):
+    def add(self, lo: int, sigma, q):
         hi = lo + len(q)
         drop = q - 1
         self.singular_drop += int(
@@ -422,84 +455,97 @@ class LevelReport:
         )
 
 
-class _LevelChecks:
-    """Chunk checks of verify_level: nesting under the parent map, the
-    good/singular/middle-block partition, a non-positive drop on the
-    singular set, and the refinement deviation, the sum of
+class LevelChecks:
+    """Chunk checks of `verify_level`, fed by the level's quasi-cost pass:
+    sigma is a permutation, every stored orbit avoids the middle index,
+    tau is zero on the level-1 middle block, nesting under the parent
+    map, the good/singular/middle-block partition, a non-positive drop on
+    the singular set, and the refinement deviation, the sum of
     |drop - parent drop| over the children of good parents (zero without
     a parent; nonzero only on re-routed boundary sub-blocks and of order
-    M^2/m at level 2)."""
+    M^2/m at level 2).  The parent's sigma and quasi-cost are computed on
+    the parents of each chunk only."""
 
     def __init__(self, level: TauLevel, tower: ModulusTower):
+        level.require_masks("verify_level")
+        n = level.level
         self.level = level
+        self.tower = tower
+        self.P_inv, self.mid = tower.step_inverse(n), tower.middle_index(n)
         self.mid1 = level.middle1_block(tower)
         if level.parent is not None:
-            self.m = tower.primes[level.level - 1]
-            self.parent_q = quasi_cost(level.parent, tower).values
+            self.m = tower.primes[n - 1]
+            self.phi_prev = phi_level(tower, n - 1).values
+        self.permutation = _PermutationMarks(level.modulus)
+        self.avoidance_ok = self.tau_zero_on_mid1 = True
         self.nesting_ok = self.partition_ok = self.drop_nonpositive = True
         self.deviation = 0
 
-    def add(self, lo: int, q):
+    def add(self, lo: int, sigma, q):
         level = self.level
         hi = lo + len(q)
+        t = level.tau[lo:hi]
+        self.permutation.add(sigma)
+        self.avoidance_ok &= _avoidance_hits(t, lo, level.modulus, self.P_inv, self.mid).size == 0
         good = level.good_mask[lo:hi]
         sing = level.singular_mask[lo:hi]
         mid1 = np.zeros(hi - lo, dtype=bool)
         mid1[max(self.mid1.start - lo, 0) : max(self.mid1.stop - lo, 0)] = True
+        self.tau_zero_on_mid1 &= not t[mid1].any()
         self.partition_ok &= bool(
             not (good & sing).any() and ((good | sing) ^ mid1).all()
         )
         self.drop_nonpositive &= bool((q[sing] - 1 <= 0).all())
         parent = level.parent
         if parent is not None:
-            parent_of = np.arange(lo, hi, dtype=np.int64) // self.m
-            self.nesting_ok &= bool(
-                (level.sigma[lo:hi] // self.m == parent.sigma[parent_of]).all()
-            )
-            gp = parent.good_mask[parent_of]
+            # the parents of this chunk are p_lo..p_hi-1
+            p_lo, p_hi = lo // self.m, (hi - 1) // self.m + 1
+            parent_sigma = sigma_chunk(self.tower, parent.level, parent.tau, p_lo, p_hi)
+            parent_of = np.arange(lo, hi, dtype=np.int64) // self.m - p_lo
+            self.nesting_ok &= bool((sigma // self.m == parent_sigma[parent_of]).all())
+            parent_q = quasi_cost_values(self.phi_prev, parent_sigma, p_lo)
+            gp = parent.good_mask[p_lo:p_hi][parent_of]
             # the drops' -1s cancel; |q| <= M_n and |parent q| <= M_{n-1}
-            diff = np.subtract(q[gp], self.parent_q[parent_of[gp]], dtype=np.int64)
+            diff = np.subtract(q[gp], parent_q[parent_of[gp]], dtype=np.int64)
             self.deviation += int(np.abs(diff).sum())
 
-    def result(self):
-        return self
+    def result(self) -> LevelReport:
+        level, tower = self.level, self.tower
+        n = level.level
+        singular_count = int(np.count_nonzero(level.singular_mask))
+        if n == 1:
+            singular_count_ok = singular_count == 2
+        else:
+            singular_count_ok = singular_count < 2 * tower.M[n - 2] ** 2
+
+        if level.parent is not None:
+            ch = _changed_per_parent(level, tower)
+            change_per_good_parent_ok = bool(
+                (ch[level.parent.good_mask] <= tower.M[n - 2]).all()
+            )
+        else:
+            change_per_good_parent_ok = True
+
+        return LevelReport(
+            level=n,
+            permutation_ok=self.permutation.result(),
+            middle_avoidance_ok=self.avoidance_ok,
+            nesting_ok=self.nesting_ok,
+            tau_zero_on_middle1=self.tau_zero_on_mid1,
+            partition_ok=self.partition_ok,
+            singular_count=singular_count,
+            singular_count_ok=singular_count_ok,
+            change_per_good_parent_ok=change_per_good_parent_ok,
+            drop_nonpositive_on_singular=self.drop_nonpositive,
+            refinement_deviation=Fraction(self.deviation, level.modulus),
+        )
 
 
 def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
     """The construction's invariant checks at one level and its
     refinement deviation, from one pass over the quasi-cost chunks (see
-    `LevelReport`); the ledger is `singular_ledger`'s."""
-    level.require_masks("verify_level")
-    n = level.level
-    (checks,) = fold_quasi_cost(level, tower, _LevelChecks(level, tower))
-    bad = _avoidance_violations(level.tau, tower.step_inverse(n), tower.middle_index(n))
-    singular_count = int(np.count_nonzero(level.singular_mask))
-    if n == 1:
-        singular_count_ok = singular_count == 2
-    else:
-        singular_count_ok = singular_count < 2 * tower.M[n - 2] ** 2
-
-    if level.parent is not None:
-        ch = _changed_per_parent(level, tower)
-        change_per_good_parent_ok = bool(
-            (ch[level.parent.good_mask] <= tower.M[n - 2]).all()
-        )
-    else:
-        change_per_good_parent_ok = True
-
-    return LevelReport(
-        level=n,
-        permutation_ok=is_permutation(level.sigma),
-        middle_avoidance_ok=bad.size == 0,
-        nesting_ok=checks.nesting_ok,
-        tau_zero_on_middle1=np.count_nonzero(level.tau[level.middle1_block(tower)]) == 0,
-        partition_ok=checks.partition_ok,
-        singular_count=singular_count,
-        singular_count_ok=singular_count_ok,
-        change_per_good_parent_ok=change_per_good_parent_ok,
-        drop_nonpositive_on_singular=checks.drop_nonpositive,
-        refinement_deviation=Fraction(checks.deviation, level.modulus),
-    )
+    `LevelChecks`); the ledger is `singular_ledger`'s."""
+    return fold_quasi_cost(level, tower, LevelChecks(level, tower))[0]
 
 
 def transport_cost_tau(level: TauLevel, tower: ModulusTower):

@@ -1,8 +1,11 @@
 """The chunked level kernels against the whole-array formulas they
-replaced (`whole_array_oracles`), at several chunk sizes, and a bound on
-what `construct` allocates per index."""
+replaced (`whole_array_oracles`), at several chunk sizes, the one
+quasi-cost pass per level of `construct` and `verify`, and a bound on
+what each of them allocates per index."""
 
+import collections
 import dataclasses
+import functools
 import tracemalloc
 from fractions import Fraction
 
@@ -55,9 +58,9 @@ def test_level_arrays_match_whole_array_formulas(name, chunk):
     for level in levels:
         n = level.level
         assert np.array_equal(circle._phi_values(tower, n), oracle.phi_values(tower, n))
-        assert np.array_equal(level.sigma, oracle.sigma_of(tower, n, level.tau))
-        assert np.array_equal(tau.sigma_of(tower, n, level.tau), level.sigma)
-        assert tau.is_permutation(level.sigma) and oracle.is_permutation(level.sigma)
+        sigma = tau.sigma_of(tower, n, level.tau)
+        assert np.array_equal(sigma, oracle.sigma_of(tower, n, level.tau))
+        assert tau.is_permutation(sigma) and oracle.is_permutation(sigma)
         if level.parent is not None:
             assert np.array_equal(level.changed_mask, oracle.changed_mask(level, tower))
         assert np.array_equal(
@@ -119,14 +122,12 @@ def test_level_report_matches_whole_array_formulas(name, chunk):
 
 
 def _broken_level(tower, levels, edit):
-    """Level 2 of the tower with its tau edited and sigma recomputed by
-    the whole-array formula."""
+    """Level 2 of the tower with its tau edited."""
     l2 = levels[1]
     t = l2.tau.copy()
     edit(t)
-    sigma = oracle.sigma_of(tower, 2, t)
     return tau.TauLevel(
-        2, t, sigma, l2.good_mask.copy(), l2.singular_mask.copy(),
+        2, t, l2.good_mask.copy(), l2.singular_mask.copy(),
         l2.changed_mask.copy(), parent=levels[0],
     )
 
@@ -143,18 +144,79 @@ def _long_steps(t):
     t[30:40] += 5
 
 
+def _chunked_sigma(tower, level):
+    """sigma of the level from `tau.sigma_chunks`, and the chunk-fed
+    permutation check on the same chunks, each chunk copied out of the
+    shared buffer as it comes."""
+    n, M = level.level, level.modulus
+    sigma = np.empty(M, dtype=np.int64)
+    marks = tau._PermutationMarks(M)
+    end = 0
+    for lo, s in tau.sigma_chunks(tower, n, level.tau):
+        assert lo == end and 0 < len(s) <= circle._CHUNK and s.dtype == np.int64
+        sigma[lo : lo + len(s)] = s
+        marks.add(s)
+        end = lo + len(s)
+    assert end == M
+    return sigma, marks.result()
+
+
+def _build_check(tower, level):
+    """What `tau._checked` says of the level: None when it passes, else
+    its GrowthTooSmall message."""
+    try:
+        assert tau._checked(level, tower) is level
+    except tau.GrowthTooSmall as e:
+        return str(e)
+    return None
+
+
+def _oracle_build_check(tower, level):
+    n = level.level
+    if not oracle.is_permutation(oracle.sigma_of(tower, n, level.tau)):
+        return f"sigma at level {n} is not a permutation"
+    bad = oracle.avoidance_violations(
+        level.tau, tower.step_inverse(n), tower.middle_index(n)
+    )
+    if bad.size:
+        return f"middle avoidance fails at level {n} for {bad.size} indices (first: {bad[:5]})"
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _default_chunk_levels(name):
+    """The tower's levels, built once at the default chunk size."""
+    tower = TOWERS[name]()
+    return tower, tuple(tau.build_levels(tower, tower.depth))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_chunked_sigma_matches_whole_array_formula(monkeypatch, name, chunk):
+    # Built at the default size: at sizes 1 and 7 a (5c) build would make
+    # a numpy call per index or per 7 indices in every kernel.
+    monkeypatch.setattr(circle, "_CHUNK", DEFAULT_CHUNK)
+    tower, levels = _default_chunk_levels(name)
+    monkeypatch.setattr(circle, "_CHUNK", chunk)
+    for level in levels:
+        want = oracle.sigma_of(tower, level.level, level.tau)
+        sigma, is_perm = _chunked_sigma(tower, level)
+        assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
+        if chunk > 7 or level.modulus < 10**4:
+            assert np.array_equal(tau.sigma_of(tower, level.level, level.tau), want)
+            assert _build_check(tower, level) is None
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
 @pytest.mark.parametrize("edit", [_shift_index_7, _move_middle, _long_steps])
 def test_broken_levels_match_whole_array_formulas(chunk, edit):
     tower = build_tower(5, 2)
     levels = tau.build_levels(tower, 2)
     broken = _broken_level(tower, levels, edit)
-    P_inv, mid = tower.step_inverse(2), tower.middle_index(2)
-    assert np.array_equal(
-        tau._avoidance_violations(broken.tau, P_inv, mid),
-        oracle.avoidance_violations(broken.tau, P_inv, mid),
-    )
-    assert tau.is_permutation(broken.sigma) == oracle.is_permutation(broken.sigma)
+    want = oracle.sigma_of(tower, 2, broken.tau)
+    sigma, is_perm = _chunked_sigma(tower, broken)
+    assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
+    assert _build_check(tower, broken) == _oracle_build_check(tower, broken) is not None
     got = dataclasses.asdict(tau.verify_level(broken, tower))
     assert got == dataclasses.asdict(oracle.verify_level(broken, tower))
     assert tau.singular_ledger(broken, tower) == oracle.singular_ledger(broken, tower)
@@ -200,43 +262,93 @@ def test_level_arrays_are_int32_and_sigma_does_not_wrap():
     levels = tau.build_levels(tower, 2)
     for level in levels:
         phi = circle.phi_level(tower, level.level).values
-        assert level.tau.dtype == level.sigma.dtype == phi.dtype == np.int32
+        sigma = tau.sigma_of(tower, level.level, level.tau)
+        assert level.tau.dtype == sigma.dtype == phi.dtype == np.int32
         assert tau.quasi_cost(level, tower).values.dtype == np.int32
-        assert circle.quasi_cost_values(phi, level.sigma[:64]).dtype == np.int32
+        assert circle.quasi_cost_values(phi, sigma[:64]).dtype == np.int32
     l2 = levels[1]
     M, P = tower.modulus(2), tower.step(2)
     assert int(np.abs(l2.tau).max()) * P > 2**31
-    assert np.array_equal(l2.sigma, oracle.sigma_of(tower, 2, l2.tau))
+    sigma = tau.sigma_of(tower, 2, l2.tau)
+    assert np.array_equal(sigma, oracle.sigma_of(tower, 2, l2.tau))
     wrapped = (np.arange(M, dtype=np.int32) + l2.tau * np.int32(P)) % M
-    assert not np.array_equal(wrapped, l2.sigma)
+    assert not np.array_equal(wrapped, sigma)
 
 
 def test_gap_grid_cells_are_int32():
     family = gap.build_gap_family(build_tower(5, 2, growth_floor=[31]), 2)
     for cell in family.grid.values():
-        assert cell.tau.dtype == cell.sigma.dtype == np.int32
+        assert cell.tau.dtype == np.int32
     for n in range(3):
         assert family.limit_tau(n).dtype == family.limit_sigma(n).dtype == np.int32
 
 
-# tracemalloc's peak over `construct` on (5c), per index of level 2 (M =
-# 625,505).  The level arrays (tau, sigma, phi: 4 bytes each; good,
-# singular and changed masks: 1 each) come to 15, and the CSV chunk
-# temporaries to about 7.5 MB in all: measured 21.8 bytes per index, and
-# 34.0 with int64 level arrays.  Whole-array passes peaked at 132.
-TRACED_BYTES_PER_INDEX = 28
+def _count_walks(monkeypatch):
+    """Per level, the walks over its sigma chunks and over its quasi-cost
+    chunks that the calls made after this one start."""
+    walks = {"sigma": collections.Counter(), "quasi_cost": collections.Counter()}
+    sigma_chunks, quasi_cost_chunks = tau.sigma_chunks, tau.quasi_cost_chunks
+
+    def counted_sigma(tower, n, t):
+        walks["sigma"][n] += 1
+        return sigma_chunks(tower, n, t)
+
+    def counted_quasi_cost(level, tower, *sums):
+        walks["quasi_cost"][level.level] += 1
+        return quasi_cost_chunks(level, tower, *sums)
+
+    monkeypatch.setattr(tau, "sigma_chunks", counted_sigma)
+    monkeypatch.setattr(tau, "quasi_cost_chunks", counted_quasi_cost)
+    return walks
 
 
-def test_construct_traced_peak_per_index(tmp_path):
-    tower = build_tower_mode(5, 2, "paper_compliant")
-    M = tower.modulus(2)
+@pytest.mark.parametrize("m1,mode", [(5, "relaxed"), (7, "relaxed"), (5, "paper_compliant")])
+def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
+    # Each level is walked once to check the built map (`tau._checked`)
+    # and once more for every artifact and check that needs its sigma or
+    # quasi-cost: the CSV, the dual record and, in verify, the invariants.
+    d = str(tmp_path / "a")
+    walks = _count_walks(monkeypatch)
+    assert main(["construct", "--m1", str(m1), "--mode", mode, "--outdir", d]) == 0
+    assert walks == {"sigma": {1: 2, 2: 2}, "quasi_cost": {1: 1, 2: 1}}
+    walks = _count_walks(monkeypatch)
+    assert main(["verify", d]) == 0
+    assert walks == {"sigma": {1: 2, 2: 2}, "quasi_cost": {1: 1, 2: 1}}
+
+
+# tracemalloc's peak over `construct` and over `verify` on (5c), per index
+# of level 2 (M = 625,505).  The level arrays (tau and phi: 4 bytes each;
+# good, singular and changed masks: 1 each) come to 11; the permutation
+# marks of the build check and of verify's invariant checks (1 byte per
+# index) and the chunk temporaries of the CSV pass add the rest.  A
+# level-sized int32 sigma adds 4: 21.8 bytes per index before sigma was
+# computed per chunk, 34.0 with int64 level arrays, and whole-array passes
+# peaked at 132.
+TRACED_BYTES_PER_INDEX = 20
+
+
+def _traced_peak(argv):
     circle._phi_values.cache_clear()
     tracemalloc.start()
     try:
-        assert main(["construct", "--m1", "5", "--mode", "paper_compliant",
-                     "--outdir", str(tmp_path / "a")]) == 0
+        assert main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         circle._phi_values.cache_clear()
+    return peak
+
+
+def test_construct_traced_peak_per_index(tmp_path):
+    M = build_tower_mode(5, 2, "paper_compliant").modulus(2)
+    d = str(tmp_path / "a")
+    peak = _traced_peak(["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", d])
+    assert peak < TRACED_BYTES_PER_INDEX * M, peak / M
+
+
+def test_verify_traced_peak_per_index(tmp_path):
+    M = build_tower_mode(5, 2, "paper_compliant").modulus(2)
+    d = str(tmp_path / "a")
+    assert main(["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", d]) == 0
+    peak = _traced_peak(["verify", d])
     assert peak < TRACED_BYTES_PER_INDEX * M, peak / M

@@ -30,6 +30,7 @@ from otlab.tau import (
     TauLevel,
     build_tau_level1,
     quasi_cost,
+    sigma_of,
     singular_ledger,
     transport_cost_tau,
     verify_level,
@@ -68,7 +69,7 @@ def test_mask_free_cells_refuse_mask_quantities(tower, family, fn):
 def test_seed_is_inverse_of_level1(tower, family):
     base = build_tau_level1(tower)
     seed = family.cell(1, 1)
-    assert (seed.sigma[base.sigma] == np.arange(5)).all()
+    assert (sigma_of(tower, 1, seed.tau)[sigma_of(tower, 1, base.tau)] == np.arange(5)).all()
 
 
 def test_seed_quasi_cost_multiset():
@@ -88,7 +89,7 @@ def test_all_cells_mean_one(tower, family):
 
 def test_all_cells_permutations(tower, family):
     for (n, j), cell in sorted(family.grid.items()):
-        assert sorted(cell.sigma.tolist()) == list(range(cell.modulus))
+        assert sorted(sigma_of(tower, j, cell.tau).tolist()) == list(range(cell.modulus))
 
 
 def test_grid_cells_are_read_only(family, family31):
@@ -96,7 +97,7 @@ def test_grid_cells_are_read_only(family, family31):
     for fam in (family, family31):
         for (n, j), cell in sorted(fam.grid.items()):
             assert cell.good_mask is None and cell.singular_mask is None
-            arrays = [cell.tau, cell.sigma]
+            arrays = [cell.tau]
             if n < j:
                 arrays.append(cell.changed_mask)
             for arr in arrays:
@@ -115,7 +116,7 @@ def test_stabilization_bound(tower, family):
 def test_row2_maps_blocks_to_themselves(tower, family):
     cell = family.cell(2, 2)
     blocks = np.arange(55) // 11
-    assert (cell.sigma // 11 == blocks).all()
+    assert (sigma_of(tower, 2, cell.tau) // 11 == blocks).all()
 
 
 def test_row_map_reports(tower, family):
@@ -142,7 +143,7 @@ def test_degenerate_diagonal_is_identity(family):
     # m_2 = 2*M_1 + 1 leaves no bulk: the order-preserving matching of
     # the boundary onto itself collapses the seed to the identity
     cell = family.cell(2, 2)
-    assert (cell.sigma == np.arange(55)).all()
+    assert (sigma_of(family.tower, 2, cell.tau) == np.arange(55)).all()
 
 
 def test_materialize_m1(tower, family):
@@ -265,8 +266,7 @@ def test_row_map_negative_control(tower, family):
     tau = cell.tau.copy()
     tau.setflags(write=True)
     tau[3] += 1
-    sigma = (np.arange(55, dtype=np.int64) + tau * tower.P[1]) % 55
-    broken = TauLevel(2, tau, sigma)
+    broken = TauLevel(2, tau)
     fam2 = copy.copy(family)
     fam2.grid = dict(family.grid)
     fam2.grid[(1, 2)] = broken

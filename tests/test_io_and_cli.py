@@ -263,6 +263,34 @@ def test_cli_verify_malformed_rle_fails_cleanly(tmp_path):
     ]
 
 
+def _flip_row0_byte(path):
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 3] ^= 1  # "0,0/1,0/1" becomes "0,0.1,0/1"
+    path.write_bytes(bytes(data))
+
+
+def _header_only(path):
+    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+
+
+@pytest.mark.parametrize("act", [_flip_row0_byte, _header_only])
+def test_cli_verify_drains_the_pass_after_a_differing_csv_block(tmp_path, monkeypatch, capsys, act):
+    # At 7 indices per chunk the (5, 11) level-2 CSV is 8 blocks, and the
+    # comparison stops at the first.  The rest of the level's one pass
+    # must still run, or its ledger, diagnostics and invariant checks
+    # would see only the first chunk and fail as well.
+    d = tmp_path / "artifacts"
+    assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
+    act(d / "quasi_cost_level_2.csv")
+    capsys.readouterr()
+    monkeypatch.setattr(circle, "_CHUNK", 7)
+    assert main(["verify", str(d)]) == 1
+    out = capsys.readouterr()
+    want = ["level 2: quasi_cost_level_2.csv differs from a fresh build"]
+    assert out.err.splitlines() == want
+    assert json.loads(out.out) == {"failures": want, "levels_checked": 2}
+
+
 def _truncate(text):
     return text[: len(text) // 2]
 
@@ -678,8 +706,9 @@ def test_cli_verify_reports_a_failed_level_invariant(tmp_path, monkeypatch, caps
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(d)]) == 0
     capsys.readouterr()
+    # verify checks the invariants in each level's one quasi-cost pass
     failing = types.SimpleNamespace(hard_invariants_ok=False)
-    monkeypatch.setattr(tau, "verify_level", lambda level, tower: failing)
+    monkeypatch.setattr(tau.LevelChecks, "result", lambda self: failing)
     assert main(["verify", str(d)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("level 1: invariant check failed"), lines

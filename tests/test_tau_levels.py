@@ -12,6 +12,7 @@ from otlab.tau import (
     extend_tau,
     quasi_cost,
     shuffle_block,
+    sigma_of,
     singular_ledger,
     transport_cost_tau,
     verify_level,
@@ -63,7 +64,7 @@ def test_shuffle_block_refuses_a_gap_count_unlike_the_mover_count():
 def test_level1_sigma_is_permutation(m1):
     t = build_tower(m1, 1)
     l1 = build_tau_level1(t)
-    assert sorted(l1.sigma.tolist()) == list(range(m1))
+    assert sorted(sigma_of(t, 1, l1.tau).tolist()) == list(range(m1))
 
 
 @pytest.mark.parametrize(
@@ -169,9 +170,8 @@ def test_corrupted_tau_detected(tower, levels):
     tau = l2.tau.copy()
     tau.setflags(write=True)
     tau[7] += 1  # collide two images
-    sigma = (np.arange(55, dtype=np.int64) + tau * tower.P[1]) % 55
     broken = TauLevel(
-        2, tau, sigma, l2.good_mask.copy(), l2.singular_mask.copy(),
+        2, tau, l2.good_mask.copy(), l2.singular_mask.copy(),
         l2.changed_mask.copy(), parent=levels[0],
     )
     rep = verify_level(broken, tower)

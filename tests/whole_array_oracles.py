@@ -54,9 +54,13 @@ def changed_mask(level, tower):
     return level.tau != np.repeat(level.parent.tau, m)
 
 
+def level_sigma(level, tower):
+    return sigma_of(tower, level.level, level.tau)
+
+
 def quasi_cost(level, tower):
     phi = phi_level(tower, level.level).values.astype(np.int64)
-    return 1 + phi - phi[level.sigma]
+    return 1 + phi - phi[level_sigma(level, tower)]
 
 
 def middle1_mask(level, tower):
@@ -131,7 +135,7 @@ def corrected_pair(level, tower):
     c_rot[: tower.middle_index(n)] = 0
     term_diag = np.maximum(phi + psi - 1, 0)
     term_rot = np.maximum(phi + psi[(idx + P) % M] - c_rot, 0)
-    term_tau = np.maximum(phi + psi[level.sigma] - quasi_cost(level, tower), 0)
+    term_tau = np.maximum(phi + psi[level_sigma(level, tower)] - quasi_cost(level, tower), 0)
     correction = term_diag + term_rot + term_tau
     phi_corr = phi - correction
     value = Fraction(
@@ -144,10 +148,11 @@ def verify_level(level, tower):
     n = level.level
     M = level.modulus
     bad = avoidance_violations(level.tau, tower.step_inverse(n), tower.middle_index(n))
+    sigma = level_sigma(level, tower)
     if level.parent is not None:
         m = tower.primes[n - 1]
         parent_of = np.arange(M, dtype=np.int64) // m
-        nesting_ok = bool((level.sigma // m == level.parent.sigma[parent_of]).all())
+        nesting_ok = bool((sigma // m == level_sigma(level.parent, tower)[parent_of]).all())
     else:
         nesting_ok = True
     mid1 = middle1_mask(level, tower)
@@ -169,7 +174,7 @@ def verify_level(level, tower):
     drop = quasi_cost(level, tower) - 1
     return LevelReport(
         level=n,
-        permutation_ok=is_permutation(level.sigma),
+        permutation_ok=is_permutation(sigma),
         middle_avoidance_ok=bad.size == 0,
         nesting_ok=nesting_ok,
         tau_zero_on_middle1=bool((level.tau[mid1] == 0).all()),
