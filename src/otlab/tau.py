@@ -296,7 +296,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     Pinv = tower.step_inverse(n)
     mid = tower.middle_index(n)
     M_prev = tower.M[n - 2]
-    P_prev = tower.step(n - 1)
+    sigma_prev = sigma_of(tower, n - 1, prev.tau)
     phi_prev = phi_level(tower, n - 1).values
 
     masked = prev.singular_mask is not None
@@ -307,7 +307,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
 
     for p in range(M_prev):
         t = int(prev.tau[p])
-        q = (p + t * P_prev) % M_prev  # the parent's sigma(p)
+        q = int(sigma_prev[p])
         lo = p * m
         is_singular_parent = masked and bool(prev.singular_mask[p])
         dphi = int(phi_prev[q]) - int(phi_prev[p]) if is_singular_parent else 0

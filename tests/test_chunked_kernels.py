@@ -144,6 +144,21 @@ def _long_steps(t):
     t[30:40] += 5
 
 
+def _onto_middle(t):
+    # sigma(3) = sigma(5) = 27, the middle, reached on the orbit's last
+    # step forward (3 + 2 * 12) and backward (5 - 44 * 12, mod 55)
+    t[3], t[5] = 2, -44
+
+
+def _the_other_way(t):
+    # tau -+ M gives the same sigma, a permutation still, but the other
+    # orbit round the circle, the one that crosses the middle index
+    M = t.shape[0]
+    for i in (3, 8, 41, 50):
+        assert t[i] != 0
+        t[i] += -M if t[i] > 0 else M
+
+
 def _chunked_sigma(tower, level):
     """sigma of the level from `tau.sigma_chunks`, and the chunk-fed
     permutation check on the same chunks, each chunk copied out of the
@@ -208,11 +223,20 @@ def test_chunked_sigma_matches_whole_array_formula(monkeypatch, name, chunk):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
-@pytest.mark.parametrize("edit", [_shift_index_7, _move_middle, _long_steps])
+@pytest.mark.parametrize(
+    "edit",
+    [_shift_index_7, _move_middle, _long_steps, _onto_middle, _the_other_way],
+)
 def test_broken_levels_match_whole_array_formulas(chunk, edit):
     tower = build_tower(5, 2)
     levels = tau.build_levels(tower, 2)
     broken = _broken_level(tower, levels, edit)
+    M, P_inv, mid = broken.modulus, tower.step_inverse(2), tower.middle_index(2)
+    hits = np.concatenate([
+        tau._avoidance_hits(broken.tau[lo:hi], lo, M, P_inv, mid)
+        for lo, hi in circle.index_chunks(M)
+    ])
+    assert np.array_equal(hits, oracle.avoidance_violations(broken.tau, P_inv, mid))
     want = oracle.sigma_of(tower, 2, broken.tau)
     sigma, is_perm = _chunked_sigma(tower, broken)
     assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
@@ -307,13 +331,16 @@ def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
     # Each level is walked once to check the built map (`tau._checked`)
     # and once more for every artifact and check that needs its sigma or
     # quasi-cost: the CSV, the dual record and, in verify, the invariants.
+    # Level 1 is walked once more, whole, when `tau.extend_tau` reads its
+    # sigma to build level 2 (M_1 indices, against M_2 = M_1 * m_2).
     d = str(tmp_path / "a")
+    want = {"sigma": {1: 3, 2: 2}, "quasi_cost": {1: 1, 2: 1}}
     walks = _count_walks(monkeypatch)
     assert main(["construct", "--m1", str(m1), "--mode", mode, "--outdir", d]) == 0
-    assert walks == {"sigma": {1: 2, 2: 2}, "quasi_cost": {1: 1, 2: 1}}
+    assert walks == want
     walks = _count_walks(monkeypatch)
     assert main(["verify", d]) == 0
-    assert walks == {"sigma": {1: 2, 2: 2}, "quasi_cost": {1: 1, 2: 1}}
+    assert walks == want
 
 
 # tracemalloc's peak over `construct` and over `verify` on (5c), per index
