@@ -1,5 +1,6 @@
 """Every script under demos/ runs to completion and prints its pinned stdout."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -174,9 +175,27 @@ PINNED_STDOUT = {
 }
 
 
+# sha256 of each run's stdout, taken before the construction was held as
+# runs: a second, compact pin of the same bytes.
+STDOUT_DIGESTS = {
+    "budgeted_dual_relaxation": "7b66bec9897c0721af3cc992840a04b474158facf057cae9be560a233d650996",
+    "circle_construction_walkthrough": "749fa03c1597a718c54b251b4dc772f34410f4977147748740ad4c813bf2c000",
+    "duality_certificates": "919b4cfea7538e4cb6a9000f9581e98ad5e43d86ce70a5411de76d6b04287fd8",
+    "relaxed_dual_gap": "eaf5c8f482f3fc3cc040070ab80998905f5517492893856895f4a5edfa31e2ff",
+    "singular_mass_buildup": "3cfbbb94ef4459207eb304c98a9f9853ec9276929b51f3ed4c37d8d8699f991d",
+    "singular_mass_buildup --compliant": "956b9c87a5fa8ec2463b94b4685df948fb9f4ca91cbee76a3c2b3ac1436935a3",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(tmp_path, demo):
-    assert _run_demo(demo, tmp_path) == PINNED_STDOUT[demo.stem]
+    out = _run_demo(demo, tmp_path)
+    assert out == PINNED_STDOUT[demo.stem]
+    assert _sha256(out) == STDOUT_DIGESTS[demo.stem]
 
 
 def test_budgeted_demo_prints_the_pinned_table(tmp_path):
@@ -187,3 +206,4 @@ def test_budgeted_demo_prints_the_pinned_table(tmp_path):
 def test_singular_mass_buildup_compliant_prints_the_pinned_table(tmp_path):
     out = _run_demo(DEMO_DIR / "singular_mass_buildup.py", tmp_path, "--compliant")
     assert out == SINGULAR_MASS_BUILDUP_COMPLIANT
+    assert _sha256(out) == STDOUT_DIGESTS["singular_mass_buildup --compliant"]

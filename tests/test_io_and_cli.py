@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -398,13 +399,44 @@ BAD_ARTIFACTS = {
 }
 
 
+# sha256 of verify's exit code, stdout and stderr on each broken artifact
+# set of BAD_ARTIFACTS and UNREADABLE_ARTIFACTS, as `_verify_output` joins
+# them, with the artifacts directory written as <artifacts>
+VERIFY_DIGESTS = {
+    "csv_missing": "ec1bb5d01f0dd6d0cc49f11f69668ad240d1da33dfc7af304ab90b2f3a95b5f2",
+    "csv_row1_value": "bd08cacc50f2601af848bdd21d617f4ea61abc71312701ce1951b63de8e5c831",
+    "csv_stray": "53c07d363ff6bfb3c74f51185da7cd8b8f3b1f7c9b0c8f646ac13da7f88ec47a",
+    "csv_truncated": "bd08cacc50f2601af848bdd21d617f4ea61abc71312701ce1951b63de8e5c831",
+    "diagnostics_missing": "92d899d0aea2ae14296bdfd8d93c31da1e3287e9e31e7f70b7545094df210e0c",
+    "diagnostics_value": "3f2bdbe6c33eaab24153dfde4d62c60f7595583ee90a65ce98a281c2faefa525",
+    "ledger_missing": "7a359f197539ee76ac5da1ea8b50b5f2b15b7a43e57f8126db1fa42621564b1e",
+    "ledger_value": "770fc2f2ef8e56fdb5fbeefd8d0dd0cb672eb463fdac4cf5f273d2e036fd465c",
+    "level_deepest_missing": "d18362ce062462417caecad504826ebbfc2b0a5f999a1db4a90f7f7876d848eb",
+    "level_is_directory": "a4e2e8eef0d95c67285d4686d848cddddc7bb67f92d7c62fa7783cead6d47872",
+    "level_modulus": "0c9d1539e4204ce3a33434a3e8b469e475f11c7294a27a02bb8ee7282ff58fba",
+    "level_nested_too_deep": "6b3dbcf09cd6e07a206d6829ba03879e14d89d5f00047106f5e8ad288629c2a9",
+    "level_no_good_rle": "2a9b99af500d9b7afc3baabfdea12bd49272cb46397bffc4dc281a86b7ddc7b8",
+    "level_truncated": "47b025c7b53cca9f84c834e340d3101d47a2a0b0c08fca706877ce1e2592e73f",
+    "tower_mode": "9b210af9ab0531e766588c85773357827c5399633c41517f24c97a8fc1c45fe0",
+    "tower_nested_too_deep": "1c48d6ca219b5b648eb55be74400db0c5b2b6c713597c440240c78a5f6ef2ce3",
+    "tower_no_primes": "1d236e202c67edb2c6068d9ba87f7100fbfe31c8df2f8ef953c43c0ee15ad2cd",
+    "tower_not_json": "ed298cb513a7dfbaf0b7b64f5d3a82c1946db947220d3b08d8a5c5190304e42c",
+    "tower_prime_empty": "f9147c94307c9809d765d059df2ad205c764f9ff8bdee19469b8e53d2030a105",
+    "tower_prime_float": "64f96ad0f132994cf607f8ba6729da4473a1d9085f9b38701e5b4e26120d120f",
+    "tower_prime_not_int": "a2fa98eaccde89a4d2c0a77186bdac460b841716b9c8c9aca9a359135df167f2",
+    "tower_prime_string": "99926693ba080b2395930f81674f194d9a6ebc4cae4e8e32221b1fb83afa67f1",
+    "tower_prime_true": "3505a41b327e64c26edec31922152b94fea2db120f019ff1f00902760f239a1e",
+    "tower_truncated": "9f9486d9580a2fbde394bd13d391b9e9daebf4eadd3731ae226070f569c910aa",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_ARTIFACTS))
 def test_cli_verify_bad_artifacts_fail_cleanly(tmp_path, case):
     name, act, code, prefix = BAD_ARTIFACTS[case]
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
     act(d / name)
-    _assert_verify_fails_cleanly(d, code, prefix)
+    _assert_verify_fails_cleanly(d, code, prefix, case)
 
 
 def test_cli_verify_names_each_missing_file(tmp_path):
@@ -420,12 +452,20 @@ def test_cli_verify_names_each_missing_file(tmp_path):
     ]
 
 
-def _assert_verify_fails_cleanly(d, code, prefix):
+def _verify_output(d, out):
+    """verify's exit code, stdout and stderr as one text, with the
+    artifacts directory d written as <artifacts>."""
+    return f"{out.returncode}\n{out.stdout}\0{out.stderr}".replace(str(d), "<artifacts>")
+
+
+def _assert_verify_fails_cleanly(d, code, prefix, case):
     out = _verify_in_child(d)
     assert "Traceback" not in out.stderr
     assert out.returncode == code
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+    digest = hashlib.sha256(_verify_output(d, out).encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[case]
 
 
 def _replace_by_directory(path):
@@ -456,7 +496,7 @@ def test_cli_verify_unreadable_artifacts_fail_cleanly(tmp_path, case):
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
     act(d / name)
-    _assert_verify_fails_cleanly(d, 1, prefix)
+    _assert_verify_fails_cleanly(d, 1, prefix, case)
 
 
 def test_cli_artifact_walk_is_the_saved_set(tmp_path, capsys):
@@ -690,6 +730,16 @@ CONSTRUCTION_FAILURES = {
 }
 
 
+# sha256 of the stderr of each CONSTRUCTION_FAILURES case
+CONSTRUCTION_FAILURE_DIGESTS = {
+    "construct_compliant_level_3_out_of_range": "388820cfdf1df730e857c91155406c20d10e65ba22a50155bfc023b0533699b0",
+    "construct_level_cannot_be_built": "7c2ada263b4203c298fdb1083e79400be268f64fdbaf0e20edba679d8b3b225b",
+    "construct_modulus_out_of_range": "3475e20d2a817206a67cfd027a54232ed5178d13488d2cbac5964cefcdb6810d",
+    "gap_modulus_out_of_range": "3475e20d2a817206a67cfd027a54232ed5178d13488d2cbac5964cefcdb6810d",
+    "verify_level_cannot_be_built": "7c2ada263b4203c298fdb1083e79400be268f64fdbaf0e20edba679d8b3b225b",
+}
+
+
 @pytest.mark.parametrize("case", sorted(CONSTRUCTION_FAILURES))
 def test_cli_construction_failure_exits_4_in_one_line(tmp_path, case):
     argv, prefix = CONSTRUCTION_FAILURES[case]
@@ -700,6 +750,8 @@ def test_cli_construction_failure_exits_4_in_one_line(tmp_path, case):
     assert out.returncode == 4
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+    digest = hashlib.sha256(out.stderr.encode()).hexdigest()
+    assert digest == CONSTRUCTION_FAILURE_DIGESTS[case]
 
 
 def test_cli_verify_reports_a_failed_level_invariant(tmp_path, monkeypatch, capsys):
