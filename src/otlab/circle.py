@@ -21,10 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 # The one bound on a tower: no level modulus, M_1 = m_1 included, may
-# exceed it.  Every level array is int32, and below 2^31 - 1 each stored
-# value fits: 0 <= sigma < M, |tau| < M, |phi| <= (M-1)/2 and the
-# quasi-cost |1 + phi - phi o sigma| <= M.  Products of an index by a step
-# count (< 2^62) are formed in int64 chunk temporaries.
+# exceed it.  Below 2^31 - 1 every value a level takes fits int32, the
+# dtype of the runs of tau and of the quasi-cost pieces and of every
+# array expanded from them: 0 <= sigma < M, |tau| < M, |phi| <= (M-1)/2
+# and the quasi-cost |1 + phi - phi o sigma| <= M.  Products of an index
+# by a step count (< 2^62) and the floor sums behind `phi_points` (< 2^62)
+# are formed in int64.
 _MAX_MODULUS = 2**31 - 1
 
 
@@ -238,6 +240,85 @@ def index_chunks(M: int):
         yield lo, min(lo + step, M)
 
 
+class Runs:
+    """A function on 0..size-1 held by its maximal constant runs.
+
+    Run r takes values[r] on the indices starts[r]..starts[r+1]-1, the
+    last run up to size-1; starts rises from 0 and neighbouring runs
+    differ in value, so a function has one Runs, and its run-length code
+    is (values, run lengths).  A construction level is a few runs per
+    parent index whatever its modulus, so each pass expands only the runs
+    that meet its index chunk (`chunk`); `array` expands the whole
+    function, for callers that need it, into a fresh array.  starts and
+    values are read-only."""
+
+    __slots__ = ("starts", "values", "size")
+
+    def __init__(self, starts, values, size: int):
+        starts.setflags(write=False)
+        values.setflags(write=False)
+        self.starts = starts
+        self.values = values
+        self.size = size
+
+    @classmethod
+    def from_starts(cls, starts, values, size: int) -> "Runs":
+        """The function that takes values[i] from starts[i] on, up to the
+        next start: starts ascend from 0, and of equal starts the last
+        one counts."""
+        starts = np.asarray(starts, dtype=np.int64)
+        values = np.asarray(values)
+        last = np.ones(starts.size, dtype=bool)
+        np.not_equal(starts[1:], starts[:-1], out=last[:-1])
+        starts, values = starts[last], values[last]
+        new = np.ones(starts.size, dtype=bool)
+        np.not_equal(values[1:], values[:-1], out=new[1:])
+        return cls(starts[new], values[new], size)
+
+    @classmethod
+    def from_array(cls, a) -> "Runs":
+        """The runs of the array a, found one index chunk at a time."""
+        starts = [np.zeros(min(a.size, 1), dtype=np.int64)]
+        for lo, hi in index_chunks(a.size - 1):  # a[i + 1] against a[i]
+            starts.append(np.flatnonzero(a[lo + 1 : hi + 1] != a[lo:hi]) + (lo + 1))
+        starts = np.concatenate(starts)
+        return cls(starts, a[starts], a.size)
+
+    def lengths(self) -> np.ndarray:
+        out = np.empty_like(self.starts)
+        np.subtract(self.starts[1:], self.starts[:-1], out=out[:-1])
+        out[-1:] = self.size - self.starts[-1:]
+        return out
+
+    def chunk(self, lo: int, hi: int) -> np.ndarray:
+        """The values at the indices lo..hi-1, as a fresh array."""
+        first = int(np.searchsorted(self.starts, lo, side="right")) - 1
+        stop = int(np.searchsorted(self.starts, hi, side="left"))
+        edges = np.append(self.starts[first:stop], hi)
+        edges[0] = lo
+        return np.repeat(self.values[first:stop], np.diff(edges))
+
+    def array(self) -> np.ndarray:
+        return np.repeat(self.values, self.lengths())
+
+    def at(self, x):
+        """The values at the indices x."""
+        return self.values[np.searchsorted(self.starts, x, side="right") - 1]
+
+    def sum_below(self, x):
+        """The sums of the values at the indices below each of x, as int64
+        (for a mask: how many of those indices it holds)."""
+        r = np.searchsorted(self.starts, x, side="right") - 1
+        v = self.values.astype(np.int64)
+        before = np.concatenate([[0], np.cumsum(v * self.lengths())])
+        return before[r] + v[r] * (np.asarray(x) - self.starts[r])
+
+    def rle(self) -> list:
+        """[[value, run_length], ...], as Python ints."""
+        pairs = np.stack([self.values.astype(np.int64), self.lengths()], axis=1)
+        return pairs.tolist()
+
+
 _CSV_HEADER = b"index,left_endpoint,value\n"
 
 
@@ -371,10 +452,12 @@ def _orbit_weights(tower: ModulusTower, n: int, lo: int, hi: int):
     return orbit, _half_weights(tower.middle_index(n), orbit)
 
 
-@lru_cache(maxsize=16)
 def _phi_values(tower: ModulusTower, n: int):
     """phi at the orbit index of step i is the sum of the weights of
-    steps 0..i-1, accumulated chunk by chunk with a carry."""
+    steps 0..i-1, accumulated chunk by chunk with a carry, into a fresh
+    level-sized array: the whole potential, for `gap`, the oscillation
+    scan and the demos.  The construction reads phi at points only
+    (`phi_points`)."""
     M = tower.modulus(n)
     phi = np.empty(M, dtype=np.int32)
     carry = 0
@@ -387,6 +470,46 @@ def _phi_values(tower: ModulusTower, n: int):
         carry = int(partial[-1] + w[-1])
     phi.setflags(write=False)
     return phi
+
+
+def _floor_sums(n, m: int, a: int, b):
+    """sum_{i<n} floor((a*i + b)/m) for each entry of the int64 arrays n
+    and b (n, b >= 0; 0 <= a < m < 2^31), by the Euclid-like reduction
+    of `floor_sum` in the AtCoder Library, on every entry at once.  The
+    entries still reducing are kept compact; each sum, and every term
+    and product on the way, stays below 2^62."""
+    n = np.array(n, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    m = np.full(n.shape, m, dtype=np.int64)
+    a = np.full(n.shape, a, dtype=np.int64)
+    out = np.zeros(n.shape, dtype=np.int64)
+    at = np.arange(n.size)
+    while at.size:
+        part = (n - 1) * n // 2 * (a // m)
+        a %= m
+        part += n * (b // m)
+        b %= m
+        out[at] += part
+        y = a * n + b
+        more = y >= m
+        at, y, m, a = at[more], y[more], m[more], a[more]
+        n, b = y // m, y % m
+        m, a = a, m
+    return out
+
+
+def phi_points(tower: ModulusTower, n: int, x) -> np.ndarray:
+    """phi at the indices x (int64), each in O(log M_n) steps.
+
+    x is the orbit index of step k = x * P_n^-1 (mod M_n), and phi(x)
+    counts the steps i < k that land below the middle index minus those
+    that land above it.  For 0 <= b <= M the steps with iP mod M >= b
+    number floor_sum(k, M, P, M - b) - floor_sum(k, M, P, 0)."""
+    M, P, mid = tower.modulus(n), tower.step(n), tower.middle_index(n)
+    k = np.asarray(x, dtype=np.int64) % M * tower.step_inverse(n) % M
+    fs = _floor_sums(np.tile(k, 3), M, P, np.repeat([M - mid, M - mid - 1, 0], k.size))
+    at_or_above_mid, above_mid, base = fs.reshape(3, -1)
+    return k - (at_or_above_mid - base) - (above_mid - base)
 
 
 def phi_level(tower: ModulusTower, n: int) -> StepFunction:

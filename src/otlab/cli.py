@@ -109,13 +109,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-# Peak RSS of `construct` and of `verify` per index of the deepest level,
-# rounded up: measured 19.5 to 19.7 bytes on the (7c) tower (M =
-# 4,706,261), of which the interpreter's fixed share is about 6.6; it is
-# smaller on larger towers.  The level arrays (tau and phi in int32, three
-# bool masks) are 11 bytes; sigma is made one index chunk at a time.
-_BYTES_PER_INDEX = 20
-
 # Peak RSS of `gap` per arc of the truncated cost, whose (M+1)*M_j graph
 # cells bound the arc count, rounded up: measured 822 bytes at (5, 16001)
 # (M_j = 80,005), 763 at (5, 30011) (M_j = 150,055) and 701 at the
@@ -146,7 +139,8 @@ def _available_memory() -> Optional[int]:
 
 
 class _TooLarge(Exception):
-    """A build that would not fit in available memory."""
+    """A build that would not fit in available memory, or artifacts that
+    would not fit on disk."""
 
 
 def _check_memory(what: str, need: int):
@@ -160,6 +154,39 @@ def _check_memory(what: str, need: int):
         )
 
 
+def _csv_bytes(M: int) -> int:
+    """About the size of a level's quasi-cost CSV: a 26-byte header, then
+    one row "l,p/q,v/1" per index, with l, p and q of at most as many
+    digits as M and most values a single digit (at (13c), 32.7 bytes per
+    row against the 34 counted here)."""
+    return 26 + M * (3 * len(str(M)) + 7)
+
+
+def _free_space(path: str) -> Optional[int]:
+    """Bytes free to an unprivileged writer on the file system that holds
+    path, or the nearest directory above it that exists; None where the
+    OS does not say."""
+    path = os.path.abspath(path)
+    while not os.path.exists(path) and os.path.dirname(path) != path:
+        path = os.path.dirname(path)
+    try:
+        st = os.statvfs(path)
+    except (OSError, AttributeError):  # no statvfs on Windows
+        return None
+    return st.f_bavail * st.f_frsize
+
+
+def _check_disk(outdir: str, need: int):
+    """_TooLarge, saying why, when artifacts of about `need` bytes would
+    not fit in the free space at outdir."""
+    have = _free_space(outdir)
+    if have is not None and need > have:
+        raise _TooLarge(
+            f"the artifacts need about {math.ceil(need / 2**20)} MB on disk, "
+            f"more than the {have >> 20} MB free at {outdir}"
+        )
+
+
 def cmd_construct(args) -> int:
     from . import circle, tau
 
@@ -168,8 +195,7 @@ def cmd_construct(args) -> int:
     except ValueError as e:
         _progress(str(e))
         return EXIT_USAGE
-    M = tower.modulus(args.depth)
-    _check_memory(f"level modulus {M}", _BYTES_PER_INDEX * M)
+    _check_disk(args.outdir, sum(_csv_bytes(M) for M in tower.M))
     levels = tau.build_levels(tower, args.depth)
     _progress(f"tower primes: {tower.primes} ({tower.mode})")
 
@@ -234,7 +260,7 @@ def _artifacts(tower, levels, check: bool = False):
         if check:
             sums.append(tau.LevelChecks(level, tower))
         chunks = tau.quasi_cost_chunks(level, tower, *sums)
-        blocks = circle.csv_blocks(level.modulus, ((lo, q) for lo, _, q in chunks))
+        blocks = circle.csv_blocks(level.modulus, chunks)
         yield level, f"quasi_cost_level_{n}.csv", blocks, None
         for _ in chunks:
             pass
@@ -342,9 +368,6 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
 
     depth = tower.depth
-    M = tower.modulus(depth)
-    _check_memory(f"level modulus {M}", _BYTES_PER_INDEX * M)
-
     failures = [
         f"level {n}: {name} is deeper than the saved tower" for n, name in level_files if n > depth
     ]

@@ -20,7 +20,7 @@ is 1.
 
 `level_scalars` is the one per-level record: the singular ledger, the
 singular build-up diagnostic, and the dual value and correction norm,
-from one chunked pass over the quasi-cost.  `LevelScalarSums` gathers
+from one chunked pass over the quasi-cost pieces.  `LevelScalarSums` gathers
 the same record from a pass that something else drives, such as the
 level's CSV pass in `construct` and `verify`.  `verify_feasibility` is the
 index-by-index check of the pair on the three graphs.
@@ -50,17 +50,13 @@ def _one_step_cost(tower: ModulusTower, n: int, lo: int = 0, hi: Optional[int] =
     return np.where(idx < tower.middle_index(n), 0, 2)
 
 
-def _correction(level: TauLevel, tower: ModulusTower, phi, lo: int, hi: int):
+def _correction(tower: ModulusTower, n: int, lo: int, hi: int):
     """phi_raw - phi_corrected at indices lo..hi-1: the positive part of
     the one-step excess of (phi, psi = 1 - phi), the diagonal and
-    constructed-graph excesses being zero."""
-    n = level.level
-    rot = np.arange(lo, hi, dtype=np.int64)
-    rot += tower.step(n)
-    rot %= level.modulus
-    excess = quasi_cost_values(phi, rot, lo)
-    excess -= _one_step_cost(tower, n, lo, hi)
-    return np.maximum(excess, 0)
+    constructed-graph excesses being zero.  The one-step quasi-cost is
+    1 - w by the identity above, so no phi is read."""
+    w = np.sign(tower.middle_index(n) - np.arange(lo, hi, dtype=np.int64))
+    return np.maximum(1 - w - _one_step_cost(tower, n, lo, hi), 0)
 
 
 class _CorrectionSums:
@@ -71,11 +67,10 @@ class _CorrectionSums:
     def __init__(self, level: TauLevel, tower: ModulusTower):
         self.level = level
         self.tower = tower
-        self.phi = phi_level(tower, level.level).values
         self.correction = 0
 
-    def add(self, lo: int, sigma, q):
-        corr = _correction(self.level, self.tower, self.phi, lo, lo + len(q))
+    def add(self, lo: int, q):
+        corr = _correction(self.tower, self.level.level, lo, lo + len(q))
         self.correction += int(corr.sum(dtype=np.int64))
 
     def result(self):
@@ -171,7 +166,7 @@ class _DiagnosticSums:
         self.negatives = [np.zeros(0, dtype=np.int64)]
         self.plus = self.minus = 0
 
-    def add(self, lo: int, sigma, q):
+    def add(self, lo: int, q):
         self.negatives.append(q[q < 0])
         self.plus += int(np.where(q > 1, q - 1, 0).sum(dtype=np.int64))
         self.minus += int(np.where(q < 1, 1 - q, 0).sum(dtype=np.int64))
@@ -190,7 +185,7 @@ class _DiagnosticSums:
             level=self.level.level,
             negative_mass=Fraction(int(prefix[-1]), M),
             carrier_measure=Fraction(len(neg), M),
-            singular_set_measure=Fraction(int(np.count_nonzero(self.level.singular_mask)), M),
+            singular_set_measure=Fraction(int(self.level.singular_runs.sum_below(M)), M),
             small_set_sup=sup,
             mass_balance_ok=self.plus == self.minus,
         )
@@ -227,9 +222,9 @@ class LevelScalarSums:
             LedgerSums(level, tower), _DiagnosticSums(level), _CorrectionSums(level, tower)
         )
 
-    def add(self, lo: int, sigma, q):
+    def add(self, lo: int, q):
         for s in self.sums:
-            s.add(lo, sigma, q)
+            s.add(lo, q)
 
     def result(self) -> LevelScalars:
         ledger, diagnostic, (value, norm) = (s.result() for s in self.sums)

@@ -60,7 +60,7 @@ def _invert(tau, sigma):
 
 def _diagonal_seed(tower: ModulusTower, j: int) -> TauLevel:
     """Fresh row-j map: the inverse of the outward shuffle at scale j."""
-    tau_fwd = outward_shuffle(tower, j)
+    tau_fwd = outward_shuffle(tower, j).array()
     sigma_fwd = sigma_of(tower, j, tau_fwd)
     _require_permutation(sigma_fwd, f"diagonal seed at level {j}")
     tau = _invert(tau_fwd, sigma_fwd)

@@ -26,20 +26,12 @@ if TYPE_CHECKING:
 
 def rle_encode(values) -> list:
     """[[value, run_length], ...] over the sequence, as Python ints; run
-    starts are found one index chunk at a time."""
+    starts are found one index chunk at a time (`circle.Runs`)."""
     import numpy as np
 
-    from .circle import index_chunks
+    from .circle import Runs
 
-    a = np.asarray(values)
-    if a.size == 0:
-        return []
-    starts = [np.zeros(1, dtype=np.int64)]
-    for lo, hi in index_chunks(a.size - 1):  # a[i + 1] against a[i]
-        starts.append(np.flatnonzero(a[lo + 1 : hi + 1] != a[lo:hi]) + (lo + 1))
-    starts = np.concatenate(starts)
-    lengths = np.diff(starts, append=a.size)
-    return np.stack([a[starts].astype(np.int64), lengths], axis=1).tolist()
+    return Runs.from_array(np.asarray(values)).rle()
 
 
 def rle_pairs(pairs) -> np.ndarray:
@@ -80,9 +72,9 @@ def tau_level_to_dict(level: TauLevel, tower: ModulusTower) -> dict:
         "level": level.level,
         "modulus": level.modulus,
         "primes": list(tower.primes[: level.level]),
-        "tau_rle": rle_encode(level.tau),
-        "good_rle": rle_encode(level.good_mask),
-        "singular_rle": rle_encode(level.singular_mask),
+        "tau_rle": level.tau_runs.rle(),
+        "good_rle": level.good_runs.rle(),
+        "singular_rle": level.singular_runs.rle(),
     }
 
 

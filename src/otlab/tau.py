@@ -11,12 +11,22 @@ sub-blocks round into the gaps they leave, and routes each singular
 block as compensating good halves plus a small singular core thrown
 into the middle region of the image block.
 
-Displacements are stored as step counts tau(l); the induced map
-sigma(l) = l + tau(l) * P_n (mod M_n) is not stored but computed from tau
-one index chunk at a time (`sigma_chunks`).  Wherever a sub-block is assigned
+Displacements are step counts tau(l); the induced map is
+sigma(l) = l + tau(l) * P_n (mod M_n).  Wherever a sub-block is assigned
 a target, the step count is the unique representative in (-M_n, M_n)
 whose full rotation orbit (endpoints included) avoids the middle index;
 existence is checked, never assumed.
+
+A level is held as what it is, a few constant runs per parent index
+(`circle.Runs`): tau and its good, singular and changed masks, which
+`extend_tau` emits block by block.  No level-sized array is stored, and
+none is made on the way from one level to the next.  On a run, sigma is
+a translation, so the permutation and middle-avoidance checks take
+O(runs) work (`_tiles`, `_avoidance_hits`), and the quasi-cost is a
+handful of constant pieces computed from the runs with no phi array
+(`quasi_cost_pieces`).  The passes that must visit every index (the CSV,
+the dual record, the invariant checks) expand the runs and pieces one
+index chunk at a time (`quasi_cost_chunks`).
 
 `TauLevel` is the package's one interval-permutation type: it holds the
 construction levels built here and, without good/singular masks, the
@@ -28,49 +38,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .circle import (
-    ModulusTower,
-    StepFunction,
-    index_chunks,
-    phi_level,
-    quasi_cost_values,
-)
+from .circle import ModulusTower, Runs, StepFunction, index_chunks, phi_points
 
 
 class GrowthTooSmall(Exception):
     """The boundary/gap combinatorics of a refinement step do not fit."""
 
 
-def _avoidance_step(M: int, Pinv: int, mid: int, src: int, dst: int) -> int:
-    """Unique step count in (-M, M) from src to dst with a middle-free
-    orbit.  Exactly one of the two candidates works when neither endpoint
-    is the middle index."""
-    t0 = ((dst - src) * Pinv) % M
-    if t0 == 0:
-        return 0
-    istar = ((mid - src) * Pinv) % M
-    if istar == 0 or istar == t0:
+def _avoidance_steps(M: int, Pinv: int, mid: int, src, dst):
+    """The step counts in (-M, M) from each index of src to the index of
+    dst beside it whose orbits avoid the middle index, as int64: exactly
+    one of the two candidates t0 and t0 - M does when neither endpoint is
+    the middle index.  GrowthTooSmall names the first pair with no such
+    step."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    t0 = (dst - src) * Pinv % M
+    onto_mid = (mid - src) * Pinv % M  # the orbit step from src onto mid
+    bad = np.flatnonzero((t0 != 0) & ((onto_mid == 0) | (onto_mid == t0)))
+    if bad.size:
+        k = bad[0]
         raise GrowthTooSmall(
-            f"cannot route {src} -> {dst} around the middle index {mid}"
+            f"cannot route {src[k]} -> {dst[k]} around the middle index {mid}"
         )
-    return t0 if istar > t0 else t0 - M
+    return np.where((onto_mid > t0) | (t0 == 0), t0, t0 - M)
 
 
-def _avoidance_hits(t, lo: int, M: int, P_inv: int, mid: int):
-    """Indices lo, lo+1, ... of the tau chunk t whose stored orbit
-    (i = 0..tau or tau..0) hits the middle index of Z/MZ."""
-    hi = lo + len(t)
-    istar = mid - np.arange(lo, hi, dtype=np.int64)  # orbit step onto mid
-    istar *= P_inv
-    istar %= M
-    hit = ((t > 0) & (istar <= t)) | ((t < 0) & (istar - M >= t))
-    if lo <= mid < hi and t[mid - lo] != 0:
-        hit[mid - lo] = True
-    return np.flatnonzero(hit) + lo
+def _segments(lengths):
+    """(segment, offset) of each element of consecutive segments of the
+    given lengths: segment r contributes (r, 0), ..., (r, lengths[r] - 1)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    first = np.cumsum(lengths) - lengths
+    return seg, np.arange(seg.size, dtype=np.int64) - first[seg]
 
 
 @dataclass
@@ -83,38 +86,61 @@ class SingularLedger:
     change_measure: Fraction
 
 
-@dataclass(frozen=True, eq=False)
 class TauLevel:
-    """A level-n interval permutation of Z/M_nZ, held by its step counts.
+    """A level-n interval permutation of Z/M_nZ, held by the runs of its
+    step counts.
 
-    tau is an int32 array; the map sigma it induces is computed from it
-    chunk by chunk (`sigma_chunks`), never stored.  Construction levels
-    carry disjoint good/singular boolean masks excluding the level-1
-    middle block, whose indices keep tau = 0 at every level; gap-grid
-    cells carry no masks.  A refined level records its parent and where
-    tau changed against it.  Every array is read-only.
+    tau_runs holds tau.  A construction level also holds its disjoint
+    good and singular masks as runs; they leave out the level-1 middle
+    block, whose indices keep tau = 0 at every level.  Gap-grid cells
+    carry no masks.  A refined level records its parent and, as runs,
+    where tau changed against it.  tau and each mask may be given as
+    runs or as a whole array.
+
+    The properties tau, good_mask, singular_mask and changed_mask expand
+    a whole read-only array on each call and keep none: they serve `gap`,
+    the demos and the tests.  The level passes expand one index chunk at
+    a time.
     """
 
-    level: int
-    tau: np.ndarray
-    good_mask: Optional[np.ndarray] = None
-    singular_mask: Optional[np.ndarray] = None
-    changed_mask: Optional[np.ndarray] = None
-    parent: Optional["TauLevel"] = None
+    __slots__ = ("level", "tau_runs", "good_runs", "singular_runs", "changed_runs", "parent")
 
-    def __post_init__(self):
-        for arr in (self.tau, self.good_mask, self.singular_mask, self.changed_mask):
-            if arr is not None:
-                arr.setflags(write=False)
+    def __init__(self, level: int, tau, good_mask=None, singular_mask=None,
+                 changed_mask=None, parent: "TauLevel | None" = None):
+        self.level = level
+        self.tau_runs = _as_runs(tau, np.int32)
+        self.good_runs = _as_runs(good_mask, bool)
+        self.singular_runs = _as_runs(singular_mask, bool)
+        self.changed_runs = _as_runs(changed_mask, bool)
+        self.parent = parent
 
     @property
     def modulus(self) -> int:
-        return int(self.tau.shape[0])
+        return self.tau_runs.size
+
+    @property
+    def tau(self):
+        return _expanded(self.tau_runs)
+
+    @property
+    def good_mask(self):
+        return _expanded(self.good_runs)
+
+    @property
+    def singular_mask(self):
+        return _expanded(self.singular_runs)
+
+    @property
+    def changed_mask(self):
+        return _expanded(self.changed_runs)
 
     def require_masks(self, what: str):
         """ValueError unless this level carries the good/singular masks of
         a construction level (gap-grid cells carry none)."""
-        missing = [k for k in ("good_mask", "singular_mask") if getattr(self, k) is None]
+        missing = [
+            k for k, runs in (("good_mask", self.good_runs), ("singular_mask", self.singular_runs))
+            if runs is None
+        ]
         if missing:
             raise ValueError(
                 f"{what} needs a construction level; this level-{self.level} "
@@ -122,10 +148,10 @@ class TauLevel:
             )
 
     def good_indices(self):
-        return np.nonzero(self.good_mask)[0]
+        return np.flatnonzero(self.good_mask)
 
     def singular_indices(self):
-        return np.nonzero(self.singular_mask)[0]
+        return np.flatnonzero(self.singular_mask)
 
     def middle1_block(self, tower: ModulusTower) -> slice:
         """Indices below the level-1 middle interval, a contiguous block."""
@@ -134,66 +160,49 @@ class TauLevel:
         return slice(mid1 * span, (mid1 + 1) * span)
 
 
-def sigma_chunk(tower: ModulusTower, n: int, tau, lo: int, hi: int, out=None):
-    """The induced map sigma(l) = l + tau(l) * P_n (mod M_n) on the
-    indices lo..hi-1, as int64: tau(l) * P_n (up to about M_n^2) does not
-    fit int32.  Written into the front of the int64 buffer out when
-    given."""
-    M, P = tower.modulus(n), tower.step(n)
-    s = np.empty(hi - lo, dtype=np.int64) if out is None else out[: hi - lo]
-    s[:] = tau[lo:hi]
-    s *= P
-    s += np.arange(lo, hi, dtype=np.int64)
-    s %= M
+def _as_runs(x, dtype):
+    if x is None or isinstance(x, Runs):
+        return x
+    return Runs.from_array(np.asarray(x, dtype=dtype))
+
+
+def _expanded(runs):
+    if runs is None:
+        return None
+    a = runs.array()
+    a.setflags(write=False)
+    return a
+
+
+def _sigma(tower: ModulusTower, n: int, t, lo: int):
+    """sigma(l) = l + tau(l) * P_n (mod M_n) on the indices lo, lo+1, ...
+    of the tau chunk t, as int64: tau(l) * P_n (up to about M_n^2) does
+    not fit int32."""
+    s = t.astype(np.int64)
+    s *= tower.step(n)
+    s += np.arange(lo, lo + len(t), dtype=np.int64)
+    s %= tower.modulus(n)
     return s
 
 
-def sigma_chunks(tower: ModulusTower, n: int, tau):
-    """(lo, sigma[lo:hi]) over the index chunks of Z/M_nZ, in one int64
-    chunk buffer that every chunk reuses: a chunk is valid until the
-    next one is made."""
-    buf = np.empty(0, dtype=np.int64)
-    for lo, hi in index_chunks(tau.shape[0]):
-        if buf.size < hi - lo:  # the first chunk, the longest
-            buf = np.empty(hi - lo, dtype=np.int64)
-        yield lo, sigma_chunk(tower, n, tau, lo, hi, buf)
-
-
 def sigma_of(tower: ModulusTower, n: int, tau):
-    """The whole induced map sigma as int32, filled from `sigma_chunks`."""
+    """The whole induced map sigma of a tau array, as int32, computed one
+    index chunk at a time."""
     sigma = np.empty(tau.shape[0], dtype=np.int32)
-    for lo, s in sigma_chunks(tower, n, tau):
-        sigma[lo : lo + len(s)] = s
+    for lo, hi in index_chunks(tau.shape[0]):
+        sigma[lo:hi] = _sigma(tower, n, tau[lo:hi], lo)
     return sigma
 
 
-class _PermutationMarks:
-    """Is a map of 0..M-1, fed chunk by chunk, one-to-one onto itself?
-    M images inside 0..M-1 that reach every index are."""
-
-    def __init__(self, M: int):
-        self.seen = np.zeros(M, dtype=bool)
-        self.in_range = True
-
-    def add(self, s):
-        if not self.in_range:
-            return
-        if s.min() < 0 or s.max() >= self.seen.shape[0]:
-            self.in_range = False
-        else:
-            self.seen[s] = True
-
-    def result(self) -> bool:
-        return self.in_range and bool(self.seen.all())
-
-
 def is_permutation(sigma) -> bool:
-    """Does sigma map 0..M-1 one-to-one onto itself (M = len(sigma))?"""
+    """Does the array sigma map 0..M-1 one-to-one onto itself (M =
+    len(sigma))?  M images inside 0..M-1 that reach every index do."""
     M = sigma.shape[0]
-    marks = _PermutationMarks(M)
-    for lo, hi in index_chunks(M):
-        marks.add(sigma[lo:hi])
-    return marks.result()
+    if M and (sigma.min() < 0 or sigma.max() >= M):
+        return False
+    seen = np.zeros(M, dtype=bool)
+    seen[sigma] = True
+    return bool(seen.all())
 
 
 def _require_permutation(sigma, what: str):
@@ -201,63 +210,113 @@ def _require_permutation(sigma, what: str):
         raise GrowthTooSmall(f"{what} is not a permutation")
 
 
-def shuffle_block(tau, lo, dst, steps, movers, M: int, Pinv: int, mid: int):
+def _tiles(level: TauLevel, tower: ModulusTower) -> bool:
+    """Is the level's sigma a permutation?  On a run of tau, sigma is the
+    translation by tau * P_n, so the run's image is one cyclic interval
+    as long as the run.  The run lengths add up to M_n, so sigma is onto,
+    and so one-to-one, exactly when those intervals, ordered by their
+    first index, each begin where the one before ends."""
+    r = level.tau_runs
+    first = (r.starts + r.values.astype(np.int64) * tower.step(level.level)) % level.modulus
+    order = np.argsort(first, kind="stable")
+    first, length = first[order], r.lengths()[order]
+    return bool((first[1:] == first[:-1] + length[:-1]).all())
+
+
+def _avoidance_hits(level: TauLevel, tower: ModulusTower):
+    """The indices, ascending, whose stored orbit (i = 0..tau(l) or
+    tau(l)..0 steps of P_n) passes the middle index.
+
+    On a run with step t != 0, only the |t| + 1 indices mid - i * sgn(t)
+    * P_n (i = 0..|t|) can, so a run looks at min(|t| + 1, its length)
+    indices: those candidates, or else each of its own indices l, whose
+    orbit reaches the middle at step (mid - l) * P_n^-1 (mod M_n)."""
+    n, M = level.level, level.modulus
+    P, P_inv, mid = tower.step(n), tower.step_inverse(n), tower.middle_index(n)
+    r = level.tau_runs
+    moving = np.flatnonzero(r.values)
+    a, L, t = r.starts[moving], r.lengths()[moving], r.values[moving].astype(np.int64)
+    few = np.abs(t) < L  # look at the candidates
+    seg, i = _segments(np.where(few, np.abs(t) + 1, L))
+    a, L, t, few = a[seg], L[seg], t[seg], few[seg]
+    cand = (mid - np.sign(t) * i * P) % M  # i * P < M^2 fits int64
+    idx = np.where(few, cand, a + i)
+    onto_mid = (mid - idx) * P_inv % M
+    hit = np.where(
+        few,
+        (cand >= a) & (cand < a + L),
+        ((t > 0) & (onto_mid <= t)) | ((t < 0) & ((onto_mid == 0) | (onto_mid - M >= t))),
+    )
+    return np.sort(idx[hit])
+
+
+def shuffle_block(lo: int, dst: int, m: int, stays, movers):
     """Route the sub-blocks of the block at lo into the image block at dst.
 
-    Sub-block s takes the step count steps[s] and covers position
-    s + steps[s] of the image block, except the movers (ascending), which
-    fill the positions left uncovered, in order, by middle-avoiding
-    steps."""
-    m = len(steps)
-    tau[lo : lo + m] = steps
-    stay = np.ones(m, dtype=bool)
-    stay[movers] = False
-    covered = np.zeros(m, dtype=bool)
-    covered[np.flatnonzero(stay) + steps[stay]] = True
-    gaps = np.flatnonzero(~covered)
-    if gaps.shape[0] != len(movers):
+    Each stay (start, stop, step) keeps the sub-blocks start..stop-1 at
+    the step count step, and they cover the positions start + step ..
+    stop - 1 + step of the image block.  The movers, ascending (start,
+    stop) ranges of sub-blocks, fill the positions left uncovered, in
+    order.  Returns the runs of the stays, as (index, step) pairs, and
+    the movers' indices with their targets, whose middle-avoiding steps
+    the caller takes for many blocks at once (`_avoidance_steps`)."""
+    stays = [(a, b, t) for a, b, t in stays if b > a]
+    free, end = [], 0
+    for a, b in sorted((max(a + t, 0), min(b + t, m)) for a, b, t in stays):
+        free.extend(range(end, a))
+        end = max(end, b)
+    free.extend(range(end, m))
+    moving = [s for a, b in movers for s in range(a, b)]
+    if len(free) != len(moving):
         raise GrowthTooSmall(
-            f"{gaps.shape[0]} uncovered positions for {len(movers)} movers "
+            f"{len(free)} uncovered positions for {len(moving)} movers "
             f"in the block at {lo}"
         )
-    for s, d in zip(movers, gaps):
-        tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + int(s), dst + int(d))
+    return [(lo + a, t) for a, _, t in stays], [lo + s for s in moving], [dst + d for d in free]
 
 
-def outward_shuffle(tower: ModulusTower, n: int):
-    """tau of the within-block shuffle at scale n: in every level-(n-1)
-    block the bulk steps M_{n-1} sub-blocks outward (M_0 = 1), the middle
-    sub-block stays, and the 2*M_{n-1} boundary sub-blocks fill the
-    central gaps."""
+def _routed(stay_at, stay_step, sources, targets, M: int, Pinv: int, mid: int):
+    """(starts, steps) of the runs of the stays (at stay_at, of step
+    stay_step) and of the movers, each a run of its own, by index."""
+    starts = np.concatenate([stay_at, sources]).astype(np.int64)
+    steps = np.concatenate([stay_step, _avoidance_steps(M, Pinv, mid, sources, targets)])
+    order = np.argsort(starts, kind="stable")
+    return starts[order], steps[order].astype(np.int32)
+
+
+def outward_shuffle(tower: ModulusTower, n: int) -> Runs:
+    """Runs of the tau of the within-block shuffle at scale n: in every
+    level-(n-1) block the bulk steps M_{n-1} sub-blocks outward (M_0 =
+    1), the middle sub-block stays, and the 2*M_{n-1} boundary sub-blocks
+    fill the central gaps.  Every block is routed as the first one is,
+    shifted to its place."""
     tower.require_level(n)
     m = tower.primes[n - 1]
     M = tower.M[n - 1]
     M_prev = tower.M[n - 2] if n >= 2 else 1
     if m < 2 * M_prev + 1:
         raise GrowthTooSmall(f"m_{n} = {m} < 2*M_{n-1}+1 = {2 * M_prev + 1}")
-    steps = np.sign(np.arange(m) - (m - 1) // 2) * M_prev
-    movers = np.r_[0:M_prev, m - M_prev : m]
-    Pinv, mid = tower.step_inverse(n), tower.middle_index(n)
-    tau = np.empty(M, dtype=np.int32)
-    for lo in range(0, M, m):
-        shuffle_block(tau, lo, lo, steps, movers, M, Pinv, mid)
-    return tau
+    h = (m - 1) // 2
+    stays = [(M_prev, h, -M_prev), (h, h + 1, 0), (h + 1, m - M_prev, M_prev)]
+    runs, sources, targets = shuffle_block(0, 0, m, stays, [(0, M_prev), (m - M_prev, m)])
+    shift = np.arange(0, M, m, dtype=np.int64)[:, None]
+    stay_at, stay_step = zip(*runs)
+    starts, steps = _routed(
+        (shift + stay_at).ravel(), np.tile(stay_step, shift.size),
+        (shift + sources).ravel(), (shift + targets).ravel(),
+        M, tower.step_inverse(n), tower.middle_index(n),
+    )
+    return Runs.from_starts(starts, steps, M)
 
 
 def _checked(level: TauLevel, tower: ModulusTower) -> TauLevel:
-    """The level, once its sigma is a permutation and every orbit avoids
-    the middle index, both checked in one walk over the sigma chunks;
-    GrowthTooSmall otherwise."""
-    n, M = level.level, level.modulus
-    P_inv, mid = tower.step_inverse(n), tower.middle_index(n)
-    marks = _PermutationMarks(M)
-    bad = [np.zeros(0, dtype=np.int64)]
-    for lo, s in sigma_chunks(tower, n, level.tau):
-        marks.add(s)
-        bad.append(_avoidance_hits(level.tau[lo : lo + len(s)], lo, M, P_inv, mid))
-    if not marks.result():
+    """The level, once its sigma is a permutation (`_tiles`) and every
+    orbit avoids the middle index (`_avoidance_hits`); GrowthTooSmall
+    otherwise."""
+    n = level.level
+    if not _tiles(level, tower):
         raise GrowthTooSmall(f"sigma at level {n} is not a permutation")
-    bad = np.concatenate(bad)
+    bad = _avoidance_hits(level, tower)
     if bad.size:
         raise GrowthTooSmall(
             f"middle avoidance fails at level {n} for {bad.size} indices "
@@ -279,15 +338,17 @@ def build_tau_level1(tower: ModulusTower) -> TauLevel:
 
 
 def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
-    """Refine a level-(n-1) permutation to level n.
+    """Refine a level-(n-1) permutation to level n, as runs.
 
-    A parent block keeps its step on the interior and re-routes its
-    overflowing boundary sub-blocks onto the gaps at the opposite end of
-    the image block (keep-and-fill), unless it is singular with a strict
-    potential drop, in which case it splits: the good halves step tau_r
-    or tau_l and the singular core fills the gaps (`shuffle_block`).  A
-    parent without masks (a gap-grid cell) keeps and fills every block
-    and yields a child without masks.
+    A parent block keeps its step on the interior run and re-routes its
+    |t| overflowing boundary sub-blocks onto the gaps at the opposite end
+    of the image block (keep-and-fill), unless it is singular with a
+    strict potential drop phi(sigma(p)) - phi(p) = 1 - q(p), read from
+    the parent's quasi-cost pieces, in which case it splits: the good
+    halves step tau_r or tau_l and the singular core fills the gaps
+    (`shuffle_block`).  A parent without masks (a gap-grid cell) keeps
+    and fills every block and yields a child without masks.  The parent
+    is read whole: M_{n-1} = M_n / m_n indices.
     """
     n = prev.level + 1
     tower.require_level(n)
@@ -296,21 +357,23 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     Pinv = tower.step_inverse(n)
     mid = tower.middle_index(n)
     M_prev = tower.M[n - 2]
-    sigma_prev = sigma_of(tower, n - 1, prev.tau)
-    phi_prev = phi_level(tower, n - 1).values
+    t_prev = prev.tau
+    sigma_prev = sigma_of(tower, n - 1, t_prev)
 
-    masked = prev.singular_mask is not None
-    tau = np.zeros(M, dtype=np.int32)
-    good = np.zeros(M, dtype=bool) if masked else None
-    singular = np.zeros(M, dtype=bool) if masked else None
-    right_half = np.arange(m) >= (m - 1) // 2
+    masked = prev.singular_runs is not None
+    if masked:
+        good_prev, singular_prev = prev.good_mask, prev.singular_mask
+        q_prev = quasi_cost_pieces(prev, tower)
+    stay_at, stay_step, sources, targets = [], [], [], []
+    good, singular = [], []
+    h = (m - 1) // 2
 
     for p in range(M_prev):
-        t = int(prev.tau[p])
+        t = int(t_prev[p])
         q = int(sigma_prev[p])
         lo = p * m
-        is_singular_parent = masked and bool(prev.singular_mask[p])
-        dphi = int(phi_prev[q]) - int(phi_prev[p]) if is_singular_parent else 0
+        is_singular_parent = masked and bool(singular_prev[p])
+        dphi = 1 - int(q_prev.at(p)) if is_singular_parent else 0
 
         if is_singular_parent and dphi < 0:
             raise GrowthTooSmall(
@@ -318,48 +381,112 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
             )
 
         if not is_singular_parent or dphi == 0:
-            tau[lo : lo + m] = t
+            if abs(t) > m:
+                raise GrowthTooSmall(
+                    f"step {t} of parent {p} at level {n - 1} overflows its block of {m}"
+                )
+            if abs(t) < m:
+                stay_at.append(lo if t >= 0 else lo - t)
+                stay_step.append(t)
             # the |t| sub-blocks that overflow the image block wrap round
             # to the gaps at its other end
             wrap = t - m if t > 0 else t + m
             for s in range(m - t, m) if t > 0 else range(-t):
-                tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + s, q * m + s + wrap)
-            if masked and (prev.good_mask[p] or is_singular_parent):
-                good[lo : lo + m] = True
-            continue
+                sources.append(lo + s)
+                targets.append(q * m + s + wrap)
+            if masked:
+                good.append((lo, bool(good_prev[p]) or is_singular_parent))
+                singular.append((lo, False))
+        else:
+            tau_r = t + dphi * M_prev
+            tau_l = t - dphi * M_prev
+            if tau_r <= 0 or tau_l >= 0 or (-tau_l) + tau_r > m:
+                raise GrowthTooSmall(
+                    f"singular split at level {n} does not fit: "
+                    f"tau_r={tau_r}, tau_l={tau_l}, m={m}"
+                )
+            halves = [(-tau_l, min(h, m - tau_r), tau_l), (max(h, -tau_l), m - tau_r, tau_r)]
+            core = [(0, -tau_l), (m - tau_r, m)]
+            runs, src, dst = shuffle_block(lo, q * m, m, halves, core)
+            stay_at += [i for i, _ in runs]
+            stay_step += [t for _, t in runs]
+            sources += src
+            targets += dst
+            good += [(lo, False), (lo - tau_l, True), (lo + m - tau_r, False)]
+            singular += [(lo, True), (lo - tau_l, False), (lo + m - tau_r, True)]
 
-        tau_r = t + dphi * M_prev
-        tau_l = t - dphi * M_prev
-        if tau_r <= 0 or tau_l >= 0 or (-tau_l) + tau_r > m:
-            raise GrowthTooSmall(
-                f"singular split at level {n} does not fit: "
-                f"tau_r={tau_r}, tau_l={tau_l}, m={m}"
-            )
-        core = np.r_[0:-tau_l, m - tau_r : m]
-        shuffle_block(tau, lo, q * m, np.where(right_half, tau_r, tau_l), core,
-                      M, Pinv, mid)
-        good[lo - tau_l : lo + m - tau_r] = True
-        singular[lo + core] = True
+    # each block starts a run of its own: its first stay or mover
+    starts, steps = _routed(stay_at, stay_step, sources, targets, M, Pinv, mid)
+    changed = Runs.from_starts(starts, steps != t_prev[starts // m], M)
+    masks = (
+        (Runs.from_starts(*zip(*good), M), Runs.from_starts(*zip(*singular), M))
+        if masked else (None, None)
+    )
+    tau = Runs.from_starts(starts, steps, M)
+    return _checked(TauLevel(n, tau, *masks, changed, parent=prev), tower)
 
-    changed = np.empty(M, dtype=bool)
-    np.not_equal(tau.reshape(M_prev, m), prev.tau[:, None], out=changed.reshape(M_prev, m))
 
-    return _checked(TauLevel(n, tau, good, singular, changed, parent=prev), tower)
+def quasi_cost_pieces(level: TauLevel, tower: ModulusTower) -> Runs:
+    """The quasi-cost q = 1 + phi - phi o sigma of the level as constant
+    pieces, computed run by run of tau with no phi array.
+
+    Along the orbit phi(l + P) = phi(l) + w(l), with w = +1 below the
+    middle index, 0 at it and -1 above it (the +-1 weights balance on an
+    odd modulus, so this holds across the wrap too).  On a run of step
+    t > 0 therefore q(l) = 1 - sum_{i<t} w(l + iP), and for t < 0
+    q(l) = 1 + sum_{i=1..|t|} w(l - iP).  As l walks the run, each of the
+    |t| terms changes only where its point reaches the middle index (-1),
+    the index after it (-1) or wraps to 0 (+2): the run's pieces start
+    at its first index and at those events.  A run at least |t| long is
+    done so, in O(|t|) work; a shorter one takes phi at each of its
+    indices and their images from floor sums (`circle.phi_points`)."""
+    n = level.level
+    M, P, mid = tower.modulus(n), tower.step(n), tower.middle_index(n)
+    r = level.tau_runs
+    a, L, t = r.starts, r.lengths(), r.values.astype(np.int64)
+    by_events = np.abs(t) <= L
+
+    ev = np.flatnonzero(by_events)
+    sign = np.sign(t[ev])
+    seg, i = _segments(np.abs(t[ev]))
+    offset = np.where(sign[seg] > 0, i, -1 - i) * P  # |offset| < M^2 fits int64
+    x0 = (a[ev][seg] + offset) % M  # each term's point at the run's first index
+    w0 = np.bincount(seg, weights=np.sign(mid - x0), minlength=ev.size).astype(np.int64)
+    at = np.concatenate([(mid - x0) % M, (mid + 1 - x0) % M, -x0 % M])
+    delta = np.repeat(np.array([-1, -1, 2], dtype=np.int64), x0.size)
+    eseg = np.tile(seg, 3)
+    inside = (at > 0) & (at < L[ev][eseg])
+    at = a[ev][eseg[inside]] + at[inside]
+    order = np.argsort(at, kind="stable")
+    at, delta, eseg = at[order], delta[inside][order], eseg[inside][order]
+    per_run = np.bincount(eseg, weights=delta, minlength=ev.size).astype(np.int64)
+    before = np.cumsum(per_run) - per_run  # the events of the runs before each run
+    w_at = w0[eseg] + np.cumsum(delta) - before[eseg]
+
+    pt = np.flatnonzero(~by_events)
+    seg, off = _segments(L[pt])
+    idx = a[pt][seg] + off
+    phi = phi_points(tower, n, np.concatenate([idx, (idx + t[pt][seg] * P) % M]))
+
+    starts = np.concatenate([a[ev], at, idx])
+    values = np.concatenate(
+        [1 - sign * w0, 1 - sign[eseg] * w_at, 1 + phi[: idx.size] - phi[idx.size :]]
+    )
+    order = np.argsort(starts, kind="stable")
+    return Runs.from_starts(starts[order], values[order].astype(np.int32), M)
 
 
 def quasi_cost_chunks(level: TauLevel, tower: ModulusTower, *sums):
-    """(lo, sigma[lo:hi], q[lo:hi]) over the index chunks of the level,
-    for the quasi-cost q = 1 + phi - phi o sigma; each chunk goes first
-    to every accumulator's add(lo, sigma, q).  sigma is the int64 buffer
-    of `sigma_chunks`, so both chunks are valid until the next is made;
-    no level-sized array is made."""
-    n = level.level
-    phi = phi_level(tower, n).values
-    for lo, sigma in sigma_chunks(tower, n, level.tau):
-        q = quasi_cost_values(phi, sigma, lo)
+    """(lo, q[lo:hi]) over the index chunks of the level, for the
+    quasi-cost q = 1 + phi - phi o sigma, expanded from its pieces; each
+    chunk goes first to every accumulator's add(lo, q).  No level-sized
+    array is made."""
+    q = quasi_cost_pieces(level, tower)
+    for lo, hi in index_chunks(level.modulus):
+        chunk = q.chunk(lo, hi)
         for s in sums:
-            s.add(lo, sigma, q)
-        yield lo, sigma, q
+            s.add(lo, chunk)
+        yield lo, chunk
 
 
 def fold_quasi_cost(level: TauLevel, tower: ModulusTower, *sums):
@@ -371,17 +498,14 @@ def fold_quasi_cost(level: TauLevel, tower: ModulusTower, *sums):
 
 
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:
-    """q(l) = phi(l) + psi(sigma(l)) = 1 + phi(l) - phi(sigma(l))."""
-    values = np.empty(level.modulus, dtype=np.int32)
-    for lo, _, q in quasi_cost_chunks(level, tower):
-        values[lo : lo + len(q)] = q
-    return StepFunction(level.level, values)
+    """q(l) = phi(l) + psi(sigma(l)) = 1 + phi(l) - phi(sigma(l)), whole."""
+    return StepFunction(level.level, quasi_cost_pieces(level, tower).array())
 
 
 def _changed_per_parent(level: TauLevel, tower: ModulusTower):
     """Number of changed children of each parent index."""
     m = tower.primes[level.level - 1]
-    return level.changed_mask.reshape(-1, m).sum(axis=1)
+    return np.diff(level.changed_runs.sum_below(np.arange(0, level.modulus + 1, m)))
 
 
 class LedgerSums:
@@ -394,21 +518,21 @@ class LedgerSums:
         self.singular_drop = 0
         self.good_dev = 0
 
-    def add(self, lo: int, sigma, q):
+    def add(self, lo: int, q):
         hi = lo + len(q)
         drop = q - 1
         self.singular_drop += int(
-            drop[self.level.singular_mask[lo:hi]].sum(dtype=np.int64)
+            drop[self.level.singular_runs.chunk(lo, hi)].sum(dtype=np.int64)
         )
         self.good_dev += int(
-            np.abs(1 - drop[self.level.good_mask[lo:hi]]).sum(dtype=np.int64)
+            np.abs(1 - drop[self.level.good_runs.chunk(lo, hi)]).sum(dtype=np.int64)
         )
 
     def result(self) -> SingularLedger:
         level = self.level
         M = level.modulus
         n_changed = 0
-        if level.changed_mask is not None and level.parent is not None:
+        if level.changed_runs is not None and level.parent is not None:
             ch = _changed_per_parent(level, self.tower)
             n_changed = int(ch[level.parent.good_mask].sum())
         return SingularLedger(
@@ -456,14 +580,15 @@ class LevelReport:
 
 
 class LevelChecks:
-    """Chunk checks of `verify_level`, fed by the level's quasi-cost pass:
-    sigma is a permutation, every stored orbit avoids the middle index,
-    tau is zero on the level-1 middle block, nesting under the parent
-    map, the good/singular/middle-block partition, a non-positive drop on
-    the singular set, and the refinement deviation, the sum of
+    """Checks of `verify_level`.  The permutation and middle-avoidance
+    checks take the level's runs (`_tiles`, `_avoidance_hits`); the rest
+    are fed by the level's quasi-cost pass: tau is zero on the level-1
+    middle block, nesting under the parent map, the
+    good/singular/middle-block partition, a non-positive drop on the
+    singular set, and the refinement deviation, the sum of
     |drop - parent drop| over the children of good parents (zero without
     a parent; nonzero only on re-routed boundary sub-blocks and of order
-    M^2/m at level 2).  The parent's sigma and quasi-cost are computed on
+    M^2/m at level 2).  The parent's sigma and quasi-cost are expanded on
     the parents of each chunk only."""
 
     def __init__(self, level: TauLevel, tower: ModulusTower):
@@ -471,24 +596,20 @@ class LevelChecks:
         n = level.level
         self.level = level
         self.tower = tower
-        self.P_inv, self.mid = tower.step_inverse(n), tower.middle_index(n)
         self.mid1 = level.middle1_block(tower)
         if level.parent is not None:
             self.m = tower.primes[n - 1]
-            self.phi_prev = phi_level(tower, n - 1).values
-        self.permutation = _PermutationMarks(level.modulus)
-        self.avoidance_ok = self.tau_zero_on_mid1 = True
+            self.parent_q = quasi_cost_pieces(level.parent, tower)
+        self.tau_zero_on_mid1 = True
         self.nesting_ok = self.partition_ok = self.drop_nonpositive = True
         self.deviation = 0
 
-    def add(self, lo: int, sigma, q):
-        level = self.level
+    def add(self, lo: int, q):
+        level, tower = self.level, self.tower
         hi = lo + len(q)
-        t = level.tau[lo:hi]
-        self.permutation.add(sigma)
-        self.avoidance_ok &= _avoidance_hits(t, lo, level.modulus, self.P_inv, self.mid).size == 0
-        good = level.good_mask[lo:hi]
-        sing = level.singular_mask[lo:hi]
+        t = level.tau_runs.chunk(lo, hi)
+        good = level.good_runs.chunk(lo, hi)
+        sing = level.singular_runs.chunk(lo, hi)
         mid1 = np.zeros(hi - lo, dtype=bool)
         mid1[max(self.mid1.start - lo, 0) : max(self.mid1.stop - lo, 0)] = True
         self.tau_zero_on_mid1 &= not t[mid1].any()
@@ -500,11 +621,12 @@ class LevelChecks:
         if parent is not None:
             # the parents of this chunk are p_lo..p_hi-1
             p_lo, p_hi = lo // self.m, (hi - 1) // self.m + 1
-            parent_sigma = sigma_chunk(self.tower, parent.level, parent.tau, p_lo, p_hi)
+            sigma = _sigma(tower, level.level, t, lo)
+            parent_sigma = _sigma(tower, parent.level, parent.tau_runs.chunk(p_lo, p_hi), p_lo)
             parent_of = np.arange(lo, hi, dtype=np.int64) // self.m - p_lo
             self.nesting_ok &= bool((sigma // self.m == parent_sigma[parent_of]).all())
-            parent_q = quasi_cost_values(self.phi_prev, parent_sigma, p_lo)
-            gp = parent.good_mask[p_lo:p_hi][parent_of]
+            parent_q = self.parent_q.chunk(p_lo, p_hi)
+            gp = parent.good_runs.chunk(p_lo, p_hi)[parent_of]
             # the drops' -1s cancel; |q| <= M_n and |parent q| <= M_{n-1}
             diff = np.subtract(q[gp], parent_q[parent_of[gp]], dtype=np.int64)
             self.deviation += int(np.abs(diff).sum())
@@ -512,7 +634,7 @@ class LevelChecks:
     def result(self) -> LevelReport:
         level, tower = self.level, self.tower
         n = level.level
-        singular_count = int(np.count_nonzero(level.singular_mask))
+        singular_count = int(level.singular_runs.sum_below(level.modulus))
         if n == 1:
             singular_count_ok = singular_count == 2
         else:
@@ -528,8 +650,8 @@ class LevelChecks:
 
         return LevelReport(
             level=n,
-            permutation_ok=self.permutation.result(),
-            middle_avoidance_ok=self.avoidance_ok,
+            permutation_ok=_tiles(level, tower),
+            middle_avoidance_ok=_avoidance_hits(level, tower).size == 0,
             nesting_ok=self.nesting_ok,
             tau_zero_on_middle1=self.tau_zero_on_mid1,
             partition_ok=self.partition_ok,
@@ -543,8 +665,9 @@ class LevelChecks:
 
 def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
     """The construction's invariant checks at one level and its
-    refinement deviation, from one pass over the quasi-cost chunks (see
-    `LevelChecks`); the ledger is `singular_ledger`'s."""
+    refinement deviation, from the level's runs and one pass over its
+    quasi-cost chunks (see `LevelChecks`); the ledger is
+    `singular_ledger`'s."""
     return fold_quasi_cost(level, tower, LevelChecks(level, tower))[0]
 
 

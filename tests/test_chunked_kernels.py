@@ -1,7 +1,9 @@
-"""The chunked level kernels against the whole-array formulas they
-replaced (`whole_array_oracles`), at several chunk sizes, the one
-quasi-cost pass per level of `construct` and `verify`, and a bound on
-what each of them allocates per index."""
+"""The run-based and chunked level kernels against the whole-array
+formulas they replaced (`whole_array_oracles`), at several chunk sizes:
+the levels' runs, the floor-sum phi, the quasi-cost pieces, the
+permutation and middle-avoidance checks on runs, and the chunk passes.
+Also the one quasi-cost pass per level of `construct` and `verify`, and
+a bound on what each of them allocates."""
 
 import collections
 import dataclasses
@@ -37,12 +39,9 @@ CASES = [
 
 @pytest.fixture
 def chunk(monkeypatch, request):
-    """Set the chunk size and start from an empty phi cache, so every
-    level array is built by the chunked kernels at that size."""
+    """Set the chunk size of every chunked pass."""
     monkeypatch.setattr(circle, "_CHUNK", request.param)
-    circle._phi_values.cache_clear()
-    yield request.param
-    circle._phi_values.cache_clear()
+    return request.param
 
 
 def _cases():
@@ -55,17 +54,43 @@ def _cases():
 def test_level_arrays_match_whole_array_formulas(name, chunk):
     tower = TOWERS[name]()
     levels = tau.build_levels(tower, tower.depth)
-    for level in levels:
-        n = level.level
-        assert np.array_equal(circle._phi_values(tower, n), oracle.phi_values(tower, n))
+    arrays = oracle.construction_arrays(tower, tower.depth)
+    for level, (t, good, singular, changed) in zip(levels, arrays):
+        n, M = level.level, level.modulus
+        # the runs emitted block by block are the index-by-index build's
+        assert np.array_equal(level.tau, t)
+        assert np.array_equal(level.good_mask, good)
+        assert np.array_equal(level.singular_mask, singular)
+        assert level.changed_runs is None if changed is None else (
+            np.array_equal(level.changed_mask, changed)
+        )
+        phi = oracle.phi_values(tower, n)
+        assert np.array_equal(circle._phi_values(tower, n), phi)
+        assert np.array_equal(circle.phi_points(tower, n, np.arange(M)), phi)
         sigma = tau.sigma_of(tower, n, level.tau)
         assert np.array_equal(sigma, oracle.sigma_of(tower, n, level.tau))
         assert tau.is_permutation(sigma) and oracle.is_permutation(sigma)
+        assert tau._tiles(level, tower)
+        assert tau._avoidance_hits(level, tower).size == 0
         if level.parent is not None:
             assert np.array_equal(level.changed_mask, oracle.changed_mask(level, tower))
-        assert np.array_equal(
-            tau.quasi_cost(level, tower).values, oracle.quasi_cost(level, tower)
-        )
+        pieces = tau.quasi_cost_pieces(level, tower)
+        want = oracle.quasi_cost(level, tower)
+        assert np.array_equal(pieces.array(), want)
+        assert pieces.rle() == serialize.rle_encode(want)  # maximal pieces
+        assert np.array_equal(tau.quasi_cost(level, tower).values, want)
+
+
+def test_floor_sum_phi_matches_whole_array_formula():
+    # every index of (5, 11) and (5c) levels 1-2 is covered above; here
+    # 20,000 random indices of (7c) level 2 (M = 4,706,261)
+    tower = build_tower_mode(7, 2, "paper_compliant")
+    x = np.random.default_rng(7).integers(0, tower.modulus(2), 20_000)
+    assert np.array_equal(circle.phi_points(tower, 2, x), oracle.phi_values(tower, 2)[x])
+    for n in (1, 2):
+        M = tower.modulus(n)
+        ends = np.array([0, 1, M // 2 - 1, M // 2, M // 2 + 1, M - 1])
+        assert np.array_equal(circle.phi_points(tower, n, ends), oracle.phi_values(tower, n)[ends])
 
 
 @_cases()
@@ -91,19 +116,27 @@ def test_level_scalars_match_whole_array_formulas(name, chunk):
     indirect=["chunk"], ids=["5_11-7", f"5_11-{DEFAULT_CHUNK}", f"5c-{DEFAULT_CHUNK}"],
 )
 def test_nonzero_correction_matches_whole_array_formula(monkeypatch, name, chunk):
-    # Every real pair has correction 0; a phi raised by one at index 0
-    # (on L^n, where the one-step bound is 0) exceeds it by exactly 1
-    # there and nowhere else.
+    # Every real pair has correction 0.  The oracle's phi raised by one at
+    # index 0 (on L^n, where the one-step bound is 0) exceeds the bound by
+    # exactly 1 there and nowhere else.  The chunked correction reads no
+    # phi (its one-step quasi-cost is 1 - w), so the same excess is made
+    # there by lowering the one-step bound at index 0 by one.
     tower = TOWERS[name]()
     levels = tau.build_levels(tower, tower.depth)
-    real = circle.phi_level
+    real_phi, real_cost = circle.phi_level, duals._one_step_cost
 
     def bumped(tower, n):
-        phi = real(tower, n).values.copy()
+        phi = real_phi(tower, n).values.copy()
         phi[0] += 1
         return circle.StepFunction(n, phi)
 
-    monkeypatch.setattr(duals, "phi_level", bumped)
+    def lowered(tower, n, lo=0, hi=None):
+        cost = real_cost(tower, n, lo, hi)
+        if lo == 0:
+            cost[0] -= 1
+        return cost
+
+    monkeypatch.setattr(duals, "_one_step_cost", lowered)
     monkeypatch.setattr(oracle, "phi_level", bumped)
     for level in levels:
         s = duals.level_scalars(level, tower)
@@ -159,21 +192,10 @@ def _the_other_way(t):
         t[i] += -M if t[i] > 0 else M
 
 
-def _chunked_sigma(tower, level):
-    """sigma of the level from `tau.sigma_chunks`, and the chunk-fed
-    permutation check on the same chunks, each chunk copied out of the
-    shared buffer as it comes."""
-    n, M = level.level, level.modulus
-    sigma = np.empty(M, dtype=np.int64)
-    marks = tau._PermutationMarks(M)
-    end = 0
-    for lo, s in tau.sigma_chunks(tower, n, level.tau):
-        assert lo == end and 0 < len(s) <= circle._CHUNK and s.dtype == np.int64
-        sigma[lo : lo + len(s)] = s
-        marks.add(s)
-        end = lo + len(s)
-    assert end == M
-    return sigma, marks.result()
+def _sigma_and_tiles(tower, level):
+    """sigma of the level, filled chunk by chunk by `tau.sigma_of`, and the
+    run-based permutation check."""
+    return tau.sigma_of(tower, level.level, level.tau), tau._tiles(level, tower)
 
 
 def _build_check(tower, level):
@@ -214,12 +236,24 @@ def test_chunked_sigma_matches_whole_array_formula(monkeypatch, name, chunk):
     tower, levels = _default_chunk_levels(name)
     monkeypatch.setattr(circle, "_CHUNK", chunk)
     for level in levels:
-        want = oracle.sigma_of(tower, level.level, level.tau)
-        sigma, is_perm = _chunked_sigma(tower, level)
-        assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
+        n = level.level
+        want = oracle.sigma_of(tower, n, level.tau)
+        # the run-based kernels, which no chunk size reaches
+        assert tau._tiles(level, tower) == oracle.is_permutation(want)
+        assert np.array_equal(
+            tau._avoidance_hits(level, tower),
+            oracle.avoidance_violations(level.tau, tower.step_inverse(n), tower.middle_index(n)),
+        )
+        phi = oracle.phi_values(tower, n)
+        q = 1 + phi - phi[want]
+        assert np.array_equal(tau.quasi_cost_pieces(level, tower).array(), q)
         if chunk > 7 or level.modulus < 10**4:
-            assert np.array_equal(tau.sigma_of(tower, level.level, level.tau), want)
+            sigma, is_perm = _sigma_and_tiles(tower, level)
+            assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
             assert _build_check(tower, level) is None
+            chunks = list(tau.quasi_cost_chunks(level, tower))
+            assert [lo for lo, _ in chunks] == [lo for lo, _ in circle.index_chunks(level.modulus)]
+            assert np.array_equal(np.concatenate([c for _, c in chunks]), q)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
@@ -231,14 +265,11 @@ def test_broken_levels_match_whole_array_formulas(chunk, edit):
     tower = build_tower(5, 2)
     levels = tau.build_levels(tower, 2)
     broken = _broken_level(tower, levels, edit)
-    M, P_inv, mid = broken.modulus, tower.step_inverse(2), tower.middle_index(2)
-    hits = np.concatenate([
-        tau._avoidance_hits(broken.tau[lo:hi], lo, M, P_inv, mid)
-        for lo, hi in circle.index_chunks(M)
-    ])
+    P_inv, mid = tower.step_inverse(2), tower.middle_index(2)
+    hits = tau._avoidance_hits(broken, tower)
     assert np.array_equal(hits, oracle.avoidance_violations(broken.tau, P_inv, mid))
     want = oracle.sigma_of(tower, 2, broken.tau)
-    sigma, is_perm = _chunked_sigma(tower, broken)
+    sigma, is_perm = _sigma_and_tiles(tower, broken)
     assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
     assert _build_check(tower, broken) == _oracle_build_check(tower, broken) is not None
     got = dataclasses.asdict(tau.verify_level(broken, tower))
@@ -263,6 +294,35 @@ def test_is_permutation_rejects_repeats_and_out_of_range(chunk):
             assert not tau.is_permutation(rep)
             assert not oracle.is_permutation(rep)
     assert tau.is_permutation(np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
+def test_run_checks_match_whole_array_formulas_on_random_steps(chunk):
+    # Random step functions on the (5, 11) level 2 (M = 55): a few long
+    # runs, many short ones, and steps up to +-M, so both kinds of run of
+    # the middle-avoidance check and of the quasi-cost pieces show up.
+    tower = build_tower(5, 2)
+    M, P_inv, mid = tower.modulus(2), tower.step_inverse(2), tower.middle_index(2)
+    rng = np.random.default_rng(chunk)
+    perms = 0
+    for k in range(300):
+        cuts = np.sort(rng.choice(np.arange(1, M), size=rng.integers(0, 12), replace=False))
+        steps = rng.integers(-M + 1, M, size=cuts.size + 1)
+        if k % 3 == 0:
+            steps //= 9  # short steps
+        t = np.repeat(steps, np.diff(np.r_[0, cuts, M])).astype(np.int32)
+        if k % 10 == 0:  # a translation: always a permutation
+            t[:] = steps[0]
+        level = tau.TauLevel(2, t)
+        sigma = oracle.sigma_of(tower, 2, t)
+        assert tau._tiles(level, tower) == oracle.is_permutation(sigma)
+        perms += oracle.is_permutation(sigma)
+        hits = tau._avoidance_hits(level, tower)
+        assert np.array_equal(hits, oracle.avoidance_violations(t, P_inv, mid))
+        phi = oracle.phi_values(tower, 2)
+        q = tau.quasi_cost_pieces(level, tower).array()
+        assert np.array_equal(q, 1 + phi - phi[sigma])
+    assert perms >= 30
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
@@ -308,33 +368,30 @@ def test_gap_grid_cells_are_int32():
 
 
 def _count_walks(monkeypatch):
-    """Per level, the walks over its sigma chunks and over its quasi-cost
-    chunks that the calls made after this one start."""
-    walks = {"sigma": collections.Counter(), "quasi_cost": collections.Counter()}
-    sigma_chunks, quasi_cost_chunks = tau.sigma_chunks, tau.quasi_cost_chunks
-
-    def counted_sigma(tower, n, t):
-        walks["sigma"][n] += 1
-        return sigma_chunks(tower, n, t)
+    """Per level, the walks over its quasi-cost chunks that the calls made
+    after this one start.  No whole phi may be built meanwhile."""
+    walks = collections.Counter()
+    quasi_cost_chunks = tau.quasi_cost_chunks
 
     def counted_quasi_cost(level, tower, *sums):
-        walks["quasi_cost"][level.level] += 1
+        walks[level.level] += 1
         return quasi_cost_chunks(level, tower, *sums)
 
-    monkeypatch.setattr(tau, "sigma_chunks", counted_sigma)
+    def no_phi_array(*args):
+        raise AssertionError("a whole phi was built")
+
     monkeypatch.setattr(tau, "quasi_cost_chunks", counted_quasi_cost)
+    monkeypatch.setattr(circle, "_phi_values", no_phi_array)
     return walks
 
 
 @pytest.mark.parametrize("m1,mode", [(5, "relaxed"), (7, "relaxed"), (5, "paper_compliant")])
 def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
-    # Each level is walked once to check the built map (`tau._checked`)
-    # and once more for every artifact and check that needs its sigma or
-    # quasi-cost: the CSV, the dual record and, in verify, the invariants.
-    # Level 1 is walked once more, whole, when `tau.extend_tau` reads its
-    # sigma to build level 2 (M_1 indices, against M_2 = M_1 * m_2).
+    # Each level is walked once, for every artifact and check that needs
+    # its quasi-cost: the CSV, the dual record and, in verify, the
+    # invariants.  Building and checking a level takes its runs only.
     d = str(tmp_path / "a")
-    want = {"sigma": {1: 3, 2: 2}, "quasi_cost": {1: 1, 2: 1}}
+    want = {1: 1, 2: 1}
     walks = _count_walks(monkeypatch)
     assert main(["construct", "--m1", str(m1), "--mode", mode, "--outdir", d]) == 0
     assert walks == want
@@ -343,39 +400,54 @@ def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
     assert walks == want
 
 
-# tracemalloc's peak over `construct` and over `verify` on (5c), per index
-# of level 2 (M = 625,505).  The level arrays (tau and phi: 4 bytes each;
-# good, singular and changed masks: 1 each) come to 11; the permutation
-# marks of the build check and of verify's invariant checks (1 byte per
-# index) and the chunk temporaries of the CSV pass add the rest.  A
-# level-sized int32 sigma adds 4: 21.8 bytes per index before sigma was
-# computed per chunk, 34.0 with int64 level arrays, and whole-array passes
-# peaked at 132.
-TRACED_BYTES_PER_INDEX = 20
+# tracemalloc's peak over `construct` and over `verify`, in bytes, on
+# (5c) (M = 625,505) and on (7c) (M = 4,706,261) alike: no level-sized
+# array is made, so what remains is a chunk's temporaries and the text
+# of its CSV rows.  With the level arrays (tau and phi in int32, three
+# bool masks) and the permutation marks, the peak was about 20 bytes per
+# index: 12.5 MB at (5c) and 94 MB at (7c).
+TRACED_PEAK_BYTES = 6 << 20
+
+TRACED_TOWERS = {"5c": ["--m1", "5"], "7c": ["--m1", "7"]}
 
 
 def _traced_peak(argv):
-    circle._phi_values.cache_clear()
     tracemalloc.start()
     try:
         assert main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        circle._phi_values.cache_clear()
     return peak
 
 
-def test_construct_traced_peak_per_index(tmp_path):
-    M = build_tower_mode(5, 2, "paper_compliant").modulus(2)
+@pytest.mark.parametrize("tower", sorted(TRACED_TOWERS))
+def test_construct_traced_peak(tmp_path, tower):
     d = str(tmp_path / "a")
-    peak = _traced_peak(["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", d])
-    assert peak < TRACED_BYTES_PER_INDEX * M, peak / M
+    argv = ["construct", *TRACED_TOWERS[tower], "--mode", "paper_compliant", "--outdir", d]
+    peak = _traced_peak(argv)
+    assert peak < TRACED_PEAK_BYTES, peak
 
 
-def test_verify_traced_peak_per_index(tmp_path):
-    M = build_tower_mode(5, 2, "paper_compliant").modulus(2)
+@pytest.mark.parametrize("tower", sorted(TRACED_TOWERS))
+def test_verify_traced_peak(tmp_path, tower):
     d = str(tmp_path / "a")
-    assert main(["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", d]) == 0
+    argv = ["construct", *TRACED_TOWERS[tower], "--mode", "paper_compliant", "--outdir", d]
+    assert main(argv) == 0
     peak = _traced_peak(["verify", d])
-    assert peak < TRACED_BYTES_PER_INDEX * M, peak / M
+    assert peak < TRACED_PEAK_BYTES, peak
+
+
+def test_avoidance_steps_match_the_scalar_rule():
+    tower = build_tower(5, 2)
+    M, P_inv, mid = tower.modulus(2), tower.step_inverse(2), tower.middle_index(2)
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, M, 400)
+    dst = rng.integers(0, M, 400)
+    ok = (src != mid) & (dst != mid)
+    want = [oracle._avoidance_step(M, P_inv, mid, int(a), int(b)) for a, b in zip(src[ok], dst[ok])]
+    assert tau._avoidance_steps(M, P_inv, mid, src[ok], dst[ok]).tolist() == want
+    # the first pair that starts on the middle index is named
+    bad = np.r_[src[ok][:3], mid, mid]
+    with pytest.raises(tau.GrowthTooSmall, match=f"cannot route {mid} -> 7 around"):
+        tau._avoidance_steps(M, P_inv, mid, bad, np.r_[dst[ok][:3], 7, 8])

@@ -591,21 +591,14 @@ def test_cli_out_of_range_counts_usage(tmp_path, monkeypatch, capsys, argv):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-@pytest.mark.parametrize("verb", ["construct", "verify", "gap"])
+@pytest.mark.parametrize("verb", ["construct", "gap"])
 def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, verb):
-    # (5c) level 2 has M = 625,505 indices, and a truncated cost (M = 2)
-    # of at most 3 * 625,505 arcs: each estimate is well over 4 MB
+    # (5c) level 2 has M = 625,505 indices: its CSV alone is about 15 MB,
+    # and a truncated cost (M = 2) of at most 3 * 625,505 arcs is well
+    # over 4 MB of memory
     d = tmp_path / "artifacts"
     args = ["--m1", "5", "--mode", "paper_compliant"]
-    need = math.ceil(cli._BYTES_PER_INDEX * 625505 / 2**20)
-    expected = (
-        f"level modulus 625505 needs about {need} MB, "
-        "more than the 4 MB of available memory\n"
-    )
-    if verb == "verify":
-        assert main(["construct", *args, "--outdir", str(d)]) == 0
-        args = [str(d)]
-    elif verb == "gap":
+    if verb == "gap":
         args += ["--jmax", "2", "--M", "2"]
         need = math.ceil(cli._BYTES_PER_ARC * 1876515 / 2**20)
         expected = (
@@ -614,13 +607,48 @@ def test_cli_size_guard_exits_before_building(tmp_path, monkeypatch, capsys, ver
         )
     else:
         args += ["--outdir", str(d)]
-    capsys.readouterr()
+        need = math.ceil((cli._csv_bytes(5) + cli._csv_bytes(625505)) / 2**20)
+        expected = (
+            f"the artifacts need about {need} MB on disk, "
+            f"more than the 4 MB free at {d}\n"
+        )
     monkeypatch.setattr(cli, "_available_memory", lambda: 4 << 20)
+    monkeypatch.setattr(cli, "_free_space", lambda path: 4 << 20)
     monkeypatch.setattr(tau, "build_levels", None)  # never reached
     monkeypatch.setattr(tau, "build_tau_level1", None)
     monkeypatch.setattr(gap, "build_gap_family", None)
     assert main([verb, *args]) == 4
     assert capsys.readouterr().err == expected
+    assert not d.exists()
+
+
+def test_cli_construct_fits_the_free_space(tmp_path, monkeypatch):
+    # (5, 11) writes two CSVs of about 26 + 5 * 10 and 26 + 55 * 13 bytes:
+    # 817 in all
+    monkeypatch.setattr(cli, "_free_space", lambda path: 1300)
+    assert main(["construct", "--m1", "5", "--outdir", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(cli, "_free_space", lambda path: 700)
+    assert main(["construct", "--m1", "5", "--outdir", str(tmp_path / "b")]) == 4
+
+
+def test_csv_bytes_is_a_close_upper_estimate(tmp_path):
+    d = tmp_path / "a"
+    assert main(["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", str(d)]) == 0
+    for n, M in ((1, 5), (2, 625505)):
+        size = (d / f"quasi_cost_level_{n}.csv").stat().st_size
+        assert size <= cli._csv_bytes(M) <= 1.05 * size + 100
+
+
+def test_free_space_reads_the_nearest_existing_directory(tmp_path, monkeypatch):
+    seen = []
+
+    def statvfs(path):
+        seen.append(path)
+        return types.SimpleNamespace(f_bavail=3, f_frsize=4096)
+
+    monkeypatch.setattr(os, "statvfs", statvfs)
+    assert cli._free_space(str(tmp_path / "not" / "yet")) == 3 * 4096
+    assert seen == [str(tmp_path)]
 
 
 def _physical_memory():
@@ -645,16 +673,18 @@ def test_available_memory_reads_meminfo(tmp_path, monkeypatch, text, expected):
 
 
 def test_cli_size_guard_compares_with_available_memory(tmp_path, monkeypatch, capsys):
-    # (5c) needs well over 4 MB; physical memory is far more, available is not
+    # the (5c) gap cost needs well over 4 MB; physical memory is far more,
+    # available is not
     meminfo = tmp_path / "meminfo"
     meminfo.write_text("MemTotal: 8221884 kB\nMemAvailable: 4096 kB\n", encoding="ascii")
     monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
-    monkeypatch.setattr(tau, "build_levels", None)  # never reached
-    argv = ["construct", "--m1", "5", "--mode", "paper_compliant", "--outdir", str(tmp_path / "a")]
+    monkeypatch.setattr(gap, "build_gap_family", None)  # never reached
+    argv = ["gap", "--m1", "5", "--mode", "paper_compliant", "--jmax", "2", "--M", "2"]
     assert main(argv) == 4
-    need = math.ceil(cli._BYTES_PER_INDEX * 625505 / 2**20)
+    need = math.ceil(cli._BYTES_PER_ARC * 1876515 / 2**20)
     assert capsys.readouterr().err == (
-        f"level modulus 625505 needs about {need} MB, more than the 4 MB of available memory\n"
+        f"truncated cost of 1876515 arcs needs about {need} MB, "
+        "more than the 4 MB of available memory\n"
     )
 
 

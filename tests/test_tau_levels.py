@@ -52,12 +52,19 @@ def test_level1_pattern(m1):
 
 
 def test_shuffle_block_refuses_a_gap_count_unlike_the_mover_count():
-    # sub-blocks 1..6 stay and cover positions 0, 1, 3, 4, 4 and 6, which
-    # leaves two positions (2 and 5) for the one mover
-    tau = np.zeros(7, dtype=np.int64)
-    steps = np.array([0, -1, -1, 0, 0, -1, 0])
+    # sub-blocks 1..6 stay at the steps -1, -1, 0, 0, -1, 0 and cover
+    # positions 0, 1, 3, 4, 4 and 6, which leaves two positions (2 and 5)
+    # for the one mover
+    stays = [(1, 3, -1), (3, 5, 0), (5, 6, -1), (6, 7, 0)]
     with pytest.raises(GrowthTooSmall, match="2 uncovered positions for 1 movers"):
-        shuffle_block(tau, 0, 0, steps, np.array([0]), 7, 1, 3)
+        shuffle_block(0, 0, 7, stays, [(0, 1)])
+    # with sub-block 5 at step 0 as well, position 5 is covered and left
+    # to the mover: sub-block 0 of the block at 14 goes to position 2 of
+    # the image block at 21
+    stays[2] = (5, 6, 0)
+    assert shuffle_block(14, 21, 7, stays, [(0, 1)]) == (
+        [(15, -1), (17, 0), (19, 0), (20, 0)], [14], [23]
+    )
 
 
 @pytest.mark.parametrize("m1", [5, 7, 11, 13])

@@ -1,10 +1,13 @@
-"""Whole-array formulas that the chunked level kernels replaced.
+"""Whole-array formulas that the chunked and run-based level kernels
+replaced.
 
 Each builds its level-sized temporaries in one go, as `otlab` did before
-every level pass ran over fixed-size index chunks; the tests compare the
-chunked kernels against them at several chunk sizes.  Their arithmetic
-is int64 whatever the dtype of the level arrays (int32 in `otlab`), so an
-int32 product that wraps cannot agree with them.
+every level pass ran over fixed-size index chunks and before a level was
+held as runs; the tests compare the kernels against them at several
+chunk sizes.  Their arithmetic is int64 whatever the dtype of the level
+arrays (int32 in `otlab`), so an int32 product that wraps cannot agree
+with them.  `construction_arrays` builds the levels index by index, as
+`tau.extend_tau` did while it wrote whole arrays.
 """
 
 from fractions import Fraction
@@ -12,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from otlab.circle import phi_level
-from otlab.tau import LevelReport, SingularLedger
+from otlab.tau import GrowthTooSmall, LevelReport, SingularLedger
 
 
 def phi_values(tower, n):
@@ -185,3 +188,87 @@ def verify_level(level, tower):
         drop_nonpositive_on_singular=bool((drop[level.singular_mask] <= 0).all()),
         refinement_deviation=refinement_deviation(level, tower),
     )
+
+
+def _avoidance_step(M, Pinv, mid, src, dst):
+    """The step count in (-M, M) from src to dst whose orbit avoids the
+    middle index."""
+    t0 = ((dst - src) * Pinv) % M
+    if t0 == 0:
+        return 0
+    istar = ((mid - src) * Pinv) % M
+    if istar == 0 or istar == t0:
+        raise GrowthTooSmall(f"cannot route {src} -> {dst} around the middle index {mid}")
+    return t0 if istar > t0 else t0 - M
+
+
+def _shuffle_block(tau, lo, dst, steps, movers, M, Pinv, mid):
+    """Sub-block s takes steps[s]; the movers fill the positions of the
+    image block that the others leave uncovered, in order."""
+    m = len(steps)
+    tau[lo : lo + m] = steps
+    stay = np.ones(m, dtype=bool)
+    stay[movers] = False
+    covered = np.zeros(m, dtype=bool)
+    covered[np.flatnonzero(stay) + steps[stay]] = True
+    gaps = np.flatnonzero(~covered)
+    assert gaps.shape[0] == len(movers)
+    for s, d in zip(movers, gaps):
+        tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + int(s), dst + int(d))
+
+
+def outward_shuffle(tower, n):
+    m = tower.primes[n - 1]
+    M = tower.M[n - 1]
+    M_prev = tower.M[n - 2] if n >= 2 else 1
+    steps = np.sign(np.arange(m) - (m - 1) // 2) * M_prev
+    movers = np.r_[0:M_prev, m - M_prev : m]
+    Pinv, mid = tower.step_inverse(n), tower.middle_index(n)
+    tau = np.empty(M, dtype=np.int64)
+    for lo in range(0, M, m):
+        _shuffle_block(tau, lo, lo, steps, movers, M, Pinv, mid)
+    return tau
+
+
+def construction_arrays(tower, depth):
+    """(tau, good, singular, changed) of construction levels 1..depth as
+    whole arrays (changed is None at level 1), refined by keep-and-fill
+    and the singular splits, with each parent's drop read from a whole
+    phi."""
+    M1 = tower.M[0]
+    good = np.ones(M1, dtype=bool)
+    good[[0, tower.middle_index(1), M1 - 1]] = False
+    singular = np.zeros(M1, dtype=bool)
+    singular[[0, M1 - 1]] = True
+    levels = [(outward_shuffle(tower, 1), good, singular, None)]
+    for n in range(2, depth + 1):
+        prev_tau, prev_good, prev_singular, _ = levels[-1]
+        m, M, M_prev = tower.primes[n - 1], tower.M[n - 1], tower.M[n - 2]
+        Pinv, mid = tower.step_inverse(n), tower.middle_index(n)
+        sigma_prev = sigma_of(tower, n - 1, prev_tau)
+        phi_prev = phi_level(tower, n - 1).values.astype(np.int64)
+        tau = np.zeros(M, dtype=np.int64)
+        good = np.zeros(M, dtype=bool)
+        singular = np.zeros(M, dtype=bool)
+        right_half = np.arange(m) >= (m - 1) // 2
+        for p in range(M_prev):
+            t, q, lo = int(prev_tau[p]), int(sigma_prev[p]), p * m
+            split = bool(prev_singular[p])
+            dphi = int(phi_prev[q] - phi_prev[p]) if split else 0
+            if dphi == 0:
+                tau[lo : lo + m] = t
+                wrap = t - m if t > 0 else t + m
+                for s in range(m - t, m) if t > 0 else range(-t):
+                    tau[lo + s] = _avoidance_step(M, Pinv, mid, lo + s, q * m + s + wrap)
+                if prev_good[p] or split:
+                    good[lo : lo + m] = True
+                continue
+            tau_r, tau_l = t + dphi * M_prev, t - dphi * M_prev
+            if tau_r <= 0 or tau_l >= 0 or -tau_l + tau_r > m:
+                raise GrowthTooSmall("singular split does not fit")
+            core = np.r_[0:-tau_l, m - tau_r : m]
+            _shuffle_block(tau, lo, q * m, np.where(right_half, tau_r, tau_l), core, M, Pinv, mid)
+            good[lo - tau_l : lo + m - tau_r] = True
+            singular[lo + core] = True
+        levels.append((tau, good, singular, tau != np.repeat(prev_tau, m)))
+    return levels
