@@ -29,14 +29,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .circle import ModulusTower, phi_level, quasi_cost_values
+from .circle import ModulusTower, Runs, phi_level, quasi_cost_values
 from .finite_ot import CostMatrix, Marginals, solve_certified
 # Unused here, but perfbench/bench_trace.py wraps gap.solve_primal for --trace 1.
 from .finite_ot import solve_primal  # noqa: F401
 from .rational import format_rational
 from .tau import (
+    GrowthTooSmall,
     TauLevel,
-    _require_permutation,
+    _tiles,
     extend_tau,
     is_permutation,
     outward_shuffle,
@@ -50,21 +51,25 @@ class GraphOverlapInconsistency(Exception):
     """The same cell received two different clipped costs."""
 
 
-def _invert(tau, sigma):
-    """tau-vector of the inverse map; the reversed orbits keep the
+def _invert(level: TauLevel, tower: ModulusTower) -> Runs:
+    """Runs of the tau of the inverse map.  On a run of step t, sigma is
+    the translation by t * P_n, so the inverse takes the run's image, a
+    cyclic interval, back by the step -t; the reversed orbits keep the
     middle-avoidance of the forward ones."""
-    tau_inv = np.empty_like(tau)
-    tau_inv[sigma] = -tau
-    return tau_inv
+    if not _tiles(level, tower):
+        raise GrowthTooSmall(f"diagonal seed at level {level.level} is not a permutation")
+    r, M = level.tau_runs, level.modulus
+    first = (r.starts + r.values.astype(np.int64) * tower.step(level.level)) % M
+    wraps = first + r.lengths() > M  # an image that passes M - 1 goes on at 0
+    starts = np.concatenate([first, np.zeros(np.count_nonzero(wraps), dtype=np.int64)])
+    steps = -np.concatenate([r.values, r.values[wraps]])
+    order = np.argsort(starts, kind="stable")
+    return Runs.from_starts(starts[order], steps[order], M)
 
 
 def _diagonal_seed(tower: ModulusTower, j: int) -> TauLevel:
     """Fresh row-j map: the inverse of the outward shuffle at scale j."""
-    tau_fwd = outward_shuffle(tower, j).array()
-    sigma_fwd = sigma_of(tower, j, tau_fwd)
-    _require_permutation(sigma_fwd, f"diagonal seed at level {j}")
-    tau = _invert(tau_fwd, sigma_fwd)
-    return TauLevel(j, tau)
+    return TauLevel(j, _invert(TauLevel(j, outward_shuffle(tower, j)), tower))
 
 
 @dataclass

@@ -205,11 +205,6 @@ def is_permutation(sigma) -> bool:
     return bool(seen.all())
 
 
-def _require_permutation(sigma, what: str):
-    if not is_permutation(sigma):
-        raise GrowthTooSmall(f"{what} is not a permutation")
-
-
 def _tiles(level: TauLevel, tower: ModulusTower) -> bool:
     """Is the level's sigma a permutation?  On a run of tau, sigma is the
     translation by tau * P_n, so the run's image is one cyclic interval
@@ -356,9 +351,8 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
     M = tower.M[n - 1]
     Pinv = tower.step_inverse(n)
     mid = tower.middle_index(n)
-    M_prev = tower.M[n - 2]
+    M_prev, P_prev = tower.M[n - 2], tower.P[n - 2]
     t_prev = prev.tau
-    sigma_prev = sigma_of(tower, n - 1, t_prev)
 
     masked = prev.singular_runs is not None
     if masked:
@@ -370,7 +364,7 @@ def extend_tau(prev: TauLevel, tower: ModulusTower) -> TauLevel:
 
     for p in range(M_prev):
         t = int(t_prev[p])
-        q = int(sigma_prev[p])
+        q = (p + t * P_prev) % M_prev  # sigma of the parent
         lo = p * m
         is_singular_parent = masked and bool(singular_prev[p])
         dphi = 1 - int(q_prev.at(p)) if is_singular_parent else 0
