@@ -325,6 +325,74 @@ def test_run_checks_match_whole_array_formulas_on_random_steps(chunk):
     assert perms >= 30
 
 
+def _random_runs(rng, M, values, most):
+    """An array on 0..M-1 of at most most + 1 runs, each taking a value
+    drawn from values."""
+    cuts = rng.choice(np.arange(1, M), size=rng.integers(0, most + 1), replace=False)
+    edges = np.r_[0, np.sort(cuts), M]
+    return np.repeat(rng.choice(values, size=edges.size - 1), np.diff(edges))
+
+
+def test_level_records_match_whole_array_formulas_on_random_levels():
+    # Construction-like levels 2 on (5, 11) over the real level 1.  Half
+    # take a random step function for tau, whose runs cross the parent
+    # blocks and the edges of the level-1 middle block (22..32); half take
+    # the real tau with a short segment shifted by 4 or 5.  With M_1 = 5
+    # and P_1 = 1, a child at index s of its parent block stepping t + 4
+    # instead of t nests exactly where (s + t) mod 11 >= 7, and one
+    # stepping t + 5 where (s + t) mod 11 < 6, so a run can nest at its
+    # first index only or at its last only.  The masks are random (good
+    # and singular disjoint) or the real ones.
+    tower = build_tower(5, 2)
+    parent, real = tau.build_levels(tower, 2)
+    M, m = real.modulus, tower.primes[1]
+    grid = duals.default_delta_grid(M)
+    rng = np.random.default_rng(11)
+    seen = collections.Counter()
+    for k in range(400):
+        if k % 2:
+            steps = np.arange(-M + 1, M) // (9 if k % 4 == 1 else 1)
+            t = _random_runs(rng, M, steps, 12)
+        else:
+            t = real.tau.astype(np.int64)
+            a = rng.integers(0, M)
+            t[a : a + rng.integers(1, 7)] += rng.choice([4, 5])
+        if k % 3:
+            good = _random_runs(rng, M, [False, True], 8)
+            singular = _random_runs(rng, M, [False, True], 8) & ~good
+            changed = _random_runs(rng, M, [False, True], 8)
+        else:
+            good, singular, changed = real.good_mask, real.singular_mask, real.changed_mask
+        level = tau.TauLevel(2, t.astype(np.int32), good, singular, changed, parent=parent)
+
+        report = tau.verify_level(level, tower)
+        assert dataclasses.asdict(report) == dataclasses.asdict(oracle.verify_level(level, tower))
+        s = duals.level_scalars(level, tower)
+        assert s.ledger == oracle.singular_ledger(level, tower)
+        assert tau.singular_ledger(level, tower) == s.ledger
+        _, value, norm = oracle.corrected_pair(level, tower)
+        assert (s.dual_value, s.correction_norm) == (value, norm)
+        d = s.diagnostic
+        assert (
+            d.negative_mass, d.carrier_measure, d.singular_set_measure,
+            d.small_set_sup, d.mass_balance_ok,
+        ) == oracle.diagnostic(level, tower, grid)
+        assert duals.singular_buildup([level], tower) == [d]
+        assert tau.transport_cost_tau(level, tower) == oracle.transport_cost_tau(level, tower)
+
+        sigma, parent_sigma = oracle.level_sigma(level, tower), oracle.level_sigma(parent, tower)
+        nests = sigma // m == parent_sigma[np.arange(M) // m]
+        same_run = (t[1:] == t[:-1]) & (np.arange(1, M) % m != 0)
+        seen["a run nests at one end only"] += bool((same_run & (nests[1:] != nests[:-1])).any())
+        seen["a nonzero small-set sup"] += any(v != 0 for v in d.small_set_sup.values())
+        for key in (
+            "nesting_ok", "tau_zero_on_middle1", "partition_ok",
+            "change_per_good_parent_ok", "drop_nonpositive_on_singular",
+        ):
+            seen[key, getattr(report, key)] += 1
+    assert len(seen) == 12 and min(seen.values()) >= 10, seen
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
 def test_rle_encode_across_chunks(chunk):
     rng = np.random.default_rng(3)

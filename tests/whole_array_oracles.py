@@ -147,6 +147,18 @@ def corrected_pair(level, tower):
     return phi_corr, value, Fraction(int(correction.sum(dtype=np.int64)), M)
 
 
+def transport_cost_tau(level, tower):
+    """(total, positive part, good-and-middle part) of the quasi-cost."""
+    M = level.modulus
+    q = quasi_cost(level, tower)
+    keep = level.good_mask | middle1_mask(level, tower)
+    return (
+        Fraction(int(q.sum()), M),
+        Fraction(int(np.maximum(q, 0).sum()), M),
+        Fraction(int(q[keep].sum()), M),
+    )
+
+
 def verify_level(level, tower):
     n = level.level
     M = level.modulus
