@@ -223,12 +223,14 @@ class StepFunction:
         return b"".join(csv_blocks(M, chunks)).decode("ascii")
 
 
-# Indices per chunk of every level-sized pass: a chunk's temporaries (int64
-# where an index is multiplied by a step count, as in sigma = l + tau*P) and
-# the text matrix of its CSV rows stay in cache, and no pass holds a
-# level-sized temporary.  A row takes one byte per character slot of the
-# chunk's widest row: 28 slots for most chunks of (7c) level 2, with no sign
-# slot for the index and left-endpoint columns.
+# Indices per chunk of a walk over a level's indices.  On `construct` and
+# `verify` the CSV is the one such walk: the text matrix of a chunk's rows
+# stays in cache, and no level-sized text is held.  A row takes one byte per
+# character slot of the chunk's widest row: 28 slots for most chunks of (7c)
+# level 2, with no sign slot for the index and left-endpoint columns.  The
+# whole arrays that `gap`, the demos and the tests ask for (`Runs.from_array`,
+# `tau.sigma_of`, `phi_level`) are filled chunk by chunk too, so their int64
+# temporaries stay chunk-sized.
 _CHUNK = 1 << 15
 
 
@@ -247,10 +249,11 @@ class Runs:
     last run up to size-1; starts rises from 0 and neighbouring runs
     differ in value, so a function has one Runs, and its run-length code
     is (values, run lengths).  A construction level is a few runs per
-    parent index whatever its modulus, so each pass expands only the runs
-    that meet its index chunk (`chunk`); `array` expands the whole
-    function, for callers that need it, into a fresh array.  starts and
-    values are read-only."""
+    parent index whatever its modulus, so its records and checks are sums
+    over the common pieces of its runs (`overlay`), and the CSV expands
+    only the runs that meet each index chunk (`chunk`); `array` expands
+    the whole function, for callers that need it, into a fresh array.
+    starts and values are read-only."""
 
     __slots__ = ("starts", "values", "size")
 
@@ -317,6 +320,15 @@ class Runs:
         """[[value, run_length], ...], as Python ints."""
         pairs = np.stack([self.values.astype(np.int64), self.lengths()], axis=1)
         return pairs.tolist()
+
+
+def overlay(*functions: Runs):
+    """The common pieces of functions of one size, each constant on every
+    piece: (starts, lengths, values), where values holds each function's
+    value on each piece, in the order given."""
+    starts = np.unique(np.concatenate([f.starts for f in functions]))
+    lengths = np.diff(np.append(starts, functions[0].size))
+    return starts, lengths, [f.at(starts) for f in functions]
 
 
 _CSV_HEADER = b"index,left_endpoint,value\n"

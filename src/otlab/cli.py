@@ -241,11 +241,11 @@ def _artifacts(tower, levels, check: bool = False):
     object is the tau-level dict or the list of level records the file
     was rendered from, or None.
 
-    A level's CSV blocks come from its one quasi-cost pass, which also
-    feeds its dual record and, with check, its invariant checks; the
-    chunks the caller left when it stopped at a differing block still go
-    to those, unrendered.  With check, each level's `tau.LevelReport`
-    then follows as (level, None, None, report)."""
+    A level's CSV blocks expand its quasi-cost pieces one index chunk at
+    a time, the one walk over its indices; its dual record
+    (`duals.level_scalars`) and, with check, its `tau.verify_level`
+    report, which follows as (level, None, None, report), take its runs
+    and pieces."""
     from . import circle, duals, tau
 
     tower_json = serialize.artifact_json(serialize.tower_to_dict(tower))
@@ -256,21 +256,15 @@ def _artifacts(tower, levels, check: bool = False):
         n = level.level
         fresh = serialize.tau_level_to_dict(level, tower)
         yield level, f"tau_level_{n}.json", [serialize.artifact_json(fresh).encode()], fresh
-        sums = [duals.LevelScalarSums(level, tower)]
-        if check:
-            sums.append(tau.LevelChecks(level, tower))
-        chunks = tau.quasi_cost_chunks(level, tower, *sums)
-        blocks = circle.csv_blocks(level.modulus, chunks)
+        blocks = circle.csv_blocks(level.modulus, tau.quasi_cost_chunks(level, tower))
         yield level, f"quasi_cost_level_{n}.csv", blocks, None
-        for _ in chunks:
-            pass
-        s = sums[0].result()
+        s = duals.level_scalars(level, tower)
         ledgers.append(serialize.ledger_to_dict(s.ledger))
         diag_records.append(
             serialize.diagnostic_to_dict(s.diagnostic, s.dual_value, s.correction_norm)
         )
         if check:
-            yield level, None, None, sums[1].result()
+            yield level, None, None, tau.verify_level(level, tower)
     ledger_json = serialize.artifact_json(ledgers)
     yield None, "singular_ledger.json", [ledger_json.encode()], ledgers
     diag_jsonl = serialize.diagnostics_jsonl(diag_records)
@@ -374,7 +368,7 @@ def cmd_verify(args) -> int:
 
     levels = tau.build_levels(tower, depth)
     for level, name, blocks, fresh in _artifacts(tower, levels, check=True):
-        if name is None:  # the level's invariant checks, done with its pass
+        if name is None:  # the level's invariant checks
             if not fresh.hard_invariants_ok:
                 failures.append(f"level {level.level}: invariant check failed: {fresh}")
         else:

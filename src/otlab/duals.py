@@ -19,64 +19,49 @@ it is never positive: every level's correction is 0 and its dual value
 is 1.
 
 `level_scalars` is the one per-level record: the singular ledger, the
-singular build-up diagnostic, and the dual value and correction norm,
-from one chunked pass over the quasi-cost pieces.  `LevelScalarSums` gathers
-the same record from a pass that something else drives, such as the
-level's CSV pass in `construct` and `verify`.  `verify_feasibility` is the
-index-by-index check of the pair on the three graphs.
+singular build-up diagnostic, and the dual value and correction norm.
+Each is a sum of value x length over constant pieces: of the quasi-cost
+(`tau.quasi_cost_pieces`) for the ledger and the diagnostic, and of the
+weight w and the one-step bound for the correction, so no index is
+visited.  `verify_feasibility` is the index-by-index check of the pair
+on the three graphs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .circle import ModulusTower, phi_level, quasi_cost_values
-from .tau import LedgerSums, SingularLedger, TauLevel, fold_quasi_cost, quasi_cost, sigma_of
+from .circle import ModulusTower, Runs, overlay, phi_level, quasi_cost_values
+from .tau import (
+    SingularLedger, TauLevel, quasi_cost, quasi_cost_pieces, sigma_of, singular_ledger,
+)
 
 
-def _one_step_cost(tower: ModulusTower, n: int, lo: int = 0, hi: Optional[int] = None):
-    """Level-n cost on the one-step graph at indices lo..hi-1 (default
-    all): 0 on L^n, 2 on middle u R^n.
+def _one_step_cost(tower: ModulusTower, n: int) -> Runs:
+    """Level-n cost on the one-step graph, as runs: 0 on L^n, 2 on
+    middle u R^n.
 
     The middle interval straddles the half point; it is grouped with the
     2-valued side so the bound is the weaker of its two limit values.
     """
-    hi = tower.modulus(n) if hi is None else hi
-    idx = np.arange(lo, hi, dtype=np.int64)
-    return np.where(idx < tower.middle_index(n), 0, 2)
+    return Runs.from_starts([0, tower.middle_index(n)], [0, 2], tower.modulus(n))
 
 
-def _correction(tower: ModulusTower, n: int, lo: int, hi: int):
-    """phi_raw - phi_corrected at indices lo..hi-1: the positive part of
-    the one-step excess of (phi, psi = 1 - phi), the diagonal and
+def _correction(tower: ModulusTower, n: int) -> int:
+    """The sum of phi_raw - phi_corrected over the indices: the positive
+    part of the one-step excess of (phi, psi = 1 - phi), the diagonal and
     constructed-graph excesses being zero.  The one-step quasi-cost is
-    1 - w by the identity above, so no phi is read."""
-    w = np.sign(tower.middle_index(n) - np.arange(lo, hi, dtype=np.int64))
-    return np.maximum(1 - w - _one_step_cost(tower, n, lo, hi), 0)
-
-
-class _CorrectionSums:
-    """Chunk sums of the correction.  With psi = 1 - phi the corrected
-    pair integrates to 1 - correction norm, so only the correction is
-    summed."""
-
-    def __init__(self, level: TauLevel, tower: ModulusTower):
-        self.level = level
-        self.tower = tower
-        self.correction = 0
-
-    def add(self, lo: int, q):
-        corr = _correction(self.tower, self.level.level, lo, lo + len(q))
-        self.correction += int(corr.sum(dtype=np.int64))
-
-    def result(self):
-        """(dual value, correction norm)."""
-        norm = Fraction(self.correction, self.level.modulus)
-        return 1 - norm, norm
+    1 - w by the identity above, so no phi is read: the excess is
+    1 - w - cost on the common pieces of the 3 runs of w and the 2 of the
+    bound."""
+    mid = tower.middle_index(n)
+    w = Runs.from_starts([0, mid, mid + 1], [1, 0, -1], tower.modulus(n))
+    _, lengths, (w, cost) = overlay(w, _one_step_cost(tower, n))
+    return int((np.maximum(1 - w - cost, 0) * lengths).sum())
 
 
 @dataclass
@@ -113,7 +98,7 @@ def verify_feasibility(level: TauLevel, tower: ModulusTower, phi=None) -> Feasib
 
     rot = (idx + P) % M
     pair_rot = phi + psi[rot]
-    c_rot = _one_step_cost(tower, n)
+    c_rot = _one_step_cost(tower, n).array()
     rot_bad = np.nonzero(pair_rot > c_rot)[0]
 
     q = quasi_cost(level, tower).values
@@ -157,38 +142,31 @@ def default_delta_grid(M: int):
     return grid or [Fraction(2, M)]
 
 
-class _DiagnosticSums:
-    """Chunk sums of the singular build-up diagnostic; only the negative
-    entries of q are kept, and sorted once at the end."""
-
-    def __init__(self, level: TauLevel):
-        self.level = level
-        self.negatives = [np.zeros(0, dtype=np.int64)]
-        self.plus = self.minus = 0
-
-    def add(self, lo: int, q):
-        self.negatives.append(q[q < 0])
-        self.plus += int(np.where(q > 1, q - 1, 0).sum(dtype=np.int64))
-        self.minus += int(np.where(q < 1, 1 - q, 0).sum(dtype=np.int64))
-
-    def result(self) -> SingularDiagnostic:
-        M = self.level.modulus
-        neg = np.sort(np.concatenate(self.negatives))
-        prefix = np.concatenate([[0], np.cumsum(neg, dtype=np.int64)])
-        sup = {}
-        for d in default_delta_grid(M):
-            dM = Fraction(d) * M
-            k = int(dM) - 1 if dM.denominator == 1 else int(dM)  # largest k/M < d
-            k = min(max(k, 0), len(neg))  # only negative entries help
-            sup[Fraction(d)] = Fraction(-int(prefix[k]), M)
-        return SingularDiagnostic(
-            level=self.level.level,
-            negative_mass=Fraction(int(prefix[-1]), M),
-            carrier_measure=Fraction(len(neg), M),
-            singular_set_measure=Fraction(int(self.level.singular_runs.sum_below(M)), M),
-            small_set_sup=sup,
-            mass_balance_ok=self.plus == self.minus,
-        )
+def _diagnostic(level: TauLevel, tower: ModulusTower) -> SingularDiagnostic:
+    """The singular build-up diagnostic of one level, from its quasi-cost
+    pieces.  The greedy set of measure k/M takes the k most negative
+    entries of q: the negative pieces in ascending order of value, the
+    last one in part."""
+    M = level.modulus
+    q = quasi_cost_pieces(level, tower)
+    v, lengths = q.values.astype(np.int64), q.lengths()
+    neg = np.argsort(v, kind="stable")[: np.count_nonzero(v < 0)]
+    count = np.concatenate([[0], np.cumsum(lengths[neg])])  # entries before each piece
+    mass = np.concatenate([[0], np.cumsum(v[neg] * lengths[neg])])
+    grid = default_delta_grid(M)
+    # the largest k with k/M < d, at most the number of negative entries
+    ks = np.array([min(max(math.ceil(d * M) - 1, 0), int(count[-1])) for d in grid])
+    piece = np.searchsorted(count, ks, side="right") - 1
+    prefix = mass[piece] + np.append(v[neg], 0)[piece] * (ks - count[piece])
+    return SingularDiagnostic(
+        level=level.level,
+        negative_mass=Fraction(int(mass[-1]), M),
+        carrier_measure=Fraction(int(count[-1]), M),
+        singular_set_measure=Fraction(int(level.singular_runs.sum_below(M)), M),
+        small_set_sup={d: Fraction(-int(x), M) for d, x in zip(grid, prefix)},
+        # what q - 1 moves up balances what it moves down
+        mass_balance_ok=int(((v - 1) * lengths).sum()) == 0,
+    )
 
 
 def singular_buildup(levels, tower: ModulusTower):
@@ -198,7 +176,7 @@ def singular_buildup(levels, tower: ModulusTower):
     out = []
     for level in levels:
         level.require_masks("singular_buildup")
-        out += fold_quasi_cost(level, tower, _DiagnosticSums(level))
+        out.append(_diagnostic(level, tower))
     return out
 
 
@@ -212,27 +190,11 @@ class LevelScalars:
     correction_norm: Fraction
 
 
-class LevelScalarSums:
-    """Chunk sums of `level_scalars`: the ledger, the diagnostic and the
-    correction, fed together by one quasi-cost pass."""
-
-    def __init__(self, level: TauLevel, tower: ModulusTower):
-        level.require_masks("level_scalars")
-        self.sums = (
-            LedgerSums(level, tower), _DiagnosticSums(level), _CorrectionSums(level, tower)
-        )
-
-    def add(self, lo: int, q):
-        for s in self.sums:
-            s.add(lo, q)
-
-    def result(self) -> LevelScalars:
-        ledger, diagnostic, (value, norm) = (s.result() for s in self.sums)
-        return LevelScalars(ledger, diagnostic, value, norm)
-
-
 def level_scalars(level: TauLevel, tower: ModulusTower) -> LevelScalars:
     """The ledger, the singular diagnostic (default delta grid), and the
-    dual value and correction norm of the corrected pair, from one
-    chunked pass over the quasi-cost: the one per-level dual record."""
-    return fold_quasi_cost(level, tower, LevelScalarSums(level, tower))[0]
+    dual value and correction norm of the corrected pair: the one
+    per-level dual record, from the level's runs and pieces.  With
+    psi = 1 - phi the corrected pair integrates to 1 - correction norm."""
+    level.require_masks("level_scalars")
+    norm = Fraction(_correction(tower, level.level), level.modulus)
+    return LevelScalars(singular_ledger(level, tower), _diagnostic(level, tower), 1 - norm, norm)

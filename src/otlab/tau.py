@@ -24,9 +24,10 @@ none is made on the way from one level to the next.  On a run, sigma is
 a translation, so the permutation and middle-avoidance checks take
 O(runs) work (`_tiles`, `_avoidance_hits`), and the quasi-cost is a
 handful of constant pieces computed from the runs with no phi array
-(`quasi_cost_pieces`).  The passes that must visit every index (the CSV,
-the dual record, the invariant checks) expand the runs and pieces one
-index chunk at a time (`quasi_cost_chunks`).
+(`quasi_cost_pieces`).  The ledger, the invariant checks and the plan
+costs are sums of value x length over the common pieces of the runs
+(`circle.overlay`).  Only the CSV visits every index, expanding the
+pieces one index chunk at a time (`quasi_cost_chunks`).
 
 `TauLevel` is the package's one interval-permutation type: it holds the
 construction levels built here and, without good/singular masks, the
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import ModulusTower, Runs, StepFunction, index_chunks, phi_points
+from .circle import ModulusTower, Runs, StepFunction, index_chunks, overlay, phi_points
 
 
 class GrowthTooSmall(Exception):
@@ -99,8 +100,8 @@ class TauLevel:
 
     The properties tau, good_mask, singular_mask and changed_mask expand
     a whole read-only array on each call and keep none: they serve `gap`,
-    the demos and the tests.  The level passes expand one index chunk at
-    a time.
+    the demos and the tests.  The level's records and checks take its
+    runs.
     """
 
     __slots__ = ("level", "tau_runs", "good_runs", "singular_runs", "changed_runs", "parent")
@@ -153,11 +154,12 @@ class TauLevel:
     def singular_indices(self):
         return np.flatnonzero(self.singular_mask)
 
-    def middle1_block(self, tower: ModulusTower) -> slice:
-        """Indices below the level-1 middle interval, a contiguous block."""
+    def middle1_runs(self, tower: ModulusTower) -> Runs:
+        """The runs of the mask of the indices below the level-1 middle
+        interval, a contiguous block."""
         span = self.modulus // tower.M[0]
-        mid1 = tower.middle_index(1)
-        return slice(mid1 * span, (mid1 + 1) * span)
+        lo = tower.middle_index(1) * span
+        return Runs.from_starts([0, lo, lo + span], [False, True, False], self.modulus)
 
 
 def _as_runs(x, dtype):
@@ -174,13 +176,12 @@ def _expanded(runs):
     return a
 
 
-def _sigma(tower: ModulusTower, n: int, t, lo: int):
-    """sigma(l) = l + tau(l) * P_n (mod M_n) on the indices lo, lo+1, ...
-    of the tau chunk t, as int64: tau(l) * P_n (up to about M_n^2) does
+def _sigma(tower: ModulusTower, n: int, index, t):
+    """sigma(l) = l + tau(l) * P_n (mod M_n) at the indices index, whose
+    step counts are t, as int64: tau(l) * P_n (up to about M_n^2) does
     not fit int32."""
-    s = t.astype(np.int64)
-    s *= tower.step(n)
-    s += np.arange(lo, lo + len(t), dtype=np.int64)
+    s = np.asarray(t, dtype=np.int64) * tower.step(n)
+    s += index
     s %= tower.modulus(n)
     return s
 
@@ -190,7 +191,7 @@ def sigma_of(tower: ModulusTower, n: int, tau):
     index chunk at a time."""
     sigma = np.empty(tau.shape[0], dtype=np.int32)
     for lo, hi in index_chunks(tau.shape[0]):
-        sigma[lo:hi] = _sigma(tower, n, tau[lo:hi], lo)
+        sigma[lo:hi] = _sigma(tower, n, np.arange(lo, hi), tau[lo:hi])
     return sigma
 
 
@@ -212,7 +213,7 @@ def _tiles(level: TauLevel, tower: ModulusTower) -> bool:
     and so one-to-one, exactly when those intervals, ordered by their
     first index, each begin where the one before ends."""
     r = level.tau_runs
-    first = (r.starts + r.values.astype(np.int64) * tower.step(level.level)) % level.modulus
+    first = _sigma(tower, level.level, r.starts, r.values)
     order = np.argsort(first, kind="stable")
     first, length = first[order], r.lengths()[order]
     return bool((first[1:] == first[:-1] + length[:-1]).all())
@@ -470,25 +471,13 @@ def quasi_cost_pieces(level: TauLevel, tower: ModulusTower) -> Runs:
     return Runs.from_starts(starts[order], values[order].astype(np.int32), M)
 
 
-def quasi_cost_chunks(level: TauLevel, tower: ModulusTower, *sums):
+def quasi_cost_chunks(level: TauLevel, tower: ModulusTower):
     """(lo, q[lo:hi]) over the index chunks of the level, for the
-    quasi-cost q = 1 + phi - phi o sigma, expanded from its pieces; each
-    chunk goes first to every accumulator's add(lo, q).  No level-sized
-    array is made."""
+    quasi-cost q = 1 + phi - phi o sigma, expanded from its pieces: the
+    rows of the level's CSV.  No level-sized array is made."""
     q = quasi_cost_pieces(level, tower)
     for lo, hi in index_chunks(level.modulus):
-        chunk = q.chunk(lo, hi)
-        for s in sums:
-            s.add(lo, chunk)
-        yield lo, chunk
-
-
-def fold_quasi_cost(level: TauLevel, tower: ModulusTower, *sums):
-    """One pass over the quasi-cost chunks of the level, feeding every
-    accumulator; returns their result()s in order."""
-    for _ in quasi_cost_chunks(level, tower, *sums):
-        pass
-    return [s.result() for s in sums]
+        yield lo, q.chunk(lo, hi)
 
 
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:
@@ -502,44 +491,26 @@ def _changed_per_parent(level: TauLevel, tower: ModulusTower):
     return np.diff(level.changed_runs.sum_below(np.arange(0, level.modulus + 1, m)))
 
 
-class LedgerSums:
-    """Chunk sums of the singular ledger: the potential drop q - 1 over
-    the singular set and |1 - drop| over the good set."""
-
-    def __init__(self, level: TauLevel, tower: ModulusTower):
-        self.level = level
-        self.tower = tower
-        self.singular_drop = 0
-        self.good_dev = 0
-
-    def add(self, lo: int, q):
-        hi = lo + len(q)
-        drop = q - 1
-        self.singular_drop += int(
-            drop[self.level.singular_runs.chunk(lo, hi)].sum(dtype=np.int64)
-        )
-        self.good_dev += int(
-            np.abs(1 - drop[self.level.good_runs.chunk(lo, hi)]).sum(dtype=np.int64)
-        )
-
-    def result(self) -> SingularLedger:
-        level = self.level
-        M = level.modulus
-        n_changed = 0
-        if level.changed_runs is not None and level.parent is not None:
-            ch = _changed_per_parent(level, self.tower)
-            n_changed = int(ch[level.parent.good_mask].sum())
-        return SingularLedger(
-            level=level.level,
-            singular_mass=Fraction(self.singular_drop, M),
-            good_deviation=Fraction(self.good_dev, M),
-            change_measure=Fraction(n_changed, M),
-        )
-
-
 def singular_ledger(level: TauLevel, tower: ModulusTower) -> SingularLedger:
+    """The level's potential drop q - 1 summed over its singular set and
+    |1 - drop| over its good set, as sums of value x length over the
+    common pieces of the quasi-cost and the masks, and the measure of the
+    changed children of good parents."""
     level.require_masks("singular_ledger")
-    return fold_quasi_cost(level, tower, LedgerSums(level, tower))[0]
+    M = level.modulus
+    _, lengths, (q, good, sing) = overlay(
+        quasi_cost_pieces(level, tower), level.good_runs, level.singular_runs
+    )
+    q = q.astype(np.int64)
+    n_changed = 0
+    if level.changed_runs is not None and level.parent is not None:
+        n_changed = int(_changed_per_parent(level, tower)[level.parent.good_mask].sum())
+    return SingularLedger(
+        level=level.level,
+        singular_mass=Fraction(int(((q - 1) * lengths)[sing].sum()), M),
+        good_deviation=Fraction(int((np.abs(2 - q) * lengths)[good].sum()), M),
+        change_measure=Fraction(n_changed, M),
+    )
 
 
 @dataclass
@@ -573,112 +544,91 @@ class LevelReport:
         )
 
 
-class LevelChecks:
-    """Checks of `verify_level`.  The permutation and middle-avoidance
-    checks take the level's runs (`_tiles`, `_avoidance_hits`); the rest
-    are fed by the level's quasi-cost pass: tau is zero on the level-1
-    middle block, nesting under the parent map, the
-    good/singular/middle-block partition, a non-positive drop on the
-    singular set, and the refinement deviation, the sum of
-    |drop - parent drop| over the children of good parents (zero without
-    a parent; nonzero only on re-routed boundary sub-blocks and of order
-    M^2/m at level 2).  The parent's sigma and quasi-cost are expanded on
-    the parents of each chunk only."""
-
-    def __init__(self, level: TauLevel, tower: ModulusTower):
-        level.require_masks("verify_level")
-        n = level.level
-        self.level = level
-        self.tower = tower
-        self.mid1 = level.middle1_block(tower)
-        if level.parent is not None:
-            self.m = tower.primes[n - 1]
-            self.parent_q = quasi_cost_pieces(level.parent, tower)
-        self.tau_zero_on_mid1 = True
-        self.nesting_ok = self.partition_ok = self.drop_nonpositive = True
-        self.deviation = 0
-
-    def add(self, lo: int, q):
-        level, tower = self.level, self.tower
-        hi = lo + len(q)
-        t = level.tau_runs.chunk(lo, hi)
-        good = level.good_runs.chunk(lo, hi)
-        sing = level.singular_runs.chunk(lo, hi)
-        mid1 = np.zeros(hi - lo, dtype=bool)
-        mid1[max(self.mid1.start - lo, 0) : max(self.mid1.stop - lo, 0)] = True
-        self.tau_zero_on_mid1 &= not t[mid1].any()
-        self.partition_ok &= bool(
-            not (good & sing).any() and ((good | sing) ^ mid1).all()
-        )
-        self.drop_nonpositive &= bool((q[sing] - 1 <= 0).all())
-        parent = level.parent
-        if parent is not None:
-            # the parents of this chunk are p_lo..p_hi-1
-            p_lo, p_hi = lo // self.m, (hi - 1) // self.m + 1
-            sigma = _sigma(tower, level.level, t, lo)
-            parent_sigma = _sigma(tower, parent.level, parent.tau_runs.chunk(p_lo, p_hi), p_lo)
-            parent_of = np.arange(lo, hi, dtype=np.int64) // self.m - p_lo
-            self.nesting_ok &= bool((sigma // self.m == parent_sigma[parent_of]).all())
-            parent_q = self.parent_q.chunk(p_lo, p_hi)
-            gp = parent.good_runs.chunk(p_lo, p_hi)[parent_of]
-            # the drops' -1s cancel; |q| <= M_n and |parent q| <= M_{n-1}
-            diff = np.subtract(q[gp], parent_q[parent_of[gp]], dtype=np.int64)
-            self.deviation += int(np.abs(diff).sum())
-
-    def result(self) -> LevelReport:
-        level, tower = self.level, self.tower
-        n = level.level
-        singular_count = int(level.singular_runs.sum_below(level.modulus))
-        if n == 1:
-            singular_count_ok = singular_count == 2
-        else:
-            singular_count_ok = singular_count < 2 * tower.M[n - 2] ** 2
-
-        if level.parent is not None:
-            ch = _changed_per_parent(level, tower)
-            change_per_good_parent_ok = bool(
-                (ch[level.parent.good_mask] <= tower.M[n - 2]).all()
-            )
-        else:
-            change_per_good_parent_ok = True
-
-        return LevelReport(
-            level=n,
-            permutation_ok=_tiles(level, tower),
-            middle_avoidance_ok=_avoidance_hits(level, tower).size == 0,
-            nesting_ok=self.nesting_ok,
-            tau_zero_on_middle1=self.tau_zero_on_mid1,
-            partition_ok=self.partition_ok,
-            singular_count=singular_count,
-            singular_count_ok=singular_count_ok,
-            change_per_good_parent_ok=change_per_good_parent_ok,
-            drop_nonpositive_on_singular=self.drop_nonpositive,
-            refinement_deviation=Fraction(self.deviation, level.modulus),
-        )
-
-
 def verify_level(level: TauLevel, tower: ModulusTower) -> LevelReport:
     """The construction's invariant checks at one level and its
-    refinement deviation, from the level's runs and one pass over its
-    quasi-cost chunks (see `LevelChecks`); the ledger is
-    `singular_ledger`'s."""
-    return fold_quasi_cost(level, tower, LevelChecks(level, tower))[0]
+    refinement deviation, from its runs and quasi-cost pieces; the ledger
+    is `singular_ledger`'s.
+
+    The permutation and middle-avoidance checks take the tau runs
+    (`_tiles`, `_avoidance_hits`).  The rest read the common pieces of
+    tau, the masks, the level-1 middle block, the quasi-cost and, with a
+    parent, the parent index: tau is zero on the middle block, the good
+    and singular sets and the middle block partition the indices, the
+    drop q - 1 is non-positive on the singular set, and the refinement
+    deviation sums |drop - parent drop| over the children of good parents
+    (zero without a parent; nonzero only on re-routed boundary sub-blocks
+    and of order M^2/m at level 2).
+
+    Nesting, sigma(l) div m_n = sigma_{n-1}(l div m_n), is checked at the
+    first and last index of each piece.  A piece lies inside one parent
+    block p with one step t, and there, with s = l mod m_n and
+    P_n = m_n * P_{n-1} + 1, sigma(l) div m_n is
+    (p + t * P_{n-1} + floor((s + t) / m_n)) mod M_{n-1}: the floor rises
+    with s and, over at most m_n consecutive s, takes at most two values,
+    both at the piece's ends."""
+    level.require_masks("verify_level")
+    n, M, parent = level.level, level.modulus, level.parent
+    functions = [
+        level.tau_runs, level.good_runs, level.singular_runs,
+        level.middle1_runs(tower), quasi_cost_pieces(level, tower),
+    ]
+    if parent is not None:
+        m = tower.primes[n - 1]
+        functions.append(Runs(np.arange(0, M, m), np.arange(M // m), M))  # the parent index
+    starts, lengths, values = overlay(*functions)
+    t, good, sing, mid1, q = values[:5]
+
+    singular_count = int(lengths[sing].sum())
+    if n == 1:
+        singular_count_ok = singular_count == 2
+    else:
+        singular_count_ok = singular_count < 2 * tower.M[n - 2] ** 2
+
+    nesting_ok = change_per_good_parent_ok = True
+    deviation = 0
+    if parent is not None:
+        p = values[5]
+        ends = np.concatenate([starts, starts + lengths - 1])
+        sigma = _sigma(tower, n, ends, np.tile(t, 2))
+        parent_sigma = _sigma(tower, n - 1, p, parent.tau_runs.at(p))
+        nesting_ok = bool((sigma // m == np.tile(parent_sigma, 2)).all())
+        # |q| <= M_n and |parent q| <= M_{n-1}: the difference can pass int32
+        diff = q.astype(np.int64) - quasi_cost_pieces(parent, tower).at(p)
+        deviation = int((np.abs(diff) * lengths)[parent.good_runs.at(p)].sum())
+        ch = _changed_per_parent(level, tower)
+        change_per_good_parent_ok = bool((ch[parent.good_mask] <= tower.M[n - 2]).all())
+
+    return LevelReport(
+        level=n,
+        permutation_ok=_tiles(level, tower),
+        middle_avoidance_ok=_avoidance_hits(level, tower).size == 0,
+        nesting_ok=nesting_ok,
+        tau_zero_on_middle1=bool((t[mid1] == 0).all()),
+        partition_ok=bool(not (good & sing).any() and ((good | sing) ^ mid1).all()),
+        singular_count=singular_count,
+        singular_count_ok=singular_count_ok,
+        change_per_good_parent_ok=change_per_good_parent_ok,
+        drop_nonpositive_on_singular=bool((q[sing] <= 1).all()),
+        refinement_deviation=Fraction(deviation, M),
+    )
 
 
 def transport_cost_tau(level: TauLevel, tower: ModulusTower):
     """(total, positive_part, good_part) of the quasi-cost, as exact
-    fractions of the uniform measure.  total is always 1; positive_part
-    is the plan cost under the clipped cost; good_part is the mass on
-    good-and-middle indices that survives refinement."""
+    fractions of the uniform measure, from its pieces.  total is always
+    1; positive_part is the plan cost under the clipped cost; good_part
+    is the mass on good-and-middle indices that survives refinement."""
     level.require_masks("transport_cost_tau")
-    q = quasi_cost(level, tower).values
+    _, lengths, (q, good, mid1) = overlay(
+        quasi_cost_pieces(level, tower), level.good_runs, level.middle1_runs(tower)
+    )
+    mass = q.astype(np.int64) * lengths
     M = level.modulus
-    total = Fraction(int(q.sum(dtype=np.int64)), M)
-    positive = Fraction(int(np.where(q > 0, q, 0).sum(dtype=np.int64)), M)
-    keep = level.good_mask.copy()
-    keep[level.middle1_block(tower)] = True
-    good_part = Fraction(int(q[keep].sum(dtype=np.int64)), M)
-    return total, positive, good_part
+    return (
+        Fraction(int(mass.sum()), M),
+        Fraction(int(mass[q > 0].sum()), M),
+        Fraction(int(mass[good | mid1].sum()), M),
+    )
 
 
 def build_levels(tower: ModulusTower, depth: int):

@@ -1,9 +1,10 @@
 """The run-based and chunked level kernels against the whole-array
 formulas they replaced (`whole_array_oracles`), at several chunk sizes:
 the levels' runs, the floor-sum phi, the quasi-cost pieces, the
-permutation and middle-avoidance checks on runs, and the chunk passes.
-Also the one quasi-cost pass per level of `construct` and `verify`, and
-a bound on what each of them allocates."""
+permutation and middle-avoidance checks on runs, the level records and
+checks summed over the runs, and the chunked whole arrays and CSV rows.
+Also that `construct` and `verify` expand each level's quasi-cost once,
+for its CSV, and a bound on what each of them allocates."""
 
 import collections
 import dataclasses
@@ -25,15 +26,19 @@ TOWERS = {
     "5_11": lambda: build_tower(5, 2),
     "5_11_1009": lambda: build_tower(5, 3, growth_floor=[11, 1000]),
     "5c": lambda: build_tower_mode(5, 2, "paper_compliant"),
+    "7_29": lambda: build_tower(7, 2),
+    "11_331": lambda: build_tower(11, 2, growth_floor=[331]),
 }
 
 # Chunk sizes 1 and 7 make a numpy call per index or per 7 indices, so
 # the (5c) level (M = 625,505) and the level-3 one (M = 77,495) run at 64
-# and the default only.
+# and the default only.  The level records and checks take no chunks, so
+# the (7, 29) and (11, 331) towers run at the default only.
 CASES = [
     ("5_11", 1), ("5_11", 7), ("5_11", 64), ("5_11", DEFAULT_CHUNK),
     ("5_11_1009", 64), ("5_11_1009", DEFAULT_CHUNK),
     ("5c", 64), ("5c", DEFAULT_CHUNK),
+    ("7_29", DEFAULT_CHUNK), ("11_331", DEFAULT_CHUNK),
 ]
 
 
@@ -118,9 +123,9 @@ def test_level_scalars_match_whole_array_formulas(name, chunk):
 def test_nonzero_correction_matches_whole_array_formula(monkeypatch, name, chunk):
     # Every real pair has correction 0.  The oracle's phi raised by one at
     # index 0 (on L^n, where the one-step bound is 0) exceeds the bound by
-    # exactly 1 there and nowhere else.  The chunked correction reads no
+    # exactly 1 there and nowhere else.  The correction on runs reads no
     # phi (its one-step quasi-cost is 1 - w), so the same excess is made
-    # there by lowering the one-step bound at index 0 by one.
+    # there by lowering the runs of the one-step bound by one at index 0.
     tower = TOWERS[name]()
     levels = tau.build_levels(tower, tower.depth)
     real_phi, real_cost = circle.phi_level, duals._one_step_cost
@@ -130,11 +135,10 @@ def test_nonzero_correction_matches_whole_array_formula(monkeypatch, name, chunk
         phi[0] += 1
         return circle.StepFunction(n, phi)
 
-    def lowered(tower, n, lo=0, hi=None):
-        cost = real_cost(tower, n, lo, hi)
-        if lo == 0:
-            cost[0] -= 1
-        return cost
+    def lowered(tower, n):
+        cost = real_cost(tower, n)
+        starts = np.r_[0, 1, cost.starts[1:]]
+        return circle.Runs.from_starts(starts, np.r_[cost.values[0] - 1, cost.values], cost.size)
 
     monkeypatch.setattr(duals, "_one_step_cost", lowered)
     monkeypatch.setattr(oracle, "phi_level", bumped)
@@ -275,6 +279,14 @@ def test_broken_levels_match_whole_array_formulas(chunk, edit):
     got = dataclasses.asdict(tau.verify_level(broken, tower))
     assert got == dataclasses.asdict(oracle.verify_level(broken, tower))
     assert tau.singular_ledger(broken, tower) == oracle.singular_ledger(broken, tower)
+    s = duals.level_scalars(broken, tower)
+    grid = duals.default_delta_grid(broken.modulus)
+    d = s.diagnostic
+    assert (
+        d.negative_mass, d.carrier_measure, d.singular_set_measure,
+        d.small_set_sup, d.mass_balance_ok,
+    ) == oracle.diagnostic(broken, tower, grid)
+    assert tau.transport_cost_tau(broken, tower) == oracle.transport_cost_tau(broken, tower)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
@@ -435,37 +447,52 @@ def test_gap_grid_cells_are_int32():
         assert family.limit_tau(n).dtype == family.limit_sigma(n).dtype == np.int32
 
 
-def _count_walks(monkeypatch):
-    """Per level, the walks over its quasi-cost chunks that the calls made
-    after this one start.  No whole phi may be built meanwhile."""
-    walks = collections.Counter()
-    quasi_cost_chunks = tau.quasi_cost_chunks
+def _count_expansions(monkeypatch):
+    """The indices that the calls made after this one expand from runs,
+    by (kind, size): kind "q" for a level's quasi-cost pieces, "other"
+    for any other runs.  No whole phi may be built meanwhile."""
+    expanded = collections.Counter()
+    pieces = []  # kept alive, so that no other runs take their ids
 
-    def counted_quasi_cost(level, tower, *sums):
-        walks[level.level] += 1
-        return quasi_cost_chunks(level, tower, *sums)
+    def recorded(quasi_cost_pieces):
+        def recorded_pieces(level, tower):
+            pieces.append(quasi_cost_pieces(level, tower))
+            return pieces[-1]
+        return recorded_pieces
+
+    def counted(expand):
+        def counted_expand(runs, *args):
+            out = expand(runs, *args)
+            kind = "q" if any(runs is q for q in pieces) else "other"
+            expanded[kind, runs.size] += out.size
+            return out
+        return counted_expand
 
     def no_phi_array(*args):
         raise AssertionError("a whole phi was built")
 
-    monkeypatch.setattr(tau, "quasi_cost_chunks", counted_quasi_cost)
+    for module in (tau, duals):
+        monkeypatch.setattr(module, "quasi_cost_pieces", recorded(module.quasi_cost_pieces))
+    monkeypatch.setattr(circle.Runs, "chunk", counted(circle.Runs.chunk))
+    monkeypatch.setattr(circle.Runs, "array", counted(circle.Runs.array))
     monkeypatch.setattr(circle, "_phi_values", no_phi_array)
-    return walks
+    return expanded
 
 
 @pytest.mark.parametrize("m1,mode", [(5, "relaxed"), (7, "relaxed"), (5, "paper_compliant")])
 def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
-    # Each level is walked once, for every artifact and check that needs
-    # its quasi-cost: the CSV, the dual record and, in verify, the
-    # invariants.  Building and checking a level takes its runs only.
+    # construct and verify each expand a level's quasi-cost pieces once,
+    # for its CSV, and no other runs of the deepest level: the records
+    # and checks of a level take its runs and pieces.  A parent's runs
+    # are read per parent index, while its child is built and checked.
     d = str(tmp_path / "a")
-    want = {1: 1, 2: 1}
-    walks = _count_walks(monkeypatch)
-    assert main(["construct", "--m1", str(m1), "--mode", mode, "--outdir", d]) == 0
-    assert walks == want
-    walks = _count_walks(monkeypatch)
-    assert main(["verify", d]) == 0
-    assert walks == want
+    tower = build_tower_mode(m1, 2, mode)
+    want = {("q", M): M for M in tower.M}
+    for argv in (["construct", "--m1", str(m1), "--mode", mode, "--outdir", d], ["verify", d]):
+        expanded = _count_expansions(monkeypatch)
+        assert main(argv) == 0
+        assert {k: v for k, v in expanded.items() if k[0] == "q"} == want
+        assert expanded["other", tower.M[-1]] == 0
 
 
 # tracemalloc's peak over `construct` and over `verify`, in bytes, on

@@ -277,9 +277,9 @@ def _header_only(path):
 @pytest.mark.parametrize("act", [_flip_row0_byte, _header_only])
 def test_cli_verify_drains_the_pass_after_a_differing_csv_block(tmp_path, monkeypatch, capsys, act):
     # At 7 indices per chunk the (5, 11) level-2 CSV is 8 blocks, and the
-    # comparison stops at the first.  The rest of the level's one pass
-    # must still run, or its ledger, diagnostics and invariant checks
-    # would see only the first chunk and fail as well.
+    # comparison stops at the first.  The level's ledger, diagnostics and
+    # invariant checks take its runs, not the CSV's chunks, so only the
+    # CSV fails.
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0
     act(d / "quasi_cost_level_2.csv")
@@ -788,9 +788,8 @@ def test_cli_verify_reports_a_failed_level_invariant(tmp_path, monkeypatch, caps
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(d)]) == 0
     capsys.readouterr()
-    # verify checks the invariants in each level's one quasi-cost pass
     failing = types.SimpleNamespace(hard_invariants_ok=False)
-    monkeypatch.setattr(tau.LevelChecks, "result", lambda self: failing)
+    monkeypatch.setattr(tau, "verify_level", lambda level, tower: failing)
     assert main(["verify", str(d)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("level 1: invariant check failed"), lines
