@@ -197,4 +197,5 @@ def level_scalars(level: TauLevel, tower: ModulusTower) -> LevelScalars:
     psi = 1 - phi the corrected pair integrates to 1 - correction norm."""
     level.require_masks("level_scalars")
     norm = Fraction(_correction(tower, level.level), level.modulus)
-    return LevelScalars(singular_ledger(level, tower), _diagnostic(level, tower), 1 - norm, norm)
+    diagnostic = singular_buildup([level], tower)[0]
+    return LevelScalars(singular_ledger(level, tower), diagnostic, 1 - norm, norm)
