@@ -326,7 +326,10 @@ def overlay(*functions: Runs):
     """The common pieces of functions of one size, each constant on every
     piece: (starts, lengths, values), where values holds each function's
     value on each piece, in the order given."""
-    starts = np.unique(np.concatenate([f.starts for f in functions]))
+    # Sorted, each start once.  np.unique would do, but on its first call
+    # numpy 2 imports numpy.ma, which adds 1.4 MB to a verb's peak RSS.
+    starts = np.sort(np.concatenate([f.starts for f in functions]))
+    starts = starts[np.diff(starts, prepend=-1) != 0]
     lengths = np.diff(np.append(starts, functions[0].size))
     return starts, lengths, [f.at(starts) for f in functions]
 
