@@ -452,7 +452,7 @@ def _count_expansions(monkeypatch):
     by (kind, size): kind "q" for a level's quasi-cost pieces, "other"
     for any other runs.  No whole phi may be built meanwhile."""
     expanded = collections.Counter()
-    pieces = []  # kept alive, so that no other runs take their ids
+    pieces = []  # kept alive, so that no other runs take their place
 
     def recorded(quasi_cost_pieces):
         def recorded_pieces(level, tower):
@@ -488,8 +488,9 @@ def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
     d = str(tmp_path / "a")
     tower = build_tower_mode(m1, 2, mode)
     want = {("q", M): M for M in tower.M}
+    expanded = _count_expansions(monkeypatch)
     for argv in (["construct", "--m1", str(m1), "--mode", mode, "--outdir", d], ["verify", d]):
-        expanded = _count_expansions(monkeypatch)
+        expanded.clear()
         assert main(argv) == 0
         assert {k: v for k, v in expanded.items() if k[0] == "q"} == want
         assert expanded["other", tower.M[-1]] == 0
