@@ -223,14 +223,15 @@ class StepFunction:
         return b"".join(csv_blocks(M, chunks)).decode("ascii")
 
 
-# Indices per chunk of a walk over a level's indices.  On `construct` and
-# `verify` the CSV is the one such walk: the text matrix of a chunk's rows
-# stays in cache, and no level-sized text is held.  A row takes one byte per
-# character slot of the chunk's widest row: 28 slots for most chunks of (7c)
-# level 2, with no sign slot for the index and left-endpoint columns.  The
-# whole arrays that `gap`, the demos and the tests ask for (`Runs.from_array`,
-# `tau.sigma_of`, `phi_level`) are filled chunk by chunk too, so their int64
-# temporaries stay chunk-sized.
+# Indices per chunk of a walk over a level's indices, and the most rows in
+# a block of a CSV.  On `construct` and `verify` the CSV is the one walk
+# over a level's indices, a block at a time, so no level-sized text is
+# held.  A block of super-rows (`runs_csv_blocks`) is its rows' text, about
+# 28 bytes a row at (7c) level 2, under 1 MB a block; a block rendered row
+# by row (`_render_rows`) is first laid out at its widest row.  The whole
+# arrays that `gap`, the demos and the tests ask for (`Runs.from_array`,
+# `tau.sigma_of`, `phi_level`) are filled chunk by chunk too, so their
+# int64 temporaries stay chunk-sized.
 _CHUNK = 1 << 15
 
 
@@ -339,22 +340,169 @@ _CSV_HEADER = b"index,left_endpoint,value\n"
 
 def csv_blocks(M: int, chunks):
     """Bytes of the plot-ready CSV of a level step function on Z/MZ: the
-    header, then one block of rows per (lo, values) chunk.
+    header, then one block of rows per (lo, values) chunk, rendered row by
+    row (`_render_rows`).
 
     Row l reads "l,p/q,v/1" with p/q = l/M in lowest terms (0/1 at
     l = 0), the canonical form of `format_rational`; the chunks must
-    cover 0..M-1 in order.
+    cover 0..M-1 in order.  This renders any array, for
+    `StepFunction.to_csv`; `construct` and `verify` render a level's CSV
+    from its quasi-cost pieces (`runs_csv_blocks`), mostly as super-rows.
     """
     yield _CSV_HEADER
     powers = _prime_powers(M)
     for lo, values in chunks:
-        l = np.arange(lo, lo + len(values), dtype=np.int64)
-        # l/M divided by gcd(l, M): by p once for each p^k | M that divides l
-        num, den = l.copy(), np.full(len(l), M, dtype=np.int64)
-        for p, pk in powers:
-            num[-lo % pk :: pk] //= p
-            den[-lo % pk :: pk] //= p
-        yield _render_rows((l, num, den, values), (b",", b"/", b",", b"/1\n"))
+        yield _csv_rows(M, lo, values, powers)
+
+
+def _csv_rows(M: int, lo: int, values, powers) -> bytes:
+    """The rows lo, lo+1, ... of the CSV, one per entry of values."""
+    l = np.arange(lo, lo + len(values), dtype=np.int64)
+    # l/M divided by gcd(l, M): by p once for each p^k | M that divides l
+    num, den = l.copy(), np.full(len(l), M, dtype=np.int64)
+    for p, pk in powers:
+        num[-lo % pk :: pk] //= p
+        den[-lo % pk :: pk] //= p
+    return _render_rows((l, num, den, values), (b",", b"/", b",", b"/1\n"))
+
+
+def runs_csv_blocks(q: Runs):
+    """Bytes of the CSV of `csv_blocks` for the function q on Z/MZ
+    (M = q.size), rendered from its runs in blocks of at most _CHUNK rows.
+
+    Let P be M with its prime factor above sqrt(M), if any, taken out: at
+    a tower level, M_{n-1}, as m_n > M_{n-1}.  Cut 0..M-1 at the starts of
+    the runs, at each multiple of that prime and the index after it, and
+    where the digit count of l or of l/g steps for a divisor g of P (at
+    g*10^d).  Between two cuts the value and the digit count of l hold,
+    and gcd(l, M) (a multiple of the prime stands alone) and the digit
+    count of the numerator l/gcd(l, M) depend on l mod P only, so P
+    consecutive rows make one fixed-width super-row.  When a block holds
+    _SUPER_ROW_PERIODS periods, a stretch of at least as many is rendered
+    as copies of its super-row (`_super_rows`), and the rest, merged, row
+    by row (`_csv_rows`).  M must be below 2^32, as every level modulus is.
+    """
+    yield _CSV_HEADER
+    M = q.size
+    powers = _prime_powers(M)
+    big = powers[-1][0] if powers and powers[-1][0] ** 2 > M else 0
+    P = M // (big or 1)
+    divisors = [1]
+    for p, pk in powers:
+        if p != big:
+            divisors += [d * pk for d in divisors if d % p]
+    tens = 10 ** np.arange(1, len(str(M)), dtype=np.int64)
+    cuts = [q.starts, [M], np.outer(divisors, tens).ravel()]
+    if big:
+        cuts += [np.arange(0, M, big), np.arange(1, M + 1, big)]
+    cuts = np.sort(np.concatenate(cuts))
+    cuts = cuts[(cuts <= M) & (np.diff(cuts, prepend=-1) != 0)]
+    done = 0
+    if _SUPER_ROW_PERIODS * P <= _CHUNK:
+        for i in np.flatnonzero(np.diff(cuts) >= _SUPER_ROW_PERIODS * P):
+            a, b = int(cuts[i]), int(cuts[i + 1])
+            yield from _row_blocks(q, done, a, powers)
+            yield from _super_rows(M, P, a, b, int(q.at(a)))
+            done = b
+    yield from _row_blocks(q, done, M, powers)
+
+
+# Periods a stretch of a level's CSV, and a block, must hold to be
+# rendered as super-rows.  A block of super-rows makes some numpy calls
+# per row of its period whatever its length, so few periods render faster
+# row by row.  Measured on pieces of k periods at P = 7 (M = 4,706,261),
+# in two runs, against every row one by one: 1.2-1.3 times as long at
+# k = 128, 0.74-0.9 at 256, about 0.5 at 512.  On M = 5 x 11 x 1409 and
+# 5 x 31 x 1489 (P = 55 and 155), whose stretches end at each multiple
+# of 1409 or 1489 and so hold at most 25 or 9 periods, super-rows took
+# 5 to 15 times as long.
+_SUPER_ROW_PERIODS = 256
+
+
+def _row_blocks(q: Runs, lo: int, hi: int, powers):
+    """The rows lo..hi-1 of q's CSV, one block per _CHUNK rows."""
+    for a in range(lo, hi, _CHUNK):
+        b = min(a + _CHUNK, hi)
+        yield _csv_rows(q.size, a, q.chunk(a, b), powers)
+
+
+def _super_rows(M: int, P: int, a: int, b: int, value: int):
+    """The rows a..b-1 of a stretch of `runs_csv_blocks` on which q takes
+    value, in blocks of _CHUNK // P super-rows.
+
+    The super-row template holds the denominators and the values.  The
+    digits of l are spelled once for the whole block (`_consecutive_digits`)
+    and go to the index and, on the rows coprime to P, to the numerator;
+    only the numerators l/g, g > 1, are spelled apart.  The last
+    super-row is cut at b."""
+    D = len(str(a))
+    g = [math.gcd(a + j, M) for j in range(P)]
+    num = [len(str((a + j) // g[j])) for j in range(P)]
+    template, row_at = bytearray(), []
+    for j in range(P):
+        row_at.append(len(template))
+        template += b"0" * D + b"," + b"0" * num[j] + f"/{M // g[j]},{value}/1\n".encode()
+    width = len(template)
+    step = _CHUNK // P * P
+    for lo in range(a, b, step):
+        n = min(b - lo, step)
+        K = -(-n // P)
+        block = template * K
+        text = np.frombuffer(block, dtype=np.uint8).reshape(K, width)
+        digits = [(s, w.reshape(K, P).T.copy()) for s, w in _consecutive_digits(lo, K * P, D)]
+        for j in range(P):
+            _put_digits(text, row_at[j], digits, j)
+            if g[j] == 1:
+                _put_digits(text, row_at[j] + D + 1, digits, j)
+            else:
+                l = np.arange(lo + j, lo + K * P, P, dtype=np.uint32)
+                _put_digits(text, row_at[j] + D + 1, _digit_groups(l[None] // g[j], num[j]), 0)
+        del text
+        del block[(n // P) * width + row_at[n % P] :]
+        yield block
+
+
+def _consecutive_digits(lo: int, n: int, D: int):
+    """`_digit_groups` of the D-digit numbers lo..lo+n-1, with no division:
+    the words of l mod 10^4 are a slice of the table repeated, and each
+    word above them holds for 10^k consecutive numbers."""
+    if D < 4:
+        return _digit_groups(np.arange(lo, lo + n, dtype=np.uint32), D)
+    words = _four_digit_words()
+    out = []
+    for s in _word_slots(D):
+        d = 10 ** (D - 4 - s)
+        if d == 1:
+            r = lo % 10_000
+            out.append((s, np.resize(words, r + n)[r:]))
+        else:
+            tops = np.arange(lo // d, (lo + n - 1) // d + 1)
+            counts = np.diff(np.clip(np.append(tops, tops[-1] + 1) * d, lo, lo + n))
+            out.append((s, np.repeat(words.take(tops % 10_000), counts)))
+    return out
+
+
+def _digit_groups(x, D):
+    """The D-digit numbers x (uint32) spelled as (slot, array) pairs: for
+    D >= 4, four-digit words of `_four_digit_words` at `_word_slots`;
+    below that, one digit byte per slot."""
+    if D < 4:
+        return [(s, (x // 10 ** (D - 1 - s) % 10 + ord("0")).astype(np.uint8)) for s in range(D)]
+    words = _four_digit_words()
+    return [(s, words.take(x // 10 ** (D - 4 - s) % 10_000)) for s in _word_slots(D)]
+
+
+def _word_slots(D: int) -> list:
+    """Where the four-digit words of a number of D >= 4 digits start: 0,
+    4, ... and D - 4, the last overlapping the one before."""
+    return sorted({*range(0, D - 4, 4), D - 4})
+
+
+def _put_digits(text, off, groups, j):
+    """Write row j of each (slot, array) of `_digit_groups` into the text
+    matrix at column off + slot, through a view of the array's dtype."""
+    for s, w in groups:
+        text[:, off + s : off + s + w.itemsize].view(w.dtype)[:, 0] = w[j]
 
 
 @lru_cache(maxsize=16)

@@ -8,6 +8,12 @@ stdout or files; progress notes go to stderr only.
 Each verb imports the layers it runs when it runs: `solve` loads
 `finite_ot`, `serialize` and `rational` only, and numpy with the circle
 construction loads only for `construct`, `gap` and `verify`.
+
+otlab makes no BLAS call, but numpy's OpenBLAS starts one thread per
+core when it loads, which costs a verb's child process about 70 ms.  So
+`main`, when numpy is not loaded yet, defaults OPENBLAS_NUM_THREADS to 1
+for the process; a value already set is kept, and a caller that loaded
+numpy before (a test, a benchmark, a demo) keeps its own pool.
 """
 
 from __future__ import annotations
@@ -241,11 +247,11 @@ def _artifacts(tower, levels, check: bool = False):
     object is the tau-level dict or the list of level records the file
     was rendered from, or None.
 
-    A level's CSV blocks expand its quasi-cost pieces one index chunk at
-    a time, the one walk over its indices; its dual record
-    (`duals.level_scalars`) and, with check, its `tau.verify_level`
-    report, which follows as (level, None, None, report), take its runs
-    and pieces."""
+    A level's CSV blocks are rendered from its quasi-cost pieces
+    (`circle.runs_csv_blocks`), the one walk over its indices; its dual
+    record (`duals.level_scalars`) and, with check, its
+    `tau.verify_level` report, which follows as (level, None, None,
+    report), take its runs and pieces."""
     from . import circle, duals, tau
 
     tower_json = serialize.artifact_json(serialize.tower_to_dict(tower))
@@ -256,7 +262,7 @@ def _artifacts(tower, levels, check: bool = False):
         n = level.level
         fresh = serialize.tau_level_to_dict(level, tower)
         yield level, f"tau_level_{n}.json", [serialize.artifact_json(fresh).encode()], fresh
-        blocks = circle.csv_blocks(level.modulus, tau.quasi_cost_chunks(level, tower))
+        blocks = circle.runs_csv_blocks(tau.quasi_cost_pieces(level, tower))
         yield level, f"quasi_cost_level_{n}.csv", blocks, None
         s = duals.level_scalars(level, tower)
         ledgers.append(serialize.ledger_to_dict(s.ledger))
@@ -380,6 +386,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = argparse.ArgumentParser(
         prog="otlab",
         description="exact transport duality lab: solvers and circle constructions",

@@ -335,13 +335,16 @@ def verify_truncated_duality(family: GapFamily, M_graphs: int, j: int) -> Separa
 
     samples = []
     thresholds = []
-    everything = np.arange(Mj)
     for cells, cost in _cheap_partial_plans(family, trunc):
-        rows = np.array([i for i, _ in cells], dtype=np.int64)
-        cols = np.array([jj for _, jj in cells], dtype=np.int64)
         # each row and column is used at most once, so every residual
-        # marginal is 0 or 1/Mj and a completion is a perfect matching
-        if not np.unique(rows).size == np.unique(cols).size == len(cells):
+        # marginal is 0 or 1/Mj and a completion is a perfect matching.
+        # Marks, not np.unique or np.setdiff1d: on their first call numpy 2
+        # imports numpy.ma, which no report needs (0.3-0.4 MB of peak RSS).
+        used_rows = np.zeros(Mj, dtype=bool)
+        used_cols = np.zeros(Mj, dtype=bool)
+        used_rows[[i for i, _ in cells]] = True
+        used_cols[[jj for _, jj in cells]] = True
+        if not np.count_nonzero(used_rows) == np.count_nonzero(used_cols) == len(cells):
             raise AssertionError("a partial plan uses a row or column twice")
         mass = Fraction(len(cells), Mj)
         if not (mass >= Fraction(2, 3) and cost <= Fraction(1, 2)):
@@ -349,8 +352,8 @@ def verify_truncated_duality(family: GapFamily, M_graphs: int, j: int) -> Separa
             continue
         # the largest radius with NO completion inside circle distance
         # < radius is the matching bottleneck itself
-        free_rows = np.setdiff1d(everything, rows)
-        free_cols = np.setdiff1d(everything, cols)
+        free_rows = np.flatnonzero(~used_rows)
+        free_cols = np.flatnonzero(~used_cols)
         beta = Fraction(_separation_radius(free_rows, free_cols, Mj), Mj)
         samples.append({"mass": mass, "cost": cost, "beta": beta, "excluded": False})
         thresholds.append(beta)

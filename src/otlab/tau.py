@@ -26,8 +26,8 @@ O(runs) work (`_tiles`, `_avoidance_hits`), and the quasi-cost is a
 handful of constant pieces computed from the runs with no phi array
 (`quasi_cost_pieces`).  The ledger, the invariant checks and the plan
 costs are sums of value x length over the common pieces of the runs
-(`circle.overlay`).  Only the CSV visits every index, expanding the
-pieces one index chunk at a time (`quasi_cost_chunks`).
+(`circle.overlay`).  Only the CSV visits every index, rendered from
+the pieces (`circle.runs_csv_blocks`).
 
 `TauLevel` is the package's one interval-permutation type: it holds the
 construction levels built here and, without good/singular masks, the
@@ -469,15 +469,6 @@ def quasi_cost_pieces(level: TauLevel, tower: ModulusTower) -> Runs:
     )
     order = np.argsort(starts, kind="stable")
     return Runs.from_starts(starts[order], values[order].astype(np.int32), M)
-
-
-def quasi_cost_chunks(level: TauLevel, tower: ModulusTower):
-    """(lo, q[lo:hi]) over the index chunks of the level, for the
-    quasi-cost q = 1 + phi - phi o sigma, expanded from its pieces: the
-    rows of the level's CSV.  No level-sized array is made."""
-    q = quasi_cost_pieces(level, tower)
-    for lo, hi in index_chunks(level.modulus):
-        yield lo, q.chunk(lo, hi)
 
 
 def quasi_cost(level: TauLevel, tower: ModulusTower) -> StepFunction:

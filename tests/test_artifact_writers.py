@@ -1,6 +1,7 @@
 """The vectorised artifact writers against the per-element formulas they
-replaced: `StepFunction.to_csv` row by row through `Fraction`, and
-`rle_encode` as a run-merging loop over `int(v)`."""
+replaced: `StepFunction.to_csv` and the level CSV rendered from runs
+(`runs_csv_blocks`) row by row through `Fraction`, and `rle_encode` as a
+run-merging loop over `int(v)`."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otlab import circle
-from otlab.circle import StepFunction
+from otlab import circle, tau
+from otlab.circle import Runs, StepFunction, build_tower
 from otlab.rational import format_rational
 from otlab.serialize import rle_encode
 
@@ -142,6 +143,76 @@ def test_to_csv_past_chunk_boundaries():
         sample.update(range(lo - 2, lo + 2))
     for l in sorted(sample):
         assert lines[l + 1] == csv_row(l, M, values[l])
+
+
+def _piecewise(rng, M, P):
+    """A random step function on 0..M-1 of at most 6 pieces, each but the
+    first starting off the period P (where P > 1), and each taking a
+    value of up to 12 digits of either sign."""
+    cuts = rng.choice(np.arange(1, M), size=rng.integers(0, 6), replace=False)
+    if P > 1:
+        cuts = cuts[cuts % P != 0]
+    values = [rng.integers(-(10**e), 10**e) for e in rng.integers(1, 13, size=cuts.size + 1)]
+    return Runs.from_starts(np.r_[0, np.sort(cuts)], np.array(values, dtype=np.int64), M)
+
+
+# M prime (P = 1: every row coprime, its one multiple index 0), 5 x 11
+# (P = 5; the multiples of 11 and l/5 stepping at 50) and 5 x 11 x 1409
+# (P = 55; l/g stepping at g x 10^d for g = 1, 5, 11, 55).  At chunk
+# sizes 1 and 7 no block holds a period of 55, so 5 x 11 x 1409 runs row
+# by row there, as in the tests above: it runs at 64 and 2^15 only.
+RUNS_CSV_CASES = [
+    (M, chunk) for M in (1009, 5 * 11, 5 * 11 * 1409) for chunk in (1, 7, 64, 1 << 15)
+    if M < 10**4 or chunk >= 64
+]
+
+
+@pytest.mark.parametrize("M,chunk", RUNS_CSV_CASES)
+def test_csv_from_runs_matches_fraction_rows(monkeypatch, M, chunk):
+    """Long and short pieces, crossing the digit-count steps of l and l/g,
+    the multiples of M's prime above sqrt(M) and index 0, rendered with
+    super-rows from one period on and at the default threshold."""
+    monkeypatch.setattr(circle, "_CHUNK", chunk)
+    P = {1009: 1, 55: 5, 77495: 55}[M]
+    rendered = []
+    real = circle._super_rows
+
+    def super_rows(M, P, a, b, value):
+        rendered.append(b - a)
+        return real(M, P, a, b, value)
+
+    monkeypatch.setattr(circle, "_super_rows", super_rows)
+    rng = np.random.default_rng([M, chunk])
+    default = circle._SUPER_ROW_PERIODS
+    for _ in range(4 if M < 10**4 else 2):
+        q = _piecewise(rng, M, P)
+        want = csv_oracle(q.array()).encode()
+        for periods in (1, default):
+            monkeypatch.setattr(circle, "_SUPER_ROW_PERIODS", periods)
+            blocks = list(circle.runs_csv_blocks(q))
+            assert b"".join(blocks) == want
+            assert blocks[0] == b"index,left_endpoint,value\n"
+            assert max(block.count(b"\n") for block in blocks[1:]) <= chunk
+    # from one period on, every block of P rows or more takes super-rows
+    assert bool(rendered) == (P <= chunk)
+
+
+@pytest.mark.parametrize("floor", [[11, 1000], [31, 31]], ids=["5_11_1409", "5_31_1489"])
+def test_depth3_level_csv_renders_row_by_row(monkeypatch, floor):
+    # The level-3 stretches are cut at least at every multiple of m_3
+    # (1409 or 1489 rows apart), far short of 256 periods of M_2 (55 or
+    # 155), and a block of 2^15 rows holds fewer than 256 periods of 155:
+    # super-rows would cost several numpy calls per row of the period
+    # for each short stretch.
+    def no_super_rows(*args):
+        raise AssertionError("a depth-3 level took super-rows")
+
+    tower = build_tower(5, 3, growth_floor=floor)
+    level = tau.build_levels(tower, 3)[2]
+    q = tau.quasi_cost_pieces(level, tower)
+    monkeypatch.setattr(circle, "_super_rows", no_super_rows)
+    got = b"".join(circle.runs_csv_blocks(q))
+    assert got == b"".join(circle.csv_blocks(q.size, [(0, q.array())]))
 
 
 @pytest.mark.parametrize(

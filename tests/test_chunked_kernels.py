@@ -24,7 +24,7 @@ DEFAULT_CHUNK = circle._CHUNK
 
 TOWERS = {
     "5_11": lambda: build_tower(5, 2),
-    "5_11_1009": lambda: build_tower(5, 3, growth_floor=[11, 1000]),
+    "5_11_1409": lambda: build_tower(5, 3, growth_floor=[11, 1000]),
     "5c": lambda: build_tower_mode(5, 2, "paper_compliant"),
     "7_29": lambda: build_tower(7, 2),
     "11_331": lambda: build_tower(11, 2, growth_floor=[331]),
@@ -33,13 +33,15 @@ TOWERS = {
 # Chunk sizes 1 and 7 make a numpy call per index or per 7 indices, so
 # the (5c) level (M = 625,505) and the level-3 one (M = 77,495) run at 64
 # and the default only.  The level records and checks take no chunks, so
-# the (7, 29) and (11, 331) towers run at the default only.
+# the (7, 29) and (11, 331) towers run at the default only, and the tests
+# of the records and checks alone run each tower once (RECORD_CASES).
 CASES = [
     ("5_11", 1), ("5_11", 7), ("5_11", 64), ("5_11", DEFAULT_CHUNK),
-    ("5_11_1009", 64), ("5_11_1009", DEFAULT_CHUNK),
+    ("5_11_1409", 64), ("5_11_1409", DEFAULT_CHUNK),
     ("5c", 64), ("5c", DEFAULT_CHUNK),
     ("7_29", DEFAULT_CHUNK), ("11_331", DEFAULT_CHUNK),
 ]
+RECORD_CASES = [(name, c) for name, c in CASES if c == DEFAULT_CHUNK]
 
 
 @pytest.fixture
@@ -49,9 +51,9 @@ def chunk(monkeypatch, request):
     return request.param
 
 
-def _cases():
+def _cases(cases=CASES):
     return pytest.mark.parametrize(
-        "name,chunk", CASES, indirect=["chunk"], ids=[f"{t}-{c}" for t, c in CASES]
+        "name,chunk", cases, indirect=["chunk"], ids=[f"{t}-{c}" for t, c in cases]
     )
 
 
@@ -98,7 +100,7 @@ def test_floor_sum_phi_matches_whole_array_formula():
         assert np.array_equal(circle.phi_points(tower, n, ends), oracle.phi_values(tower, n)[ends])
 
 
-@_cases()
+@_cases(RECORD_CASES)
 def test_level_scalars_match_whole_array_formulas(name, chunk):
     tower = TOWERS[name]()
     for level in tau.build_levels(tower, tower.depth):
@@ -150,7 +152,7 @@ def test_nonzero_correction_matches_whole_array_formula(monkeypatch, name, chunk
         assert (s.dual_value, s.correction_norm) == (value, norm)
 
 
-@_cases()
+@_cases(RECORD_CASES)
 def test_level_report_matches_whole_array_formulas(name, chunk):
     tower = TOWERS[name]()
     for level in tau.build_levels(tower, tower.depth):
@@ -250,14 +252,17 @@ def test_chunked_sigma_matches_whole_array_formula(monkeypatch, name, chunk):
         )
         phi = oracle.phi_values(tower, n)
         q = 1 + phi - phi[want]
-        assert np.array_equal(tau.quasi_cost_pieces(level, tower).array(), q)
+        pieces = tau.quasi_cost_pieces(level, tower)
+        assert np.array_equal(pieces.array(), q)
         if chunk > 7 or level.modulus < 10**4:
             sigma, is_perm = _sigma_and_tiles(tower, level)
             assert np.array_equal(sigma, want) and is_perm == oracle.is_permutation(want)
             assert _build_check(tower, level) is None
-            chunks = list(tau.quasi_cost_chunks(level, tower))
-            assert [lo for lo, _ in chunks] == [lo for lo, _ in circle.index_chunks(level.modulus)]
-            assert np.array_equal(np.concatenate([c for _, c in chunks]), q)
+            # the CSV from the pieces is the CSV of the whole array, in
+            # blocks of at most a chunk's rows
+            blocks = list(circle.runs_csv_blocks(pieces))
+            assert max(block.count(b"\n") for block in blocks[1:]) <= chunk
+            assert b"".join(blocks) == b"".join(circle.csv_blocks(level.modulus, [(0, q)]))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
@@ -450,7 +455,9 @@ def test_gap_grid_cells_are_int32():
 def _count_expansions(monkeypatch):
     """The indices that the calls made after this one expand from runs,
     by (kind, size): kind "q" for a level's quasi-cost pieces, "other"
-    for any other runs.  No whole phi may be built meanwhile."""
+    for any other runs; the rows that the CSV renders as super-rows count
+    as indices of q, and under "super" too.  No whole phi may be built
+    meanwhile."""
     expanded = collections.Counter()
     pieces = []  # kept alive, so that no other runs take their place
 
@@ -468,8 +475,16 @@ def _count_expansions(monkeypatch):
             return out
         return counted_expand
 
+    def counted_super_rows(M, P, a, b, value):
+        expanded["q", M] += b - a
+        expanded["super", M] += b - a
+        return real_super_rows(M, P, a, b, value)
+
     def no_phi_array(*args):
         raise AssertionError("a whole phi was built")
+
+    real_super_rows = circle._super_rows
+    monkeypatch.setattr(circle, "_super_rows", counted_super_rows)
 
     for module in (tau, duals):
         monkeypatch.setattr(module, "quasi_cost_pieces", recorded(module.quasi_cost_pieces))
@@ -481,10 +496,12 @@ def _count_expansions(monkeypatch):
 
 @pytest.mark.parametrize("m1,mode", [(5, "relaxed"), (7, "relaxed"), (5, "paper_compliant")])
 def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
-    # construct and verify each expand a level's quasi-cost pieces once,
-    # for its CSV, and no other runs of the deepest level: the records
-    # and checks of a level take its runs and pieces.  A parent's runs
-    # are read per parent index, while its child is built and checked.
+    # construct and verify each render every index of a level's CSV once
+    # from its quasi-cost pieces, expanded or as super-rows, and expand no
+    # other runs of the deepest level: the records and checks of a level
+    # take its runs and pieces.  A parent's runs are read per parent
+    # index, while its child is built and checked.  Of the (5c) level 2
+    # (M = 625,505 = 5 x 125,101) all rows but 1,423 are super-rows.
     d = str(tmp_path / "a")
     tower = build_tower_mode(m1, 2, mode)
     want = {("q", M): M for M in tower.M}
@@ -494,6 +511,9 @@ def test_one_quasi_cost_walk_per_level(monkeypatch, tmp_path, m1, mode):
         assert main(argv) == 0
         assert {k: v for k, v in expanded.items() if k[0] == "q"} == want
         assert expanded["other", tower.M[-1]] == 0
+        M = tower.M[-1]
+        super_rows = expanded["super", M]
+        assert super_rows > 0.99 * M if mode == "paper_compliant" else super_rows == 0
 
 
 # tracemalloc's peak over `construct` and over `verify`, in bytes, on

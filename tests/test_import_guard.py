@@ -8,7 +8,9 @@ imports included, and none may be the LP module.
 
 The solve path loads neither numpy nor the circle construction: a fresh
 interpreter that imports `finite_ot` and `serialize` and runs
-`otlab solve` ends with none of them in `sys.modules`.
+`otlab solve` ends with none of them in `sys.modules`.  The tower verbs
+(`gap`, `construct`, `verify`), each in a fresh interpreter, load no
+`numpy.ma` and, unless told otherwise, start no BLAS thread pool.
 """
 
 import ast
@@ -105,3 +107,71 @@ def test_solve_path_leaves_numpy_unimported(tmp_path):
     assert out.returncode == 0, out.stderr
     verdict = json.loads(out.stdout.splitlines()[-1])
     assert verdict == {"exit": 0, "loaded": []}
+
+
+# Run a tower verb in a fresh interpreter: prints its output, then what
+# it left loaded and set.
+TOWER_VERB = """
+import json
+import os
+import sys
+from otlab import cli
+code = cli.main(sys.argv[1:])
+tasks = "/proc/self/task"
+print(json.dumps({
+    "exit": code,
+    "numpy.ma": "numpy.ma" in sys.modules,
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}))
+"""
+
+
+def _tower_verb(argv, **env):
+    """The last stdout line of TOWER_VERB run on argv, as JSON, with env
+    added to this environment less any OPENBLAS_NUM_THREADS."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", TOWER_VERB, *argv],
+        capture_output=True, text=True, timeout=300,
+        env=dict(base, PYTHONPATH=str(PACKAGE_ROOT.parent), **env),
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_tower_verbs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique, np.setdiff1d and friends import numpy.ma on their first
+    # call under numpy 2; no verb needs it.
+    d = str(tmp_path / "a")
+    for argv in (
+        ["gap", "--m1", "5", "--jmax", "2", "--M", "2"],
+        ["construct", "--m1", "5", "--depth", "2", "--outdir", d],
+        ["verify", d],
+    ):
+        got = _tower_verb(argv)
+        assert (got["exit"], got["numpy.ma"]) == (0, False), argv
+
+
+def test_tower_verbs_start_no_blas_thread_pool(tmp_path):
+    d = str(tmp_path / "a")
+    got = _tower_verb(["construct", "--m1", "5", "--depth", "2", "--outdir", d])
+    assert got["exit"] == 0 and got["OPENBLAS_NUM_THREADS"] == "1"
+    if got["threads"] is None:
+        pytest.skip("no /proc/self/task to count the threads in")
+    assert got["threads"] == 1
+    # a value the user set stands
+    got = _tower_verb(["verify", d], OPENBLAS_NUM_THREADS="3")
+    assert got["exit"] == 0 and got["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_main_leaves_the_environment_of_a_numpy_caller(tmp_path, monkeypatch):
+    # numpy is loaded here, so its thread pool has started: main sets
+    # nothing.
+    import numpy  # noqa: F401
+
+    from otlab.cli import main
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["construct", "--m1", "5", "--depth", "1", "--outdir", str(tmp_path)]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
