@@ -216,31 +216,18 @@ class StepFunction:
         return Fraction(int(self.values.sum(dtype=np.int64)), self.modulus)
 
     def to_csv(self) -> str:
-        """The plot-ready rows as one string, rendered one index chunk at
-        a time (see `csv_blocks`)."""
-        M = self.modulus
-        chunks = ((lo, self.values[lo:hi]) for lo, hi in index_chunks(M))
-        return b"".join(csv_blocks(M, chunks)).decode("ascii")
+        """The plot-ready rows as one string, rendered from the runs of
+        the values (see `runs_csv_blocks`)."""
+        return b"".join(runs_csv_blocks(Runs.from_array(self.values))).decode("ascii")
 
 
-# Indices per chunk of a walk over a level's indices, and the most rows in
-# a block of a CSV.  On `construct` and `verify` the CSV is the one walk
-# over a level's indices, a block at a time, so no level-sized text is
-# held.  A block of super-rows (`runs_csv_blocks`) is its rows' text, about
-# 28 bytes a row at (7c) level 2, under 1 MB a block; a block rendered row
-# by row (`_render_rows`) is first laid out at its widest row.  The whole
-# arrays that `gap`, the demos and the tests ask for (`Runs.from_array`,
-# `tau.sigma_of`, `phi_level`) are filled chunk by chunk too, so their
-# int64 temporaries stay chunk-sized.
+# The most rows in a block of a CSV.  On `construct` and `verify` the CSV
+# is the one walk over a level's indices, a block at a time, so no
+# level-sized text is held.  A block of super-rows (`runs_csv_blocks`) is
+# its rows' text, about 28 bytes a row at (7c) level 2, under 1 MB a
+# block; a block rendered row by row (`_render_rows`) is first laid out at
+# its widest row.
 _CHUNK = 1 << 15
-
-
-def index_chunks(M: int):
-    """Consecutive index ranges (lo, hi) of at most _CHUNK indices that
-    cover 0..M-1 in order."""
-    step = _CHUNK
-    for lo in range(0, M, step):
-        yield lo, min(lo + step, M)
 
 
 class Runs:
@@ -252,7 +239,7 @@ class Runs:
     is (values, run lengths).  A construction level is a few runs per
     parent index whatever its modulus, so its records and checks are sums
     over the common pieces of its runs (`overlay`), and the CSV expands
-    only the runs that meet each index chunk (`chunk`); `array` expands
+    only the runs that meet each block of rows (`chunk`); `array` expands
     the whole function, for callers that need it, into a fresh array.
     starts and values are read-only."""
 
@@ -281,11 +268,11 @@ class Runs:
 
     @classmethod
     def from_array(cls, a) -> "Runs":
-        """The runs of the array a, found one index chunk at a time."""
-        starts = [np.zeros(min(a.size, 1), dtype=np.int64)]
-        for lo, hi in index_chunks(a.size - 1):  # a[i + 1] against a[i]
-            starts.append(np.flatnonzero(a[lo + 1 : hi + 1] != a[lo:hi]) + (lo + 1))
-        starts = np.concatenate(starts)
+        """The runs of the array a: a run starts at 0 and wherever a
+        value differs from the one before."""
+        new = np.ones(a.size, dtype=bool)
+        np.not_equal(a[1:], a[:-1], out=new[1:])
+        starts = np.flatnonzero(new).astype(np.int64, copy=False)
         return cls(starts, a[starts], a.size)
 
     def lengths(self) -> np.ndarray:
@@ -338,23 +325,6 @@ def overlay(*functions: Runs):
 _CSV_HEADER = b"index,left_endpoint,value\n"
 
 
-def csv_blocks(M: int, chunks):
-    """Bytes of the plot-ready CSV of a level step function on Z/MZ: the
-    header, then one block of rows per (lo, values) chunk, rendered row by
-    row (`_render_rows`).
-
-    Row l reads "l,p/q,v/1" with p/q = l/M in lowest terms (0/1 at
-    l = 0), the canonical form of `format_rational`; the chunks must
-    cover 0..M-1 in order.  This renders any array, for
-    `StepFunction.to_csv`; `construct` and `verify` render a level's CSV
-    from its quasi-cost pieces (`runs_csv_blocks`), mostly as super-rows.
-    """
-    yield _CSV_HEADER
-    powers = _prime_powers(M)
-    for lo, values in chunks:
-        yield _csv_rows(M, lo, values, powers)
-
-
 def _csv_rows(M: int, lo: int, values, powers) -> bytes:
     """The rows lo, lo+1, ... of the CSV, one per entry of values."""
     l = np.arange(lo, lo + len(values), dtype=np.int64)
@@ -367,8 +337,14 @@ def _csv_rows(M: int, lo: int, values, powers) -> bytes:
 
 
 def runs_csv_blocks(q: Runs):
-    """Bytes of the CSV of `csv_blocks` for the function q on Z/MZ
-    (M = q.size), rendered from its runs in blocks of at most _CHUNK rows.
+    """Bytes of the plot-ready CSV of the function q on Z/MZ (M = q.size):
+    the header, then the rows, rendered from q's runs in blocks of at most
+    _CHUNK rows.  `construct` and `verify` render a level's CSV from its
+    quasi-cost pieces, mostly as super-rows; `StepFunction.to_csv` renders
+    any array from its runs.
+
+    Row l reads "l,a/b,v/1" with a/b = l/M in lowest terms (0/1 at l = 0),
+    the canonical form of `format_rational`, and v = q(l).
 
     Let P be M with its prime factor above sqrt(M), if any, taken out: at
     a tower level, M_{n-1}, as m_n > M_{n-1}.  Cut 0..M-1 at the starts of
@@ -547,7 +523,7 @@ def _render_rows(columns, seps) -> bytearray:
     Each column is an int64 or int32 array (one entry per row) written
     in decimal with a leading '-' when negative; each separator is
     literal bytes following its column.  Every row is laid out at the
-    widest field widths of the chunk, in one C-contiguous (rows, width)
+    widest field widths of the block, in one C-contiguous (rows, width)
     byte matrix made of copies of a template row that holds the
     separators.  A column has a sign slot only when it holds a negative
     entry.  The slots a row does not use (the sign slot of a non-negative
@@ -605,11 +581,10 @@ def _half_weights(mid: int, index):
     return np.sign(mid - index)
 
 
-def _orbit_weights(tower: ModulusTower, n: int, lo: int, hi: int):
-    """Orbit steps lo..hi-1: the index at step i, and the L/R weight
-    there."""
+def _orbit_weights(tower: ModulusTower, n: int):
+    """The whole orbit: the index at step i, and the L/R weight there."""
     M = tower.modulus(n)
-    orbit = np.arange(lo, hi, dtype=np.int64)
+    orbit = np.arange(M, dtype=np.int64)
     orbit *= tower.step(n)
     orbit %= M
     return orbit, _half_weights(tower.middle_index(n), orbit)
@@ -617,20 +592,16 @@ def _orbit_weights(tower: ModulusTower, n: int, lo: int, hi: int):
 
 def _phi_values(tower: ModulusTower, n: int):
     """phi at the orbit index of step i is the sum of the weights of
-    steps 0..i-1, accumulated chunk by chunk with a carry, into a fresh
+    steps 0..i-1, one cumulative sum over the whole orbit, into a fresh
     level-sized array: the whole potential, for `gap`, the oscillation
     scan and the demos.  The construction reads phi at points only
     (`phi_points`)."""
     M = tower.modulus(n)
+    orbit, w = _orbit_weights(tower, n)
+    partial = np.cumsum(w)
+    partial -= w
     phi = np.empty(M, dtype=np.int32)
-    carry = 0
-    for lo, hi in index_chunks(M):
-        orbit, w = _orbit_weights(tower, n, lo, hi)
-        partial = np.cumsum(w)
-        partial -= w
-        partial += carry
-        phi[orbit] = partial
-        carry = int(partial[-1] + w[-1])
+    phi[orbit] = partial
     phi.setflags(write=False)
     return phi
 
@@ -685,11 +656,10 @@ def phi_level(tower: ModulusTower, n: int) -> StepFunction:
     return StepFunction(n, _phi_values(tower, n))
 
 
-def quasi_cost_values(phi: np.ndarray, sigma: np.ndarray, lo: int = 0) -> np.ndarray:
+def quasi_cost_values(phi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """1 + phi - phi o sigma: the quasi-cost phi(l) + psi(sigma(l)) of the
-    index map sigma under the pair (phi, psi = 1 - phi), as a fresh array.
-    sigma may be the chunk of the map on indices lo, lo+1, ..."""
-    q = phi[lo : lo + len(sigma)] - phi[sigma]
+    index map sigma under the pair (phi, psi = 1 - phi), as a fresh array."""
+    q = phi - phi[sigma]
     q += 1
     return q
 
@@ -753,7 +723,7 @@ def verify_oscillations(tower: ModulusTower, n: int) -> OscillationReport:
     visit_balance_bound = None
     if n == 2:
         # windowed orbit sums over m_2 - 2 steps, all starting points
-        _, w = _orbit_weights(tower, n, 0, M)
+        _, w = _orbit_weights(tower, n)
         S = np.concatenate([[0], np.cumsum(np.concatenate([w, w]))])
         k = m_n - 2
         D = S[k : k + M] - S[:M]

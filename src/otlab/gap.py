@@ -39,7 +39,6 @@ from .tau import (
     TauLevel,
     _tiles,
     extend_tau,
-    is_permutation,
     outward_shuffle,
     sigma_of,
 )
@@ -137,8 +136,6 @@ def verify_row_map(family: GapFamily, n: int, j: int) -> RowReport:
     cell = family.cell(n, j)
     M = cell.modulus
     sigma = sigma_of(tower, j, cell.tau)
-    permutation_ok = is_permutation(sigma)
-
     q = quasi_cost_values(phi_level(tower, j).values, sigma)
     mean_one = int(q.sum(dtype=np.int64)) == M
 
@@ -162,7 +159,7 @@ def verify_row_map(family: GapFamily, n: int, j: int) -> RowReport:
     return RowReport(
         row=n,
         level=j,
-        permutation_ok=permutation_ok,
+        permutation_ok=_tiles(cell, tower),
         quasi_cost_mean_one=mean_one,
         eta=eta,
         two_valued_error=approx_err,

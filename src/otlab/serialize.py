@@ -25,8 +25,8 @@ if TYPE_CHECKING:
 
 
 def rle_encode(values) -> list:
-    """[[value, run_length], ...] over the sequence, as Python ints; run
-    starts are found one index chunk at a time (`circle.Runs`)."""
+    """[[value, run_length], ...] over the sequence, as Python ints, from
+    its runs (`circle.Runs`)."""
     import numpy as np
 
     from .circle import Runs

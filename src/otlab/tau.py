@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import ModulusTower, Runs, StepFunction, index_chunks, overlay, phi_points
+from .circle import ModulusTower, Runs, StepFunction, overlay, phi_points
 
 
 class GrowthTooSmall(Exception):
@@ -187,23 +187,8 @@ def _sigma(tower: ModulusTower, n: int, index, t):
 
 
 def sigma_of(tower: ModulusTower, n: int, tau):
-    """The whole induced map sigma of a tau array, as int32, computed one
-    index chunk at a time."""
-    sigma = np.empty(tau.shape[0], dtype=np.int32)
-    for lo, hi in index_chunks(tau.shape[0]):
-        sigma[lo:hi] = _sigma(tower, n, np.arange(lo, hi), tau[lo:hi])
-    return sigma
-
-
-def is_permutation(sigma) -> bool:
-    """Does the array sigma map 0..M-1 one-to-one onto itself (M =
-    len(sigma))?  M images inside 0..M-1 that reach every index do."""
-    M = sigma.shape[0]
-    if M and (sigma.min() < 0 or sigma.max() >= M):
-        return False
-    seen = np.zeros(M, dtype=bool)
-    seen[sigma] = True
-    return bool(seen.all())
+    """The whole induced map sigma of a tau array, as int32."""
+    return _sigma(tower, n, np.arange(tau.shape[0]), tau).astype(np.int32)
 
 
 def _tiles(level: TauLevel, tower: ModulusTower) -> bool:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import whole_array_oracles as oracle
 from otlab import circle, tau
 from otlab.circle import Runs, StepFunction, build_tower
 from otlab.rational import format_rational
@@ -103,10 +104,7 @@ def test_to_csv_every_digit_width(monkeypatch, chunk):
     for D in range(1, 20):
         for negative in (False, True):
             values = _width_chunk(D, negative)
-            M = len(values)
-            blocks = list(
-                circle.csv_blocks(M, ((lo, values[lo:hi]) for lo, hi in circle.index_chunks(M)))
-            )
+            blocks = list(circle.runs_csv_blocks(Runs.from_array(values)))
             assert not any(b"\0" in block for block in blocks)
             assert b"".join(blocks).decode("ascii") == csv_oracle(values)
             assert StepFunction(1, values).to_csv() == csv_oracle(values)
@@ -156,6 +154,20 @@ def _piecewise(rng, M, P):
     return Runs.from_starts(np.r_[0, np.sort(cuts)], np.array(values, dtype=np.int64), M)
 
 
+def _recorded_super_rows(monkeypatch):
+    """The row counts of the stretches rendered as super-rows from this
+    call on, in order."""
+    rendered = []
+    real = circle._super_rows
+
+    def super_rows(M, P, a, b, value):
+        rendered.append(b - a)
+        return real(M, P, a, b, value)
+
+    monkeypatch.setattr(circle, "_super_rows", super_rows)
+    return rendered
+
+
 # M prime (P = 1: every row coprime, its one multiple index 0), 5 x 11
 # (P = 5; the multiples of 11 and l/5 stepping at 50) and 5 x 11 x 1409
 # (P = 55; l/g stepping at g x 10^d for g = 1, 5, 11, 55).  At chunk
@@ -174,14 +186,7 @@ def test_csv_from_runs_matches_fraction_rows(monkeypatch, M, chunk):
     super-rows from one period on and at the default threshold."""
     monkeypatch.setattr(circle, "_CHUNK", chunk)
     P = {1009: 1, 55: 5, 77495: 55}[M]
-    rendered = []
-    real = circle._super_rows
-
-    def super_rows(M, P, a, b, value):
-        rendered.append(b - a)
-        return real(M, P, a, b, value)
-
-    monkeypatch.setattr(circle, "_super_rows", super_rows)
+    rendered = _recorded_super_rows(monkeypatch)
     rng = np.random.default_rng([M, chunk])
     default = circle._SUPER_ROW_PERIODS
     for _ in range(4 if M < 10**4 else 2):
@@ -195,6 +200,39 @@ def test_csv_from_runs_matches_fraction_rows(monkeypatch, M, chunk):
             assert max(block.count(b"\n") for block in blocks[1:]) <= chunk
     # from one period on, every block of P rows or more takes super-rows
     assert bool(rendered) == (P <= chunk)
+
+
+# (M, P, chunk, periods): a prime M and 5 x 11 x 1409, at a block of 64
+# rows and of 2^15.  Super-rows need periods x P rows in a block, and at
+# 5 x 11 x 1409 a stretch ends at each multiple of 1409, 25 periods on:
+# there the threshold is lowered to what a block and a stretch hold.
+TO_CSV_SUPER_ROW_CASES = [
+    (1009, 1, 64, 64),
+    (1009, 1, 1 << 15, circle._SUPER_ROW_PERIODS),
+    (5 * 11 * 1409, 55, 64, 1),
+    (5 * 11 * 1409, 55, 1 << 15, 16),
+]
+
+
+@pytest.mark.parametrize("M,P,chunk,periods", TO_CSV_SUPER_ROW_CASES)
+def test_to_csv_renders_long_stretches_as_super_rows(monkeypatch, M, P, chunk, periods):
+    """`StepFunction.to_csv` takes the runs of its array, so constant
+    stretches of at least periods x P rows render as super-rows; values
+    of up to 12 digits of either sign."""
+    monkeypatch.setattr(circle, "_CHUNK", chunk)
+    monkeypatch.setattr(circle, "_SUPER_ROW_PERIODS", periods)
+    rendered = _recorded_super_rows(monkeypatch)
+    rng = np.random.default_rng([M, chunk])
+    shortest = periods * P
+    for _ in range(3 if M < 10**4 else 1):
+        k = int(rng.integers(1, min(6, M // shortest) + 1))
+        extra = rng.multinomial(M - k * shortest, np.full(k, 1 / k))
+        values = [rng.integers(-(10**e), 10**e) for e in rng.integers(1, 13, size=k)]
+        values[0] = -(10**12 - 1)
+        values = np.repeat(np.array(values, dtype=np.int64), shortest + extra)
+        rendered.clear()
+        assert StepFunction(1, values).to_csv() == csv_oracle(values)
+        assert rendered
 
 
 @pytest.mark.parametrize("floor", [[11, 1000], [31, 31]], ids=["5_11_1409", "5_31_1489"])
@@ -212,7 +250,7 @@ def test_depth3_level_csv_renders_row_by_row(monkeypatch, floor):
     q = tau.quasi_cost_pieces(level, tower)
     monkeypatch.setattr(circle, "_super_rows", no_super_rows)
     got = b"".join(circle.runs_csv_blocks(q))
-    assert got == b"".join(circle.csv_blocks(q.size, [(0, q.array())]))
+    assert got == oracle.csv_rows(q.array())
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
-"""The run-based and chunked level kernels against the whole-array
-formulas they replaced (`whole_array_oracles`), at several chunk sizes:
-the levels' runs, the floor-sum phi, the quasi-cost pieces, the
-permutation and middle-avoidance checks on runs, the level records and
-checks summed over the runs, and the chunked whole arrays and CSV rows.
-Also that `construct` and `verify` expand each level's quasi-cost once,
-for its CSV, and a bound on what each of them allocates."""
+"""The run-based level kernels against the whole-array formulas they
+replaced (`whole_array_oracles`): the levels' runs, the floor-sum phi,
+the quasi-cost pieces, the permutation and middle-avoidance checks on
+runs (a level's and a gap-grid cell's), the level records and checks
+summed over the runs, and the whole arrays.  A level's CSV, the one walk
+over its indices, is rendered from its pieces in blocks of at most
+`circle._CHUNK` rows, and is checked at several block sizes.  Also that
+`construct` and `verify` expand each level's quasi-cost once, for its
+CSV, and a bound on what each of them allocates."""
 
 import collections
 import dataclasses
@@ -30,35 +32,30 @@ TOWERS = {
     "11_331": lambda: build_tower(11, 2, growth_floor=[331]),
 }
 
-# Chunk sizes 1 and 7 make a numpy call per index or per 7 indices, so
-# the (5c) level (M = 625,505) and the level-3 one (M = 77,495) run at 64
-# and the default only.  The level records and checks take no chunks, so
-# the (7, 29) and (11, 331) towers run at the default only, and the tests
-# of the records and checks alone, which read no chunk size, run each
-# larger tower once (RECORD_CASES); (5, 11) is cheap and keeps all four.
+# Only a level's CSV reads the chunk size, its most rows per block, and
+# the tests that take these cases render none: each tower runs once, at
+# the default size, but for (5, 11), whose four cases repeat one another
+# (see ROADMAP, "Trim the chunk matrix").
 CASES = [
     ("5_11", 1), ("5_11", 7), ("5_11", 64), ("5_11", DEFAULT_CHUNK),
-    ("5_11_1409", 64), ("5_11_1409", DEFAULT_CHUNK),
-    ("5c", 64), ("5c", DEFAULT_CHUNK),
+    ("5_11_1409", DEFAULT_CHUNK), ("5c", DEFAULT_CHUNK),
     ("7_29", DEFAULT_CHUNK), ("11_331", DEFAULT_CHUNK),
 ]
-RECORD_CASES = [(name, c) for name, c in CASES if c == DEFAULT_CHUNK or name == "5_11"]
 
 
 @pytest.fixture
 def chunk(monkeypatch, request):
-    """Set the chunk size of every chunked pass."""
+    """Set the most rows in a block of a CSV."""
     monkeypatch.setattr(circle, "_CHUNK", request.param)
     return request.param
 
 
-def _cases(cases=CASES):
-    return pytest.mark.parametrize(
-        "name,chunk", cases, indirect=["chunk"], ids=[f"{t}-{c}" for t, c in cases]
-    )
+_cases = pytest.mark.parametrize(
+    "name,chunk", CASES, indirect=["chunk"], ids=[f"{t}-{c}" for t, c in CASES]
+)
 
 
-@_cases()
+@_cases
 def test_level_arrays_match_whole_array_formulas(name, chunk):
     tower = TOWERS[name]()
     levels = tau.build_levels(tower, tower.depth)
@@ -77,7 +74,7 @@ def test_level_arrays_match_whole_array_formulas(name, chunk):
         assert np.array_equal(circle.phi_points(tower, n, np.arange(M)), phi)
         sigma = tau.sigma_of(tower, n, level.tau)
         assert np.array_equal(sigma, oracle.sigma_of(tower, n, level.tau))
-        assert tau.is_permutation(sigma) and oracle.is_permutation(sigma)
+        assert oracle.is_permutation(sigma)
         assert tau._tiles(level, tower)
         assert tau._avoidance_hits(level, tower).size == 0
         if level.parent is not None:
@@ -101,7 +98,7 @@ def test_floor_sum_phi_matches_whole_array_formula():
         assert np.array_equal(circle.phi_points(tower, n, ends), oracle.phi_values(tower, n)[ends])
 
 
-@_cases(RECORD_CASES)
+@_cases
 def test_level_scalars_match_whole_array_formulas(name, chunk):
     tower = TOWERS[name]()
     for level in tau.build_levels(tower, tower.depth):
@@ -153,7 +150,7 @@ def test_nonzero_correction_matches_whole_array_formula(monkeypatch, name, chunk
         assert (s.dual_value, s.correction_norm) == (value, norm)
 
 
-@_cases(RECORD_CASES)
+@_cases
 def test_level_report_matches_whole_array_formulas(name, chunk):
     tower = TOWERS[name]()
     for level in tau.build_levels(tower, tower.depth):
@@ -200,8 +197,8 @@ def _the_other_way(t):
 
 
 def _sigma_and_tiles(tower, level):
-    """sigma of the level, filled chunk by chunk by `tau.sigma_of`, and the
-    run-based permutation check."""
+    """sigma of the level, as `tau.sigma_of` gives it, and the run-based
+    permutation check."""
     return tau.sigma_of(tower, level.level, level.tau), tau._tiles(level, tower)
 
 
@@ -228,20 +225,16 @@ def _oracle_build_check(tower, level):
 
 
 @functools.lru_cache(maxsize=None)
-def _default_chunk_levels(name):
-    """The tower's levels, built once at the default chunk size."""
+def _levels(name):
+    """The tower's levels, built once for every block size."""
     tower = TOWERS[name]()
     return tower, tuple(tau.build_levels(tower, tower.depth))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
 @pytest.mark.parametrize("name", sorted(TOWERS))
-def test_chunked_sigma_matches_whole_array_formula(monkeypatch, name, chunk):
-    # Built at the default size: at sizes 1 and 7 a (5c) build would make
-    # a numpy call per index or per 7 indices in every kernel.
-    monkeypatch.setattr(circle, "_CHUNK", DEFAULT_CHUNK)
-    tower, levels = _default_chunk_levels(name)
-    monkeypatch.setattr(circle, "_CHUNK", chunk)
+def test_chunked_sigma_matches_whole_array_formula(name, chunk):
+    tower, levels = _levels(name)
     for level in levels:
         n = level.level
         want = oracle.sigma_of(tower, n, level.tau)
@@ -263,7 +256,7 @@ def test_chunked_sigma_matches_whole_array_formula(monkeypatch, name, chunk):
             # blocks of at most a chunk's rows
             blocks = list(circle.runs_csv_blocks(pieces))
             assert max(block.count(b"\n") for block in blocks[1:]) <= chunk
-            assert b"".join(blocks) == b"".join(circle.csv_blocks(level.modulus, [(0, q)]))
+            assert b"".join(blocks) == oracle.csv_rows(q)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
@@ -295,33 +288,40 @@ def test_broken_levels_match_whole_array_formulas(chunk, edit):
     assert tau.transport_cost_tau(broken, tower) == oracle.transport_cost_tau(broken, tower)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
-def test_is_permutation_rejects_repeats_and_out_of_range(chunk):
-    rng = np.random.default_rng(chunk)
-    for M in (1, 2, 7, 8, 65, 200):
-        sigma = rng.permutation(M).astype(np.int64)
-        assert tau.is_permutation(sigma)
-        for bad in (M, -1, 10 * M):
-            out = sigma.copy()
-            out[rng.integers(M)] = bad
-            assert not tau.is_permutation(out)
-        if M > 1:
-            rep = sigma.copy()
-            i, j = rng.choice(M, size=2, replace=False)
-            rep[i] = rep[j]
-            assert not tau.is_permutation(rep)
-            assert not oracle.is_permutation(rep)
-    assert tau.is_permutation(np.zeros(0, dtype=np.int64))
+@pytest.mark.parametrize("floor", [[11], [31], [11, 199]], ids=["5_11", "5_31", "5_11_199"])
+def test_row_map_permutation_check_matches_whole_array_formula(floor):
+    # verify_row_map checks each gap-grid cell on its runs (`tau._tiles`).
+    # With the step of one run of a cell raised by one, that run's image
+    # moves by P_j onto the images of other runs, unless the run is the
+    # whole circle (a translation).
+    tower = build_tower(5, len(floor) + 1, growth_floor=floor)
+    family = gap.build_gap_family(tower, tower.depth)
+    broken_cells = 0
+    for (n, j), cell in sorted(family.grid.items()):
+        want = oracle.is_permutation(oracle.sigma_of(tower, j, cell.tau))
+        assert gap.verify_row_map(family, n, j).permutation_ok == want
+        r = cell.tau_runs
+        if r.starts.size < 2:
+            continue
+        steps = r.values.copy()
+        steps[(n + j) % steps.size] += 1
+        broken = tau.TauLevel(j, circle.Runs.from_starts(r.starts, steps, r.size))
+        assert not oracle.is_permutation(oracle.sigma_of(tower, j, broken.tau))
+        grid = {**family.grid, (n, j): broken}
+        report = gap.verify_row_map(dataclasses.replace(family, grid=grid), n, j)
+        assert not report.permutation_ok
+        broken_cells += 1
+    assert broken_cells >= 2
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, DEFAULT_CHUNK], indirect=True)
-def test_run_checks_match_whole_array_formulas_on_random_steps(chunk):
+@pytest.mark.parametrize("seed", [1, 7, 64, 32768])
+def test_run_checks_match_whole_array_formulas_on_random_steps(seed):
     # Random step functions on the (5, 11) level 2 (M = 55): a few long
     # runs, many short ones, and steps up to +-M, so both kinds of run of
     # the middle-avoidance check and of the quasi-cost pieces show up.
     tower = build_tower(5, 2)
     M, P_inv, mid = tower.modulus(2), tower.step_inverse(2), tower.middle_index(2)
-    rng = np.random.default_rng(chunk)
+    rng = np.random.default_rng(seed)
     perms = 0
     for k in range(300):
         cuts = np.sort(rng.choice(np.arange(1, M), size=rng.integers(0, 12), replace=False))
@@ -435,7 +435,7 @@ def test_level_arrays_are_int32_and_sigma_does_not_wrap():
         sigma = tau.sigma_of(tower, level.level, level.tau)
         assert level.tau.dtype == sigma.dtype == phi.dtype == np.int32
         assert tau.quasi_cost(level, tower).values.dtype == np.int32
-        assert circle.quasi_cost_values(phi, sigma[:64]).dtype == np.int32
+        assert circle.quasi_cost_values(phi, sigma).dtype == np.int32
     l2 = levels[1]
     M, P = tower.modulus(2), tower.step(2)
     assert int(np.abs(l2.tau).max()) * P > 2**31

@@ -276,9 +276,9 @@ def _header_only(path):
 
 @pytest.mark.parametrize("act", [_flip_row0_byte, _header_only])
 def test_cli_verify_drains_the_pass_after_a_differing_csv_block(tmp_path, monkeypatch, capsys, act):
-    # At 7 indices per chunk the (5, 11) level-2 CSV is 8 blocks, and the
+    # At 7 rows per block the (5, 11) level-2 CSV is 8 blocks, and the
     # comparison stops at the first.  The level's ledger, diagnostics and
-    # invariant checks take its runs, not the CSV's chunks, so only the
+    # invariant checks take its runs, not the CSV's blocks, so only the
     # CSV fails.
     d = tmp_path / "artifacts"
     assert main(["construct", "--m1", "5", "--depth", "2", "--outdir", str(d)]) == 0

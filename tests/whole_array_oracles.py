@@ -1,19 +1,19 @@
-"""Whole-array formulas that the chunked and run-based level kernels
-replaced.
+"""Whole-array formulas that the run-based level kernels replaced.
 
 Each builds its level-sized temporaries in one go, as `otlab` did before
-every level pass ran over fixed-size index chunks and before a level was
-held as runs; the tests compare the kernels against them at several
-chunk sizes.  Their arithmetic is int64 whatever the dtype of the level
-arrays (int32 in `otlab`), so an int32 product that wraps cannot agree
-with them.  `construction_arrays` builds the levels index by index, as
-`tau.extend_tau` did while it wrote whole arrays.
+a level was held as runs; the tests compare the kernels against them.
+Their arithmetic is int64 whatever the dtype of the level arrays (int32
+in `otlab`), so an int32 product that wraps cannot agree with them.
+`construction_arrays` builds the levels index by index, as
+`tau.extend_tau` did while it wrote whole arrays, and `csv_rows` renders
+a level's CSV from the whole array, row by row in one block.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from otlab import circle
 from otlab.circle import phi_level
 from otlab.tau import GrowthTooSmall, LevelReport, SingularLedger
 
@@ -39,6 +39,13 @@ def sigma_of(tower, n, tau):
 
 def is_permutation(sigma):
     return bool((np.bincount(sigma, minlength=sigma.shape[0]) == 1).all())
+
+
+def csv_rows(values):
+    """The bytes of the CSV of the whole array values, every row rendered
+    by `circle._csv_rows` in one block: no super-rows and no block cuts."""
+    M = len(values)
+    return circle._CSV_HEADER + circle._csv_rows(M, 0, values, circle._prime_powers(M))
 
 
 def avoidance_violations(tau, P_inv, mid):
