@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -19,7 +20,7 @@ from otlab.finite_ot import (
     solve_relaxed_dual,
 )
 from otlab.finite_ot.solvers import _capacitated_potentials
-from otlab.rational import INF
+from otlab.rational import INF, format_rational
 from relaxed_dual_lp_oracle import lp_relaxed_dual
 
 
@@ -225,6 +226,53 @@ def test_forest_support_buys_value_one_for_one(n, kind):
         pair = solve_relaxed_dual(CostMatrix(cost), marg, pi0, eps)
         assert pair.value == pi0.value + eps
         assert _excess(cost, pi0, pair) <= eps
+
+
+# sha256 of the canonical p/q lines "phi;psi;value" of solve_relaxed_dual
+# over _pinned_cases(kind), budgets 0, ray/16, ray/2, ray and 2*ray + 1
+RELAXED_DUAL_OUTPUTS = {
+    "product": "cc88536425be331c71110b2855deab3ad763ac70799808b9b8efb1b80e0fcf19",
+    "vertex": "e5b401b8799f92532d0a11c52c7430e24492ed55f63083fd5c9bcfd823a4b77c",
+    "mixture": "d7275c5034863e6e7ce107e6e130a33b6e17ddb465270a680d1c0002e00fb9af",
+    "uniform_full": "d07c26b2b4f017b03beeee1a2811a5702be6b3fa30fa6b8a980275b8649f55ec",
+}
+
+
+def _pinned_cases(kind):
+    """(cost rows, marginals, pi0 rows): the _instance kinds at n = 1..6,
+    two seeds each (zero-mass rows and forest supports among them), or a
+    seeded n = 5 cost under uniform marginals and the fully supported
+    uniform pi0."""
+    if kind != "uniform_full":
+        return [_instance(n, kind, seed) for n in range(1, 7) for seed in range(2)]
+    rng = random.Random(55)
+    n = 5
+    cases = []
+    for _ in range(2):
+        cost = [[F(rng.randint(0, 40), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        cases.append((cost, Marginals.uniform(n), [[F(1, n * n)] * n for _ in range(n)]))
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(RELAXED_DUAL_OUTPUTS))
+def test_relaxed_dual_outputs_are_pinned(kind):
+    lines = []
+    for cost, marg, rows in _pinned_cases(kind):
+        pi0 = _plan(cost, rows)
+        ray = max(cost[i][j] for i, j in pi0.support()) * marg.total_mu() - pi0.value
+        for eps in [F(0), ray / 16, ray / 2, ray, 2 * ray + 1]:
+            pair = solve_relaxed_dual(CostMatrix(cost), marg, pi0, eps)
+            lines.append(
+                ";".join(
+                    [
+                        ",".join(map(format_rational, pair.phi)),
+                        ",".join(map(format_rational, pair.psi)),
+                        format_rational(pair.value),
+                    ]
+                )
+            )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == RELAXED_DUAL_OUTPUTS[kind]
 
 
 @pytest.mark.parametrize("lam", [F(1), F(3, 2), F(4), F(17, 3)])
