@@ -12,7 +12,8 @@ shortest distances are the potentials (Rockafellar, Pacific J. Math. 17,
 1966).
 
 The pass relaxes plain ints: `types.integer_arcs` scales every arc cost
-by the least common denominator d of the costs, once.  Scaling by d > 0
+by the least common denominator d of the costs, once (the solvers'
+integer step passes its own scaled arcs to `support_potentials`).  Scaling by d > 0
 keeps every strict comparison, so the relaxations, the predecessors and
 the witness cycle are those of the same pass over Fractions, and each
 distance is d times its Fraction value; the potentials are divided by d
@@ -36,14 +37,12 @@ def _check_support(support, cost: CostMatrix):
     return cells
 
 
-def _bellman_ford(support, cost: CostMatrix):
-    """(dist, d, None) with the shortest distances from a virtual source
-    at 0 to every node, as ints over the common denominator d of the arc
-    costs, or (None, None, witness) with the support cells of a negative
-    cycle in cycle order."""
-    cells = _check_support(support, cost)
-    rows, _, scale = integer_arcs(cost.arcs)
-    m, n = cost.n_rows, cost.n_cols
+def _bellman_ford(cells, rows, n):
+    """(dist, None) with the shortest distances from a virtual source at
+    0 to every node, or (None, witness) with the support cells of a
+    negative cycle in cycle order, for the support `cells` (row-major,
+    each a finite cell) of the int arcs `rows` with n columns."""
+    m = len(rows)
     into = [[] for _ in range(m)]
     for i, j in cells:
         into[i].append((m + j, i, -rows[i][j]))
@@ -68,7 +67,7 @@ def _bellman_ford(support, cost: CostMatrix):
                 pred[b] = a
                 last = b
         if last is None:
-            return dist, scale, None
+            return dist, None
     # Still relaxing after nn passes: walk back nn steps to land inside
     # the cycle, then collect it.
     node = last
@@ -81,7 +80,7 @@ def _bellman_ford(support, cost: CostMatrix):
         cur = pred[cur]
     cycle.reverse()
     # Each column -> row step of the cycle is a support cell.
-    return None, None, [
+    return None, [
         (cycle[(t + 1) % len(cycle)], col - m)
         for t, col in enumerate(cycle)
         if col >= m
@@ -94,18 +93,31 @@ def is_cyclically_monotone(support, cost: CostMatrix):
     A witness (i_1, j_1), ..., (i_k, j_k) has every c(i_t, j_{t+1})
     finite and sum_t c(i_t, j_{t+1}) - c(i_t, j_t) < 0, indices mod k.
     """
-    *_, witness = _bellman_ford(support, cost)
+    cells = _check_support(support, cost)
+    _, witness = _bellman_ford(cells, integer_arcs(cost.arcs)[0], cost.n_cols)
     return witness is None, witness
+
+
+def support_potentials(cells, rows, n):
+    """Int potentials (phi, psi) of the int arcs `rows` with n columns,
+    phi+psi <= c on every arc and equality on the support `cells`
+    (row-major, each an arc); None iff the support is not cyclically
+    monotone."""
+    dist, _ = _bellman_ford(cells, rows, n)
+    if dist is None:
+        return None
+    m = len(rows)
+    return [-x for x in dist[:m]], dist[m:]
 
 
 def strong_monotone_potentials(support, cost: CostMatrix):
     """Potentials (phi, psi) with phi+psi <= c everywhere finite and
     equality on the support; None iff the support is not cyclically
     monotone."""
-    dist, scale, _ = _bellman_ford(support, cost)
-    if dist is None:
+    cells = _check_support(support, cost)
+    rows, _, scale = integer_arcs(cost.arcs)
+    pair = support_potentials(cells, rows, cost.n_cols)
+    if pair is None:
         return None
-    m = cost.n_rows
-    return DualPair(
-        [Fraction(-x, scale) for x in dist[:m]], [Fraction(x, scale) for x in dist[m:]]
-    )
+    phi, psi = pair
+    return DualPair([Fraction(x, scale) for x in phi], [Fraction(x, scale) for x in psi])

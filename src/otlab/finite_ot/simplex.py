@@ -1,44 +1,44 @@
 """Exact primal simplex on the transportation polytope, in integers.
 
-Costs come in as per-row arcs, `arcs[i]` a dict of row i's finite cells
-{column: Fraction >= 0} in increasing column order; every other cell is
-INF.  Supplies and demands are positive Fractions.  The solver scales
-them to plain Python ints once:
+Costs come in as per-row arcs, `cost[i]` a dict of row i's finite cells
+{column: int >= 0} in increasing column order; every other cell is INF.
+Supplies and demands are positive ints.  The callers (`solvers`) scale
+their Fractions to such ints once, and decode the results once: the
+arc costs by the LCM of their denominators, the masses by the LCM of
+theirs.  Scaling by positive integers preserves every comparison, and
+total unimodularity keeps each flow an integer.  An INF cell is encoded
+as BIG = 2*(2(m+n)+1)*top + 1, for top the largest arc cost.  Read an
+INF cell as one infinity unit plus a finite part 0: a tree potential
+sums at most m+n-1 basic cells with alternating signs, so the finite
+part of a potential or a reduced cost is at most (2(m+n)-1)*top in
+size, below BIG/2.  The integer order is then the lexicographic big-M
+order (Ahuja, Magnanti and Orlin, Network Flows, 1993), and each
+potential decodes to its units and finite part.  The plan value is INF
+when an INF cell carries flow (the NoFinitePlan certificate), and an
+optimal tree potential is None when it carries an infinity unit.
 
-- the arc costs by the LCM of their denominators, the masses by the
-  LCM of theirs;
-- an INF cell to BIG = 2*(2(m+n)+1)*top + 1, for top the largest scaled
-  arc cost.  Read an INF cell as one infinity unit plus a finite part
-  0: a tree potential sums at most m+n-1 basic cells with alternating
-  signs, so the finite part of a potential or a reduced cost is at most
-  (2(m+n)-1)*top in size, below BIG/2.  The integer order is then the
-  lexicographic big-M order (Ahuja, Magnanti and Orlin, Network Flows,
-  1993), and each potential decodes to its units and finite part.
-
-Scaling by positive integers preserves every comparison, and total
-unimodularity keeps each flow an integer.  Flows, the plan value (INF
-when an INF cell carries flow: the NoFinitePlan certificate) and the
-optimal tree potentials (None when one carries an infinity unit) are
-converted back to Fractions once, at the end.
-
-Only arcs are priced.  An INF cell enters the basis only with the
-north-west start and, once it leaves, never returns, so the simplex
-solves the LP over the arcs and the INF cells still basic, in the big-M
-order.  Every finite plan is feasible there with no infinity unit, so
-the optimum charges an INF cell exactly when no finite plan exists.
+Only arcs are priced.  An INF cell enters the basis only with the start
+tree and, once it leaves, never returns, so the simplex solves the LP
+over the arcs and the INF cells still basic, in the big-M order.  Every
+finite plan is feasible there with no infinity unit, so the optimum
+charges an INF cell exactly when no finite plan exists.
 
 The basis is a spanning tree on the rows and columns, hung from a root
 row, and it is always strongly feasible: every zero-flow basic cell is
 a row hanging below its column, so its arc points toward the root and
 positive flow could be pushed from any node to the root (Cunningham,
-Math. Programming 11, 1976).  Both starts are built that way: the
-north-west corner, rooted at row 0, for any instance, and for uniform
-square instances a tree around a finite perfect matching, rooted at the
-lowest row from which it spans (`_matching_start`).  The matching tries
-each row's arcs cheapest first, ties by column, so the start plan is
-near the optimum when the rows' cheap arcs rarely share a column; when
-they form a permutation it is the optimal plan, and only degenerate
-pivots (on the zero-flow cells) follow.
+Math. Programming 11, 1976).  Both starts are built that way.  Uniform
+square instances start from a tree around a finite perfect matching,
+rooted at the lowest row from which it spans (`_matching_start`).  The
+matching tries each row's arcs cheapest first, ties by column, so the
+start plan is near the optimum when the rows' cheap arcs rarely share a
+column; when they form a permutation it is the optimal plan, and only
+degenerate pivots (on the zero-flow cells) follow.  Every other
+instance starts from the regret-ordered least-cost tree, rooted at row
+0 (`_least_cost_start`): the arcs cheapest first, ties by the row's
+regret, then north-west over the INF cells for what remains, and one
+zero-flow cell, on a finite arc where one exists, to hang each further
+positive-flow component below a column of the tree.
 
 Pricing is block search (Grigoriadis, Math. Programming Study 26,
 1986).  The rows with arcs are scanned cyclically in blocks of whole
@@ -69,13 +69,11 @@ once at the end to the contract's u[0] = 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from operator import itemgetter, sub
 
-from ..rational import INF, over_common_denominator
-from .types import integer_arcs
+from ..rational import INF
 
 
 def _perfect_finite_matching(adj, n):
@@ -172,26 +170,94 @@ def _matching_start(adj, supply, demand):
     return flow, root
 
 
-def _north_west_start(supply, demand):
-    """The north-west corner tree, rooted at row 0; a tie adds the
-    zero-flow cell (i+1, j), row i+1 below column j, so the basis has
-    m+n-1 cells and the tree is strongly feasible."""
+def _least_cost_start(cost, supply, demand, big):
+    """The regret-ordered least-cost tree, rooted at row 0 (Vogel's rule:
+    Reinfeld and Vogel, 1958).  The arcs are taken cheapest first, ties
+    by the row's regret (its second-cheapest cell cost less its
+    cheapest, an INF cell costing big), larger first, then row-major;
+    each carries min(remaining supply, remaining demand).  What remains
+    goes north-west over the rows and columns left, all of whose cells
+    are INF.  Each positive-flow component other than row 0's then hangs
+    by one zero-flow cell, its row below a column of the tree.  The tree
+    grows breadth-first from row 0's component: its columns are taken in
+    the order the components join, each component's in index order, and
+    each column hangs, on a finite arc, every row outside the tree that
+    has one there, in index order.  When no finite arc reaches the tree,
+    the lowest row outside it hangs on an INF cell below the first column
+    of the tree.  Every mass is positive, so each component holds a row
+    and a column and the tree spans.  Returns the flow on the tree's
+    cells."""
     m, n = len(supply), len(demand)
     rem_s = list(supply)
     rem_d = list(demand)
+    ranked = []
+    for i, row in enumerate(cost):
+        if row:
+            low, second = sorted(row.values())[:2] if len(row) > 1 else (*row.values(), big)
+            ranked += [(c, low - second, i, j) for j, c in row.items()]
+    ranked.sort()
     flow = {}
-    i = j = 0
-    while True:
+    for _, _, i, j in ranked:
+        x = min(rem_s[i], rem_d[j])
+        if x:
+            flow[(i, j)] = x
+            rem_s[i] -= x
+            rem_d[j] -= x
+    rows = [i for i in range(m) if rem_s[i]]
+    cols = [j for j in range(n) if rem_d[j]]
+    a = b = 0
+    while a < len(rows):
+        i, j = rows[a], cols[b]
         x = min(rem_s[i], rem_d[j])
         flow[(i, j)] = x
         rem_s[i] -= x
         rem_d[j] -= x
-        if i == m - 1 and j == n - 1:
-            return flow
-        if rem_s[i] == 0 and i < m - 1:
-            i += 1
-        else:
-            j += 1
+        a += not rem_s[i]
+        b += not rem_d[j]
+
+    row_cols = [[] for _ in range(m)]
+    col_rows = [[] for _ in range(n)]
+    for i, j in flow:
+        row_cols[i].append(j)
+        col_rows[j].append(i)
+    arc_rows = [[] for _ in range(n)]
+    for i, row in enumerate(cost):
+        for j in row:
+            arc_rows[j].append(i)
+    seen = [False] * m
+    reached = [False] * n
+    order = []  # the tree's columns, each component's in index order
+
+    def take(r):
+        """Add row r's positive-flow component to the tree."""
+        seen[r] = True
+        todo = [r]
+        cols = []
+        for i in todo:
+            for j in row_cols[i]:
+                if not reached[j]:
+                    reached[j] = True
+                    cols.append(j)
+                    for k in col_rows[j]:
+                        if not seen[k]:
+                            seen[k] = True
+                            todo.append(k)
+        order.extend(sorted(cols))
+
+    take(0)
+    at = 0
+    for r in range(m):
+        while at < len(order):
+            j = order[at]
+            at += 1
+            for k in arc_rows[j]:
+                if not seen[k]:
+                    flow[(k, j)] = 0
+                    take(k)
+        if not seen[r]:
+            flow[(r, order[0])] = 0
+            take(r)
+    return flow
 
 
 def _gather(nodes):
@@ -201,20 +267,6 @@ def _gather(nodes):
         (k,) = nodes
         return lambda pot: (pot[k],)
     return itemgetter(*nodes)
-
-
-def _decoder(scale):
-    """x -> Fraction(x, scale), one shared Fraction per distinct x: an
-    optimal tree's flows and potentials take few distinct values."""
-    made = {}
-
-    def decode(x):
-        f = made.get(x)
-        if f is None:
-            f = made[x] = Fraction(x, scale)
-        return f
-
-    return decode
 
 
 def _reroot(q, w, adj, parent, depth):
@@ -235,31 +287,28 @@ def _reroot(q, w, adj, parent, depth):
     return order
 
 
-def solve_transport(arcs, supply, demand):
-    """Minimize sum(c*x) over x >= 0 with prescribed row/col sums.
+def solve_transport(cost, supply, demand):
+    """Minimize sum(c*x) over x >= 0 with prescribed row/col sums, in ints.
 
-    arcs: per row, a dict {column: Fraction >= 0} of its finite cells in
+    cost: per row, a dict {column: int >= 0} of its finite cells in
     increasing column order; every other cell is INF.
-    supply/demand: positive Fractions with equal totals.
-    Returns (flow, value, u, v): the Fraction flow on every basic cell of
-    the optimal tree, the plan value (INF when an INF cell carries flow)
-    and the optimal tree potentials, rooted at u[0] = 0, with u[i] + v[j]
-    = c(i, j) on every basic cell; a potential that carries an infinity
-    unit is None.
+    supply/demand: positive ints with equal totals.
+    Returns (flow, value, u, v): the int flow on every basic cell of the
+    optimal tree, the plan value sum(c*x) (INF when an INF cell carries
+    flow) and the optimal tree potentials, rooted at u[0] = 0, with
+    u[i] + v[j] = c(i, j) on every basic cell; a potential that carries
+    an infinity unit is None.
     """
     m, n = len(supply), len(demand)
-    cost, _, cost_scale = integer_arcs(arcs)
     top = max((c for row in cost for c in row.values()), default=0)
     big = 2 * (2 * (m + n) + 1) * top + 1
-    masses, mass_scale = over_common_denominator([*supply, *demand])
-    supply, demand = masses[:m], masses[m:]
 
     def cell_cost(i, j):
         return cost[i].get(j, big)
 
     start = _matching_start(cost, supply, demand)
     if start is None:
-        flow, root = _north_west_start(supply, demand), 0
+        flow, root = _least_cost_start(cost, supply, demand, big), 0
     else:
         flow, root = start
 
@@ -373,18 +422,14 @@ def solve_transport(arcs, supply, demand):
         for z in _reroot(q, w, adj, parent, depth):
             pot[z] += shift if z < m else -shift
 
-    as_potential = _decoder(cost_scale)
-    as_mass = _decoder(mass_scale)
-
-    def potential(x):  # a*BIG + f -> f / cost_scale, or None when a != 0
-        return None if abs(x) > big // 2 else as_potential(x)
+    def potential(x):  # a*BIG + f -> f, or None when a != 0
+        return None if abs(x) > big // 2 else x
 
     if any(f and j not in cost[i] for (i, j), f in flow.items()):
         value = INF
     else:
-        charged = sum(cost[i][j] * f for (i, j), f in flow.items() if f)
-        value = Fraction(charged, cost_scale * mass_scale)
+        value = sum(cost[i][j] * f for (i, j), f in flow.items() if f)
     # Re-root the potentials at u[0] = 0.
     u = [potential(x - pot[0]) for x in pot[:m]]
     v = [potential(x + pot[0]) for x in pot[m:]]
-    return {cell: as_mass(f) for cell, f in flow.items()}, value, u, v
+    return flow, value, u, v

@@ -1,40 +1,44 @@
 """Primal/dual transport solves and their certificates.
 
-`solve_primal` and `solve_certified` each run one transportation simplex
-(`simplex.solve_transport`) on the rows and columns with positive mass;
-`solve_dual` is the second half of `solve_certified`.  The simplex takes
-the cost's finite arcs and hands back the plan and its optimal tree
-potentials in exact Fractions.  The dual is those tree
-potentials, extended to zero-mass rows and columns by a c-transform;
-only when the optimal tree crosses an INF cell, so that a potential
-carries an infinity unit (None), does it fall back to the
-strong-monotonicity potentials of the optimal support.  Either way
-the potentials are checked exactly: feasible on every finite cell, with
-the plan's value.
+`solve_primal` and `solve_certified` scale the cost and the marginals to
+plain ints once (`types.integer_arcs`, `rational.over_common_denominator`),
+run one integer transportation simplex (`simplex.solve_transport`) on the
+rows and columns with positive mass, and decode to Fractions only what
+they return.  `solve_dual` is the second half of `solve_certified`.  The
+dual is the simplex's optimal tree potentials, extended to zero-mass rows
+and columns by a c-transform; only when the optimal tree crosses an INF
+cell, so that a potential carries an infinity unit (None), does it fall
+back to the strong-monotonicity potentials of the optimal support.  Either
+way the potentials are checked exactly, on the ints: feasible on every
+finite cell, with the plan's value.  Scaling by a positive integer keeps
+every comparison, so each verdict is that of the Fraction comparison it
+replaces.
 
-Every certificate check runs in plain ints: `types.integer_arcs` puts
-the arc costs, with the potentials when a check has them, over one
-common denominator, once per check.  `DualPair.is_feasible`,
-`check_complementary_slackness` and the monotonicity Bellman-Ford all
-scale through it, and scaling by a positive integer keeps each verdict
-of the Fraction comparison it replaces.
+The other certificate checks run in plain ints too: `types.integer_arcs`
+puts the arc costs and the potentials over one common denominator, once
+per check.  `DualPair.is_feasible`, `check_complementary_slackness` and
+the monotonicity Bellman-Ford all scale through it.
 
-The budgeted relaxed dual runs on the same solves.  With A = phi.mu +
-psi.nu and B the pi0-weighted excess of phi+psi over c on supp(pi0), its
+The budgeted relaxed dual runs on the same integer step.  With A = phi.mu
++ psi.nu and B the pi0-weighted excess of phi+psi over c on supp(pi0), its
 value V(eps) = max{A : B <= eps} is concave and piecewise linear, and by
 LP duality V(eps) = min over lam >= 1 of lam*eps + G(lam), where G(lam) =
 max(A - lam*B) is the min-cost transport on supp(pi0) with capacities
 lam*pi0.  G(1) = c.pi0, so V ends in the ray c.pi0 + eps.  Each G(lam) is
-one uncapacitated transport with a source per support arc.
+one uncapacitated transport with a source per support arc.  The chord
+search scales the support costs (over Dc) and the masses (over Dm) once
+per call; each lam = p/q then takes integer masses, and A, B and the chord
+test are ints over Dc*Dm.  Fractions remain only at the chord's ends and
+in the returned pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from operator import mul
 
-from ..rational import INF, as_fraction
-from .monotonicity import strong_monotone_potentials
+from ..rational import INF, as_fraction, over_common_denominator
+from .monotonicity import support_potentials
 from .simplex import solve_transport
 from .types import (
     CostMatrix,
@@ -61,87 +65,142 @@ def _check_dims(cost: CostMatrix, marg: Marginals):
         )
 
 
-def _solve(cost: CostMatrix, marg: Marginals):
-    """The optimal plan, and the optimal tree potentials of the rows and
-    columns with positive mass keyed by their index (None where one
-    carries an infinity unit); InfeasibleMarginals / NoFinitePlan on
-    failure."""
+def _scaled(cost: CostMatrix, marg: Marginals):
+    """(rows, dc, mu, nu, dm): the arc costs as ints over their common
+    denominator dc and the marginals as ints over theirs, dm, once they
+    fit the cost (DimensionMismatch) and have equal totals
+    (InfeasibleMarginals)."""
     _check_dims(cost, marg)
-    if marg.total_mu() != marg.total_nu():
+    rows, _, dc = integer_arcs(cost.arcs)
+    masses, dm = over_common_denominator([*marg.mu, *marg.nu])
+    mu, nu = masses[: cost.n_rows], masses[cost.n_rows :]
+    if sum(mu) != sum(nu):
         raise InfeasibleMarginals(
             f"mass mismatch: {marg.total_mu()} vs {marg.total_nu()}"
         )
+    return rows, dc, mu, nu, dm
 
-    # Zero rows/cols carry no mass; eliminate before solving.
-    rows = [i for i, v in enumerate(marg.mu) if v]
-    cols = [j for j, v in enumerate(marg.nu) if v]
-    if not (rows and cols):
-        return TransportPlan.from_cells(cost.n_rows, cost.n_cols, {}, ZERO), {}, {}
-    arcs = cost.arcs
-    if len(rows) < cost.n_rows or len(cols) < cost.n_cols:
-        at = {j: b for b, j in enumerate(cols)}
-        arcs = [{at[j]: c for j, c in arcs[i].items() if j in at} for i in rows]
-    supply = [marg.mu[i] for i in rows]
-    demand = [marg.nu[j] for j in cols]
-    flow, value, u, v = solve_transport(arcs, supply, demand)
+
+def _solve(rows, mu, nu):
+    """The simplex on the rows and columns with positive mass of the int
+    arcs `rows` and the int masses mu, nu (equal totals): (flow, value,
+    phi, psi), the positive flows {(i, j): int}, their cost, and the
+    optimal tree potential of each row and column, None where it has
+    zero mass or carries an infinity unit.  NoFinitePlan when the
+    optimum charges an INF cell."""
+    m, n = len(mu), len(nu)
+    kept_rows = [i for i, x in enumerate(mu) if x]
+    kept_cols = [j for j, x in enumerate(nu) if x]
+    phi, psi = [None] * m, [None] * n
+    if not (kept_rows and kept_cols):
+        return {}, 0, phi, psi
+    arcs = rows
+    if len(kept_rows) < m or len(kept_cols) < n:
+        at = {j: b for b, j in enumerate(kept_cols)}
+        arcs = [{at[j]: c for j, c in rows[i].items() if j in at} for i in kept_rows]
+    flow, value, u, v = solve_transport(
+        arcs, [mu[i] for i in kept_rows], [nu[j] for j in kept_cols]
+    )
     if value is INF:
         raise NoFinitePlan("every admissible plan meets an infinite cost cell")
-    cells = {(rows[a], cols[b]): f for (a, b), f in flow.items() if f}
-    plan = TransportPlan.from_cells(cost.n_rows, cost.n_cols, cells, value)
-    return plan, dict(zip(rows, u)), dict(zip(cols, v))
+    for i, p in zip(kept_rows, u):
+        phi[i] = p
+    for j, p in zip(kept_cols, v):
+        psi[j] = p
+    return {(kept_rows[a], kept_cols[b]): f for (a, b), f in flow.items() if f}, value, phi, psi
 
 
-def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
-    """Exactly optimal plan; InfeasibleMarginals / NoFinitePlan on failure."""
-    return _solve(cost, marg)[0]
-
-
-def _c_transform_fill(cost: CostMatrix, phi, psi):
+def _c_transform_fill(rows, phi, psi):
     """Give the rows and columns the solve dropped (zero mass, None here)
     the largest potentials feasible against the others: columns first,
     against the solved rows, then rows, against every column."""
     if None in psi:
         best = {}
-        for p, row in zip(phi, cost.arcs):
+        for p, row in zip(phi, rows):
             if p is not None:
                 for j, c in row.items():
                     if psi[j] is None and (j not in best or c - p < best[j]):
                         best[j] = c - p
         for j, p in enumerate(psi):
             if p is None:
-                psi[j] = best.get(j, ZERO)
-    for i, row in enumerate(cost.arcs):
+                psi[j] = best.get(j, 0)
+    for i, row in enumerate(rows):
         if phi[i] is None:
-            phi[i] = min((c - psi[j] for j, c in row.items()), default=ZERO)
+            phi[i] = min((c - psi[j] for j, c in row.items()), default=0)
+
+
+def _certified(rows, mu, nu):
+    """`_solve` with its potentials made a checked dual, all in ints:
+    (flow, value, phi, psi) with a potential for every row and column.
+
+    When no optimal tree potential carries an infinity unit (the tree
+    uses finite cells only), they are the dual solution, extended to
+    zero-mass rows and columns by a c-transform.  Otherwise the
+    potentials come from `support_potentials` on the optimal support.
+    Either way they are checked exactly: phi+psi <= c on every arc and
+    sum(phi*mu) + sum(psi*nu) equal to the plan's value.
+    """
+    flow, value, phi, psi = _solve(rows, mu, nu)
+    if any(p is None and x for p, x in zip(phi, mu)) or any(
+        p is None and x for p, x in zip(psi, nu)
+    ):
+        pair = support_potentials(sorted(flow), rows, len(nu))
+        if pair is None:  # the optimal support is always cyclically monotone
+            raise AssertionError("optimal support failed the monotonicity check")
+        phi, psi = pair
+    else:
+        _c_transform_fill(rows, phi, psi)
+    if any(p + psi[j] > c for p, row in zip(phi, rows) for j, c in row.items()):
+        raise AssertionError("potentials infeasible on a finite cell")
+    dual = sum(map(mul, phi, mu)) + sum(map(mul, psi, nu))
+    if dual != value:
+        raise AssertionError(f"duality gap of {value - dual} scaled units in exact solver")
+    return flow, value, phi, psi
+
+
+def _decoder(scale):
+    """x -> Fraction(x, scale), one shared Fraction per distinct x: an
+    optimal tree's flows and potentials take few distinct values."""
+    made = {}
+
+    def decode(x):
+        f = made.get(x)
+        if f is None:
+            f = made[x] = Fraction(x, scale)
+        return f
+
+    return decode
+
+
+def _plan(cost: CostMatrix, flow, value, dc, dm) -> TransportPlan:
+    as_mass = _decoder(dm)
+    cells = {cell: as_mass(f) for cell, f in flow.items()}
+    return TransportPlan.from_cells(cost.n_rows, cost.n_cols, cells, Fraction(value, dc * dm))
+
+
+def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
+    """Exactly optimal plan; InfeasibleMarginals / NoFinitePlan on failure."""
+    rows, dc, mu, nu, dm = _scaled(cost, marg)
+    flow, value, _, _ = _solve(rows, mu, nu)
+    return _plan(cost, flow, value, dc, dm)
 
 
 def solve_certified(cost: CostMatrix, marg: Marginals):
     """Exactly optimal (plan, potentials) from one simplex solve; the
     potentials' value equals the plan value exactly.
 
-    When no optimal tree potential carries an infinity unit (the tree
-    uses finite cells only), they are the dual solution, extended to
-    zero-mass rows and columns by a c-transform.  Otherwise the
-    potentials come from `strong_monotone_potentials` on the optimal
-    support.  Either way they are checked exactly: phi+psi <= c on every
-    finite cell and a value equal to the plan value.
+    The potentials are the optimal tree's, or the strong-monotonicity
+    potentials when the tree crosses an INF cell, checked exactly on the
+    ints (`_certified`): phi+psi <= c on every finite cell and a value
+    equal to the plan value.
     """
-    plan, u, v = _solve(cost, marg)
-    if any(p is None for p in u.values()) or any(p is None for p in v.values()):
-        pair = strong_monotone_potentials(sorted(plan.support()), cost)
-        if pair is None:  # the optimal support is always cyclically monotone
-            raise AssertionError("optimal support failed the monotonicity check")
-    else:
-        phi = [u.get(i) for i in range(cost.n_rows)]
-        psi = [v.get(j) for j in range(cost.n_cols)]
-        _c_transform_fill(cost, phi, psi)
-        pair = DualPair(phi, psi)
-    if not pair.is_feasible(cost):
-        raise AssertionError("potentials infeasible on a finite cell")
-    value = pair.pair_value(marg)
-    if value != plan.value:
-        raise AssertionError(f"duality gap {plan.value - value} in exact solver")
-    return plan, DualPair(pair.phi, pair.psi, value)
+    rows, dc, mu, nu, dm = _scaled(cost, marg)
+    flow, value, phi, psi = _certified(rows, mu, nu)
+    as_potential = _decoder(dc)
+    pair = DualPair(
+        [as_potential(x) for x in phi], [as_potential(x) for x in psi], Fraction(value, dc * dm)
+    )
+    return _plan(cost, flow, value, dc, dm), pair
 
 
 def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
@@ -217,26 +276,34 @@ def _pi0_arcs(cost: CostMatrix, marg: Marginals, pi0: TransportPlan):
     return arcs
 
 
-def _capacitated_potentials(cost: CostMatrix, marg: Marginals, arcs, lam):
-    """(phi, psi) maximising A - lam*B for lam >= 1: the potentials of
-    min{c.x : x in Pi(mu, nu) on supp(pi0), x <= lam*pi0}, solved as an
-    uncapacitated transport with one source per arc (i, j, w) of supply
-    lam*w, feeding column j at cost c(i,j) or the sink of row i, of
-    demand (lam-1)*mu(i), at cost 0.  With v its optimal sink
-    potentials, phi(i) = -v(row sink i) and psi(j) = v(column j)."""
+def _support_ints(cost: CostMatrix, marg: Marginals, arcs):
+    """The chord search's ints, scaled once per call: (support, w, mu, nu,
+    dc, dm), with support the (i, j, c) triples of the arcs (i, j, pi0
+    mass), c their costs over the costs' common denominator dc, and w,
+    mu and nu the arcs' masses and the marginals over the masses' common
+    denominator dm."""
     m, n = cost.n_rows, cost.n_cols
-    split = CostMatrix.from_arcs(
-        len(arcs),
-        n + m,
-        chain.from_iterable(
-            ((a, j, cost[i, j]), (a, n + i, ZERO)) for a, (i, j, _) in enumerate(arcs)
-        ),
-    )
-    flows = Marginals(
-        [lam * w for *_, w in arcs], list(marg.nu) + [(lam - 1) * u for u in marg.mu]
-    )
-    v = solve_certified(split, flows)[1].psi
-    return [-x for x in v[n:]], list(v[:n])
+    costs, dc = over_common_denominator([cost[i, j] for i, j, _ in arcs])
+    masses, dm = over_common_denominator([*marg.mu, *marg.nu, *(w for *_, w in arcs)])
+    support = [(i, j, c) for (i, j, _), c in zip(arcs, costs)]
+    return support, masses[m + n :], masses[:m], masses[m : m + n], dc, dm
+
+
+def _capacitated_potentials(support, w, mu, nu, lam):
+    """Int (phi, psi), over the support costs' denominator, maximising
+    A - lam*B for lam = p/q >= 1: the potentials of min{c.x : x in
+    Pi(mu, nu) on supp(pi0), x <= lam*pi0}, solved q times over as an
+    uncapacitated transport with one source per arc (i, j, c) of mass
+    w, of supply p*w, feeding column j (demand q*nu(j)) at cost c or
+    the sink of row i (demand (p-q)*mu(i)) at cost 0.  With v its
+    optimal sink potentials, phi(i) = -v(row sink i) and psi(j) =
+    v(column j)."""
+    p, q = lam.numerator, lam.denominator
+    n = len(nu)
+    split = [{j: c, n + i: 0} for i, j, c in support]
+    demand = [q * x for x in nu] + [(p - q) * x for x in mu]
+    *_, v = _certified(split, [p * x for x in w], demand)
+    return [-x for x in v[n:]], v[:n]
 
 
 def solve_relaxed_dual(
@@ -260,7 +327,9 @@ def solve_relaxed_dual(
     lam gives the point of V that maximises A - lam*B, which replaces
     the chord's end on its side of eps.  Once no point lies above the
     chord, the chord lies on V, and the convex combination of its ends
-    with B = eps is exactly optimal.
+    with B = eps is exactly optimal.  Potentials are ints over dc, and
+    A and B ints over dc*dm (`_support_ints`); only K, the chord's
+    slope and its final combination are Fractions.
     """
     eps = as_fraction(eps)
     if eps < 0:
@@ -270,30 +339,39 @@ def solve_relaxed_dual(
     m, n = cost.n_rows, cost.n_cols
     if not arcs:
         return DualPair([ZERO] * m, [ZERO] * n, ZERO)
-    on_support = CostMatrix.from_arcs(m, n, ((i, j, cost[i, j]) for i, j, _ in arcs))
-    dual = solve_certified(on_support, marg)[1]
+    support, w, mu, nu, dc, dm = _support_ints(cost, marg, arcs)
+    scale = dc * dm
+    on_support = [{} for _ in range(m)]
+    for i, j, c in support:
+        on_support[i][j] = c
+    _, a_lo, phi, psi = _certified(on_support, mu, nu)
     if eps == 0:
-        return dual
+        return DualPair([Fraction(x, dc) for x in phi], [Fraction(x, dc) for x in psi],
+                        Fraction(a_lo, scale))
 
-    mass = marg.total_mu()
-    plan_cost = sum((w * cost[i, j] for i, j, w in arcs), ZERO)
-    K = max(max(cost[i, j] for i, j, _ in arcs), (eps + plan_cost) / mass)
-    a_lo, b_lo, lo = dual.value, ZERO, (dual.phi, dual.psi)
-    a_hi, b_hi, hi = K * mass, K * mass - plan_cost, ([K] * m, [ZERO] * n)
+    eps = eps * scale
+    mass = sum(mu)
+    plan_cost = sum(c * x for (_, _, c), x in zip(support, w))
+    K = max(max(c for *_, c in support), (eps + plan_cost) / mass)
+    b_lo, lo = 0, (phi, psi)
+    a_hi, b_hi, hi = K * mass, K * mass - plan_cost, ([K] * m, [0] * n)
     while b_hi != eps:
-        lam = (a_hi - a_lo) / (b_hi - b_lo)
-        phi, psi = _capacitated_potentials(cost, marg, arcs, lam)
-        a = DualPair(phi, psi).pair_value(marg)
-        b = sum((w * max(ZERO, phi[i] + psi[j] - cost[i, j]) for i, j, w in arcs), ZERO)
-        if a - lam * b == a_lo - lam * b_lo:
+        lam = Fraction(a_hi - a_lo) / (b_hi - b_lo)
+        p, q = lam.numerator, lam.denominator
+        phi, psi = _capacitated_potentials(support, w, mu, nu, lam)
+        a = sum(map(mul, phi, mu)) + sum(map(mul, psi, nu))
+        b = sum(x * max(0, phi[i] + psi[j] - c) for (i, j, c), x in zip(support, w))
+        if q * a - p * b == q * a_lo - p * b_lo:
             break
         if b < eps:
             a_lo, b_lo, lo = a, b, (phi, psi)
         else:
             a_hi, b_hi, hi = a, b, (phi, psi)
     t = (eps - b_lo) / (b_hi - b_lo)
-    phi, psi = ([x + t * (y - x) for x, y in zip(u, v)] for u, v in zip(lo, hi))
-    return DualPair(phi, psi, a_lo + t * (a_hi - a_lo))
+    phi, psi = (
+        [Fraction(x + t * (y - x), dc) for x, y in zip(u, v)] for u, v in zip(lo, hi)
+    )
+    return DualPair(phi, psi, (a_lo + t * (a_hi - a_lo)) / scale)
 
 
 def fenchel_value(f, g, cost: CostMatrix):

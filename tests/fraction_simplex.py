@@ -4,8 +4,8 @@ This is the pair-arithmetic form of `otlab.finite_ot.simplex`: costs are
 (inf_units, Fraction) pairs compared lexicographically, flows are
 Fractions, and the tree potentials, the rooted tree and the pivot cycle
 are rebuilt from scratch on every pivot.  It runs the same rules over
-the finite cells only: the same start trees (the north-west corner from
-row 0, or the tree around a matching that tries each row's finite cells
+the finite cells only: the same start trees (the regret-ordered
+least-cost tree from row 0, or the tree around a matching that tries each row's finite cells
 cheapest first, ties by column, grown breadth-first from the lowest row
 from which it spans), block-search pricing over whole rows of at least
 ceil(sqrt(finite cell count)) cells, scanned cyclically, and
@@ -102,6 +102,81 @@ def _matching_start(ext_cost, supply, demand):
     return None
 
 
+def _component(cells, r):
+    """The rows and the columns of row r's component over `cells`."""
+    rows = {r}
+    while True:
+        cols = {j for i, j in cells if i in rows}
+        more = {i for i, j in cells if j in cols}
+        if more <= rows:
+            return rows, cols
+        rows |= more
+
+
+def _least_cost_start(ext_cost, supply, demand):
+    """The regret-ordered least-cost start, rooted at row 0: the finite
+    cells cheapest first, ties by the row's regret (its second-cheapest
+    cell less its cheapest, as pairs, an INF cell or a missing second
+    cell counting as (1, 0)), larger first, then row-major, each taking
+    min(remaining supply, remaining demand); north-west over the rows
+    and columns left; then, breadth-first from row 0's component, with
+    each joining component's columns queued in index order, each queued
+    column hangs the rows outside the tree with a finite cell in it, in
+    row order, and their components; when none is left, the lowest row
+    outside hangs on its INF cell below the first queued column."""
+    m, n = len(supply), len(demand)
+    inf = (1, ZERO)
+    ranked = []
+    for i in range(m):
+        low, second = sorted(ext_cost[i] + [inf])[:2]
+        regret = _sub(second, low)
+        ranked += [
+            (c, (-regret[0], -regret[1]), i, j)
+            for j, c in enumerate(ext_cost[i])
+            if c[0] == 0
+        ]
+    rem_s, rem_d = list(supply), list(demand)
+    flow = {}
+    for _, _, i, j in sorted(ranked):
+        x = min(rem_s[i], rem_d[j])
+        if x > 0:
+            flow[(i, j)] = x
+            rem_s[i] -= x
+            rem_d[j] -= x
+    for i in range(m):
+        for j in range(n):
+            x = min(rem_s[i], rem_d[j])
+            if x > 0:
+                assert ext_cost[i][j][0] == 1, "a finite cell left with mass at both ends"
+                flow[(i, j)] = x
+                rem_s[i] -= x
+                rem_d[j] -= x
+    positive = list(flow)
+    tree = set()
+    queue = []
+
+    def take(r):
+        rows, cols = _component(positive, r)
+        tree.update(rows)
+        queue.extend(sorted(cols))
+
+    take(0)
+    at = 0
+    while len(tree) < m:
+        if at < len(queue):
+            j = queue[at]
+            at += 1
+            for k in range(m):
+                if k not in tree and ext_cost[k][j][0] == 0:
+                    flow[(k, j)] = ZERO
+                    take(k)
+        else:
+            r = min(set(range(m)) - tree)
+            flow[(r, queue[0])] = ZERO
+            take(r)
+    return flow
+
+
 def solve_transport(ext_cost, supply, demand):
     """Minimize sum(c*x) over x >= 0 with prescribed row/col sums.
 
@@ -112,29 +187,11 @@ def solve_transport(ext_cost, supply, demand):
     m, n = len(supply), len(demand)
 
     start = _matching_start(ext_cost, supply, demand)
-    if start is not None:
-        flow, basis_set, root = start
-    else:
-        # Northwest-corner start from row 0; ties add one degenerate
-        # basic cell, row i+1 below column j, so the basis always has
-        # exactly m+n-1 cells (a spanning tree).
-        rem_s = list(supply)
-        rem_d = list(demand)
-        flow = {}
-        i = j = 0
-        while True:
-            x = min(rem_s[i], rem_d[j])
-            flow[(i, j)] = x
-            rem_s[i] -= x
-            rem_d[j] -= x
-            if i == m - 1 and j == n - 1:
-                break
-            if rem_s[i] == 0 and i < m - 1:
-                i += 1
-            else:
-                j += 1
+    if start is None:
+        flow, root = _least_cost_start(ext_cost, supply, demand), 0
         basis_set = set(flow)
-        root = 0
+    else:
+        flow, basis_set, root = start
 
     def tree_adjacency():
         rows = [[] for _ in range(m)]

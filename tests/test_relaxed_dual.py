@@ -19,7 +19,7 @@ from otlab.finite_ot import (
     solve_primal,
     solve_relaxed_dual,
 )
-from otlab.finite_ot.solvers import _capacitated_potentials
+from otlab.finite_ot.solvers import _capacitated_potentials, _support_ints
 from otlab.rational import INF, format_rational
 from relaxed_dual_lp_oracle import lp_relaxed_dual
 
@@ -275,18 +275,31 @@ def test_relaxed_dual_outputs_are_pinned(kind):
     assert digest == RELAXED_DUAL_OUTPUTS[kind]
 
 
+def _zero_row_instance(n):
+    """The product instance of _instance(n, "product", 0) with row 1's
+    mass moved onto row 0, so row 1 has zero mass and no support arc."""
+    cost, marg, _ = _instance(n, "product", 0)
+    mu = list(marg.mu)
+    mu[0], mu[1] = mu[0] + mu[1], F(0)
+    total = sum(mu)
+    return cost, Marginals(mu, marg.nu), [[a * b / total for b in marg.nu] for a in mu]
+
+
 @pytest.mark.parametrize("lam", [F(1), F(3, 2), F(4), F(17, 3)])
-@pytest.mark.parametrize("kind", ["product", "mixture"])
+@pytest.mark.parametrize("kind", ["product", "mixture", "zero_row"])
 def test_capacitated_value_matches_networkx(kind, lam):
     """F(lam) = min{c.x : x in Pi(mu, nu) on supp(pi0), x <= lam*pi0} is
-    A - lam*B at the potentials the solver takes for slope lam."""
+    A - lam*B at the potentials the solver takes for slope lam.  At
+    lam = 1 every row sink has zero demand; the zero_row kind has a row
+    of zero mass, whose sink is empty at every lam."""
     nx = pytest.importorskip("networkx")
-    cost, marg, rows = _instance(4, kind, 0)
+    cost, marg, rows = _zero_row_instance(4) if kind == "zero_row" else _instance(4, kind, 0)
     pi0 = _plan(cost, rows)
     support = sorted(pi0.support())
     arcs = [(i, j, pi0.entries[i][j]) for i, j in support]
-    phi, psi = _capacitated_potentials(CostMatrix(cost), marg, arcs, lam)
-    pair = DualPair(phi, psi)
+    scaled, w, mu, nu, dc, _ = _support_ints(CostMatrix(cost), marg, arcs)
+    phi, psi = _capacitated_potentials(scaled, w, mu, nu, lam)
+    pair = DualPair([F(x, dc) for x in phi], [F(x, dc) for x in psi])
     f_lam = pair.pair_value(marg) - lam * _excess(cost, pi0, pair)
 
     masses = [lam * pi0.entries[i][j] for i, j in support] + list(marg.mu) + list(marg.nu)
@@ -305,3 +318,40 @@ def test_capacitated_value_matches_networkx(kind, lam):
         )
     flow_cost = nx.cost_of_flow(g, nx.min_cost_flow(g))
     assert f_lam == F(flow_cost, mass_scale * cost_scale)
+
+
+def test_capacitated_solves_pivot_count(monkeypatch):
+    """The pivots of the capacitated solves in one seeded n = 5 sweep over
+    the budgets 2, 1, 1/2, 1/4, 1/8, 0, with uniform marginals and the
+    fully supported uniform pi0, counted at `_reroot` (each call with a
+    parent is one pivot).  The regret-ordered least-cost start takes 292;
+    the north-west corner start it replaced took 1,096 on this sweep."""
+    from otlab.finite_ot import simplex, solvers
+
+    pivots = []
+    capacitated = [False]
+    reroot = simplex._reroot
+
+    def counting(q, w, adj, *rest):
+        if w >= 0 and capacitated[0]:  # w < 0 hangs the start tree from its root
+            pivots.append((q, w))
+        return reroot(q, w, adj, *rest)
+
+    solve = solvers._capacitated_potentials
+
+    def marked(*args):
+        capacitated[0] = True
+        try:
+            return solve(*args)
+        finally:
+            capacitated[0] = False
+
+    monkeypatch.setattr(simplex, "_reroot", counting)
+    monkeypatch.setattr(solvers, "_capacitated_potentials", marked)
+    rng = random.Random(1)
+    n = 5
+    cost = [[F(rng.randint(0, 40), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    pi0 = _plan(cost, [[F(1, n * n)] * n for _ in range(n)])
+    for eps in (F(2), F(1), F(1, 2), F(1, 4), F(1, 8), F(0)):
+        solve_relaxed_dual(CostMatrix(cost), Marginals.uniform(n), pi0, eps)
+    assert len(pivots) == 292

@@ -345,8 +345,8 @@ def _ext(arcs, n):
 
 def _fraction_simplex_on_arcs(arcs, supply, demand):
     """fraction_simplex.solve_transport behind the production interface:
-    per-row arcs in; the value out as INF when it has an infinity unit,
-    and a potential as None when it carries one."""
+    per-row int arcs and int masses in; the value out as INF when it has
+    an infinity unit, and a potential as None when it carries one."""
     flow, value, u, v = fraction_simplex.solve_transport(
         _ext(arcs, len(demand)), supply, demand
     )
@@ -361,7 +361,7 @@ def _fraction_simplex_on_arcs(arcs, supply, demand):
 def _oracle_instances(seed):
     """Seeded (cost, marginals, kind) triples: uniform square instances
     (the matching start), with and without INF cells, non-uniform and
-    rectangular ones (the north-west start), and zero-mass rows and
+    rectangular ones (the least-cost start), and zero-mass rows and
     columns."""
     rng = random.Random(seed)
     out = []
@@ -392,29 +392,50 @@ def _oracle_instances(seed):
     return out
 
 
+def _big(rows, m, n):
+    """The simplex's encoding of an INF cell for the int arcs `rows`."""
+    top = max((c for row in rows for c in row.values()), default=0)
+    return 2 * (2 * (m + n) + 1) * top + 1
+
+
+def _crosses_on_inf(flow, rows):
+    """Whether a start's zero-flow cells include an INF cell."""
+    return any(f == 0 and j not in rows[i] for (i, j), f in flow.items())
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_integer_simplex_matches_fraction_simplex(seed):
-    starts = {"matching": 0, "north_west": 0}
-    for cost, marg, kind in _oracle_instances(seed):
-        if kind == "zero_mass":
+    """The same flows, value and potentials as the Fraction oracle, on
+    the scaled ints the solvers hand the simplex: the oracle instances
+    and sparse ones, which have one-arc rows, rows with no arc (so the
+    start sends flow north-west over INF cells) and starts that hang a
+    component on an INF cell."""
+    starts = {"matching": 0, "least_cost": 0, "one_arc_row": 0, "inf_connector": 0}
+    instances = _oracle_instances(seed) + _sparse_instances(seed, count=120)
+    for cost, marg, kind in instances:
+        if 0 in marg.mu or 0 in marg.nu:
             continue
-        supply, demand = list(marg.mu), list(marg.nu)
-        if simplex._matching_start(cost.arcs, supply, demand) is None:
-            starts["north_west"] += 1
+        rows, _, supply, demand, _ = solvers._scaled(cost, marg)
+        m, n = len(supply), len(demand)
+        if simplex._matching_start(rows, supply, demand) is None:
+            starts["least_cost"] += 1
+            start = simplex._least_cost_start(rows, supply, demand, _big(rows, m, n))
+            starts["inf_connector"] += _crosses_on_inf(start, rows)
+            starts["one_arc_row"] += any(len(row) == 1 for row in rows)
         else:
             starts["matching"] += 1
-        flow, value, u, v = simplex.solve_transport(cost.arcs, supply, demand)
-        ref_flow, ref_value, ref_u, ref_v = _fraction_simplex_on_arcs(cost.arcs, supply, demand)
+        flow, value, u, v = simplex.solve_transport(rows, supply, demand)
+        ref_flow, ref_value, ref_u, ref_v = _fraction_simplex_on_arcs(rows, supply, demand)
         assert flow == ref_flow
         assert value == ref_value
         assert u == ref_u and v == ref_v
-    assert starts["matching"] >= 20 and starts["north_west"] >= 20
+    assert min(starts.values()) >= 20, starts
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_solve_primal_plans_match_fraction_simplex(seed, monkeypatch):
-    """Whole solve_primal, zero-mass elimination and NoFinitePlan
-    included, with either simplex underneath."""
+    """Whole solve_primal, scaling, zero-mass elimination and
+    NoFinitePlan included, with either simplex underneath."""
     instances = _oracle_instances(seed)
     plans = []
     for cost, marg, _ in instances:
@@ -507,7 +528,7 @@ def _refuse(*args, **kwargs):
 def test_solve_dual_zero_mass_rows_and_columns(monkeypatch):
     cost = CostMatrix([[1, 2, INF], [3, 0, 5], [INF, 1, 1]])
     marg = Marginals([0, F(1, 2), F(1, 2)], [F(1, 2), 0, F(1, 2)])
-    monkeypatch.setattr(solvers, "strong_monotone_potentials", _refuse)
+    monkeypatch.setattr(solvers, "support_potentials", _refuse)
     pair = solve_dual(cost, marg)
     monkeypatch.undo()
     assert pair.value == 2
@@ -530,20 +551,21 @@ def test_solve_dual_zero_mass_seeded():
 
 
 def _tree_crosses_inf(cost, marg):
-    _, u, v = solvers._solve(cost, marg)
-    return any(p is None for p in u.values()) or any(p is None for p in v.values())
+    rows, _, mu, nu, _ = solvers._scaled(cost, marg)
+    _, _, phi, psi = solvers._solve(rows, mu, nu)
+    return any(p is None and x for p, x in zip(phi + psi, mu + nu))
 
 
 def test_solve_dual_falls_back_when_the_tree_crosses_an_inf_cell(monkeypatch):
     rng = random.Random(8)
     fallbacks = []
-    smp = solvers.strong_monotone_potentials
+    smp = solvers.support_potentials
 
-    def recording(support, cost):
-        fallbacks.append(support)
-        return smp(support, cost)
+    def recording(cells, *rest):
+        fallbacks.append(cells)
+        return smp(cells, *rest)
 
-    monkeypatch.setattr(solvers, "strong_monotone_potentials", recording)
+    monkeypatch.setattr(solvers, "support_potentials", recording)
     crossing = 0
     while crossing < 8:
         n = rng.randint(2, 7)
@@ -618,7 +640,7 @@ def test_cli_solve_and_gap_solve_each_instance_once(tmp_path, monkeypatch, capsy
 
 
 def test_solve_dual_on_finite_costs_skips_the_monotonicity_fallback(monkeypatch):
-    monkeypatch.setattr(solvers, "strong_monotone_potentials", _refuse)
+    monkeypatch.setattr(solvers, "support_potentials", _refuse)
     rng = random.Random(10)
     pairs = []
     for k in range(30):
@@ -807,25 +829,38 @@ def _assert_strongly_feasible(flow, root, m, n):
 
 
 def test_both_starts_are_strongly_feasible():
+    """Both starts span with every zero-flow cell a row below its column,
+    and carry the masses, on square and rectangular instances whose rows
+    keep each cell finite with probability 1, 0.7, 0.4 or 0.15: so some
+    rows have one arc or none, the least-cost start sends flow
+    north-west over INF cells, and some of its components hang on an
+    INF cell."""
     rng = random.Random(21)
-    starts = {"matching": 0, "matching_root_not_0": 0, "north_west": 0}
+    starts = dict.fromkeys(
+        ["matching", "matching_root_not_0", "least_cost", "one_arc_row", "inf_flow",
+         "inf_connector"], 0
+    )
     for k in range(400):
         m = rng.randint(1, 12)
         square = k % 2 == 0
         n = m if square else rng.randint(1, 12)
-        p_inf = rng.choice([0.0, 0.3, 0.6])
+        p_inf = rng.choice([0.0, 0.3, 0.6, 0.85])
         arcs = [
-            {j: F(rng.randint(0, 9)) for j in range(n) if rng.random() >= p_inf}
+            {j: rng.randint(0, 9) for j in range(n) if rng.random() >= p_inf}
             for _ in range(m)
         ]
         if square:
-            supply = demand = [F(1, n)] * n
+            supply = demand = [1] * n
         else:
-            supply = [F(rng.randint(1, 4)) for _ in range(m)]
-            demand = [F(rng.randint(1, 4)) for _ in range(n)]
-            demand = [x * sum(supply) / sum(demand) for x in demand]
-        trees = [(simplex._north_west_start(supply, demand), 0)]
-        starts["north_west"] += 1
+            supply = [rng.randint(1, 4) for _ in range(m)]
+            weights = [rng.randint(1, 4) for _ in range(n)]
+            supply, demand = [x * sum(weights) for x in supply], [x * sum(supply) for x in weights]
+        least_cost = simplex._least_cost_start(arcs, supply, demand, _big(arcs, m, n))
+        trees = [(least_cost, 0)]
+        starts["least_cost"] += 1
+        starts["one_arc_row"] += any(len(row) == 1 for row in arcs)
+        starts["inf_flow"] += any(f and j not in arcs[i] for (i, j), f in least_cost.items())
+        starts["inf_connector"] += _crosses_on_inf(least_cost, arcs)
         matching = simplex._matching_start(arcs, supply, demand)
         if matching is not None:
             trees.append(matching)
@@ -836,7 +871,8 @@ def test_both_starts_are_strongly_feasible():
             _assert_strongly_feasible(flow, root, m, n)
             assert [sum(f for (i, _), f in flow.items() if i == r) for r in range(m)] == supply
             assert [sum(f for (_, j), f in flow.items() if j == c) for c in range(n)] == demand
-    assert min(starts.values()) >= 10, starts
+    assert starts.pop("matching") >= 10 and starts.pop("matching_root_not_0") >= 10, starts
+    assert min(starts.values()) >= 20, starts
 
 
 def test_matching_start_roots_where_every_pair_is_reached():
@@ -851,7 +887,7 @@ def test_matching_start_roots_where_every_pair_is_reached():
     assert simplex._matching_start([{0: 3}, {1: 1}], [1, 1], [1, 1]) is None
 
 
-# strong_monotone_potentials calls over the feasible _oracle_instances(seed)
+# support_potentials calls over the feasible _oracle_instances(seed)
 # under solve_dual, counted with Bland pricing on a matching start whose
 # connectors came from a union-find pass: the strongly feasible starts
 # must not fall back more often.
@@ -861,13 +897,13 @@ _FALLBACKS_BEFORE_BLOCK_PRICING = {1: 1, 2: 0, 3: 2}
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_strongly_feasible_starts_add_no_monotonicity_fallbacks(seed, monkeypatch):
     calls = []
-    smp = solvers.strong_monotone_potentials
+    smp = solvers.support_potentials
 
-    def recording(support, cost):
-        calls.append(support)
-        return smp(support, cost)
+    def recording(cells, *rest):
+        calls.append(cells)
+        return smp(cells, *rest)
 
-    monkeypatch.setattr(solvers, "strong_monotone_potentials", recording)
+    monkeypatch.setattr(solvers, "support_potentials", recording)
     solved = 0
     for cost, marg, _ in _oracle_instances(seed):
         try:
@@ -913,15 +949,15 @@ def _degenerate_instances():
     return out
 
 
-@pytest.mark.parametrize("start", ["default", "north_west"])
+@pytest.mark.parametrize("start", ["default", "least_cost"])
 def test_degenerate_families_terminate_with_exact_values(start, monkeypatch):
     """Tie-heavy costs, on which a careless leaving rule cycles: every
     solve ends within a pivot budget, with the networkx value (and the
     best permutation for uniform square instances up to 7), a
-    certificate, and no monotonicity fallback.  With start="north_west"
+    certificate, and no monotonicity fallback.  With start="least_cost"
     the matching start is switched off, so the uniform square instances
-    run from the north-west corner too."""
-    if start == "north_west":
+    run from the least-cost start too."""
+    if start == "least_cost":
         monkeypatch.setattr(simplex, "_matching_start", lambda *args: None)
     pivots = []
     reroot = simplex._reroot
@@ -933,7 +969,7 @@ def test_degenerate_families_terminate_with_exact_values(start, monkeypatch):
         return reroot(q, w, adj, *rest)
 
     monkeypatch.setattr(simplex, "_reroot", counting)
-    monkeypatch.setattr(solvers, "strong_monotone_potentials", _refuse)
+    monkeypatch.setattr(solvers, "support_potentials", _refuse)
     for family, cost, marg in _degenerate_instances():
         m, n = cost.n_rows, cost.n_cols
         pivots.append(0)
