@@ -12,12 +12,13 @@ shortest distances are the potentials (Rockafellar, Pacific J. Math. 17,
 1966).
 
 The pass relaxes plain ints: `types.integer_arcs` scales every arc cost
-by the least common denominator d of the costs, once (the solvers'
-integer step passes its own scaled arcs to `support_potentials`).  Scaling by d > 0
-keeps every strict comparison, so the relaxations, the predecessors and
-the witness cycle are those of the same pass over Fractions, and each
-distance is d times its Fraction value; the potentials are divided by d
-only when `strong_monotone_potentials` returns them.
+by the least common denominator d of the costs, once; the solvers'
+integer step hands `support_potentials` the arcs it has already scaled.
+Scaling by d > 0 keeps every strict comparison, so the relaxations, the
+predecessors and the witness cycle are those of the same pass over
+Fractions, and each distance is d times its Fraction value; the
+potentials are divided by d only when `strong_monotone_potentials`
+returns them.
 """
 
 from __future__ import annotations

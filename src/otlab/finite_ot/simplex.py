@@ -203,11 +203,11 @@ def _least_cost_start(cost, supply, demand, big):
             flow[(i, j)] = x
             rem_s[i] -= x
             rem_d[j] -= x
-    rows = [i for i in range(m) if rem_s[i]]
-    cols = [j for j in range(n) if rem_d[j]]
+    left_rows = [i for i in range(m) if rem_s[i]]
+    left_cols = [j for j in range(n) if rem_d[j]]
     a = b = 0
-    while a < len(rows):
-        i, j = rows[a], cols[b]
+    while a < len(left_rows):
+        i, j = left_rows[a], left_cols[b]
         x = min(rem_s[i], rem_d[j])
         flow[(i, j)] = x
         rem_s[i] -= x

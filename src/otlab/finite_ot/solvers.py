@@ -251,14 +251,19 @@ def check_complementary_slackness(
     return SlacknessReport(support_bad, feas_bad)
 
 
-def _pi0_arcs(cost: CostMatrix, marg: Marginals, pi0: TransportPlan):
-    """supp(pi0) as row-major (i, j, pi0(i,j)) triples, once pi0 is
+def _support_ints(cost: CostMatrix, marg: Marginals, pi0: TransportPlan):
+    """supp(pi0) and the masses as ints, scaled once per call: (support,
+    w, mu, nu, dc, dm), with support the row-major (i, j, c) triples of
+    the cells pi0 charges, c their costs over the costs' common
+    denominator dc, and w, mu and nu pi0's masses on them and the
+    marginals over the masses' common denominator dm.  pi0 is first
     checked to have the cost's shape (DimensionMismatch), to be a
     coupling of (mu, nu) (Pi0NotACoupling, naming the first negative
     cell, else the first row or column whose sum is not its marginal)
     and to charge finite cells only (InfiniteCostOnPi0Support)."""
-    if pi0.n_rows != cost.n_rows or pi0.n_cols != cost.n_cols:
-        raise DimensionMismatch(f"pi0 does not fit cost ({cost.n_rows},{cost.n_cols})")
+    m, n = cost.n_rows, cost.n_cols
+    if pi0.n_rows != m or pi0.n_cols != n:
+        raise DimensionMismatch(f"pi0 does not fit cost ({m},{n})")
     arcs = []
     for (i, j), w in pi0.cells.items():
         if w < 0:
@@ -267,26 +272,20 @@ def _pi0_arcs(cost: CostMatrix, marg: Marginals, pi0: TransportPlan):
             if not cost.is_finite(i, j):
                 raise InfiniteCostOnPi0Support(f"pi0 charges infinite cell {(i, j)}")
             arcs.append((i, j, w))
-    for side, sums, want in (
-        ("row", pi0.row_sums(), marg.mu), ("column", pi0.col_sums(), marg.nu)
-    ):
-        for k, (got, w) in enumerate(zip(sums, want)):
-            if got != w:
-                raise Pi0NotACoupling(f"pi0 {side} {k} sums to {got}, not its marginal {w}")
-    return arcs
-
-
-def _support_ints(cost: CostMatrix, marg: Marginals, arcs):
-    """The chord search's ints, scaled once per call: (support, w, mu, nu,
-    dc, dm), with support the (i, j, c) triples of the arcs (i, j, pi0
-    mass), c their costs over the costs' common denominator dc, and w,
-    mu and nu the arcs' masses and the marginals over the masses' common
-    denominator dm."""
-    m, n = cost.n_rows, cost.n_cols
     costs, dc = over_common_denominator([cost[i, j] for i, j, _ in arcs])
     masses, dm = over_common_denominator([*marg.mu, *marg.nu, *(w for *_, w in arcs)])
+    mu, nu, w = masses[:m], masses[m : m + n], masses[m + n :]
+    sums = [0] * (m + n)
+    for (i, j, _), x in zip(arcs, w):
+        sums[i] += x
+        sums[m + j] += x
+    for side, at, marginal in (("row", 0, marg.mu), ("column", m, marg.nu)):
+        for k, want in enumerate(marginal):
+            if sums[at + k] != masses[at + k]:
+                got = Fraction(sums[at + k], dm)
+                raise Pi0NotACoupling(f"pi0 {side} {k} sums to {got}, not its marginal {want}")
     support = [(i, j, c) for (i, j, _), c in zip(arcs, costs)]
-    return support, masses[m + n :], masses[:m], masses[m : m + n], dc, dm
+    return support, w, mu, nu, dc, dm
 
 
 def _capacitated_potentials(support, w, mu, nu, lam):
@@ -335,27 +334,30 @@ def solve_relaxed_dual(
     if eps < 0:
         raise NegativeEpsilon(f"eps = {eps}")
     _check_dims(cost, marg)
-    arcs = _pi0_arcs(cost, marg, pi0)
+    support, w, mu, nu, dc, dm = _support_ints(cost, marg, pi0)
     m, n = cost.n_rows, cost.n_cols
-    if not arcs:
+    if not support:
         return DualPair([ZERO] * m, [ZERO] * n, ZERO)
-    support, w, mu, nu, dc, dm = _support_ints(cost, marg, arcs)
     scale = dc * dm
     on_support = [{} for _ in range(m)]
     for i, j, c in support:
         on_support[i][j] = c
     _, a_lo, phi, psi = _certified(on_support, mu, nu)
     if eps == 0:
-        return DualPair([Fraction(x, dc) for x in phi], [Fraction(x, dc) for x in psi],
-                        Fraction(a_lo, scale))
+        as_potential = _decoder(dc)
+        return DualPair(
+            [as_potential(x) for x in phi], [as_potential(x) for x in psi], Fraction(a_lo, scale)
+        )
 
-    eps = eps * scale
+    # From here on, potentials (and K) are on the dc scale, and A, B and
+    # the budget on the dc*dm scale.
+    budget = eps * scale
     mass = sum(mu)
     plan_cost = sum(c * x for (_, _, c), x in zip(support, w))
-    K = max(max(c for *_, c in support), (eps + plan_cost) / mass)
+    K = max(max(c for *_, c in support), (budget + plan_cost) / mass)
     b_lo, lo = 0, (phi, psi)
     a_hi, b_hi, hi = K * mass, K * mass - plan_cost, ([K] * m, [0] * n)
-    while b_hi != eps:
+    while b_hi != budget:
         lam = Fraction(a_hi - a_lo) / (b_hi - b_lo)
         p, q = lam.numerator, lam.denominator
         phi, psi = _capacitated_potentials(support, w, mu, nu, lam)
@@ -363,11 +365,11 @@ def solve_relaxed_dual(
         b = sum(x * max(0, phi[i] + psi[j] - c) for (i, j, c), x in zip(support, w))
         if q * a - p * b == q * a_lo - p * b_lo:
             break
-        if b < eps:
+        if b < budget:
             a_lo, b_lo, lo = a, b, (phi, psi)
         else:
             a_hi, b_hi, hi = a, b, (phi, psi)
-    t = (eps - b_lo) / (b_hi - b_lo)
+    t = (budget - b_lo) / (b_hi - b_lo)
     phi, psi = (
         [Fraction(x + t * (y - x), dc) for x, y in zip(u, v)] for u, v in zip(lo, hi)
     )

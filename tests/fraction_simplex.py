@@ -5,10 +5,11 @@ This is the pair-arithmetic form of `otlab.finite_ot.simplex`: costs are
 Fractions, and the tree potentials, the rooted tree and the pivot cycle
 are rebuilt from scratch on every pivot.  It runs the same rules over
 the finite cells only: the same start trees (the regret-ordered
-least-cost tree from row 0, or the tree around a matching that tries each row's finite cells
-cheapest first, ties by column, grown breadth-first from the lowest row
-from which it spans), block-search pricing over whole rows of at least
-ceil(sqrt(finite cell count)) cells, scanned cyclically, and
+least-cost tree from row 0, or the tree around a matching that tries
+each row's finite cells cheapest first, ties by column, grown
+breadth-first from the lowest row from which it spans), block-search
+pricing over whole rows of at least ceil(sqrt(finite cell count))
+cells, scanned cyclically, and
 Cunningham's leaving rule (the last blocking cell on the cycle walked
 from its apex along the entering cell).  So the integer solver must
 return the very same flow dict, value and potentials.  It also asserts

@@ -296,8 +296,7 @@ def test_capacitated_value_matches_networkx(kind, lam):
     cost, marg, rows = _zero_row_instance(4) if kind == "zero_row" else _instance(4, kind, 0)
     pi0 = _plan(cost, rows)
     support = sorted(pi0.support())
-    arcs = [(i, j, pi0.entries[i][j]) for i, j in support]
-    scaled, w, mu, nu, dc, _ = _support_ints(CostMatrix(cost), marg, arcs)
+    scaled, w, mu, nu, dc, _ = _support_ints(CostMatrix(cost), marg, pi0)
     phi, psi = _capacitated_potentials(scaled, w, mu, nu, lam)
     pair = DualPair([F(x, dc) for x in phi], [F(x, dc) for x in psi])
     f_lam = pair.pair_value(marg) - lam * _excess(cost, pi0, pair)
