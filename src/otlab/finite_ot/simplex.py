@@ -269,6 +269,13 @@ def _gather(nodes):
     return itemgetter(*nodes)
 
 
+def _big(cost, n):
+    """BIG, the encoding of an INF cell for the int arcs `cost` of n
+    columns: 2*(2(m+n)+1)*top + 1, for top the largest arc cost."""
+    top = max((c for row in cost for c in row.values()), default=0)
+    return 2 * (2 * (len(cost) + n) + 1) * top + 1
+
+
 def _reroot(q, w, adj, parent, depth):
     """Hang the subtree holding node q from node w, or make q the root
     when w < 0: reset the parents and depths below q.  Returns the
@@ -300,8 +307,7 @@ def solve_transport(cost, supply, demand):
     an infinity unit is None.
     """
     m, n = len(supply), len(demand)
-    top = max((c for row in cost for c in row.values()), default=0)
-    big = 2 * (2 * (m + n) + 1) * top + 1
+    big = _big(cost, n)
 
     def cell_cost(i, j):
         return cost[i].get(j, big)

@@ -392,12 +392,6 @@ def _oracle_instances(seed):
     return out
 
 
-def _big(rows, m, n):
-    """The simplex's encoding of an INF cell for the int arcs `rows`."""
-    top = max((c for row in rows for c in row.values()), default=0)
-    return 2 * (2 * (m + n) + 1) * top + 1
-
-
 def _crosses_on_inf(flow, rows):
     """Whether a start's zero-flow cells include an INF cell."""
     return any(f == 0 and j not in rows[i] for (i, j), f in flow.items())
@@ -416,10 +410,9 @@ def test_integer_simplex_matches_fraction_simplex(seed):
         if 0 in marg.mu or 0 in marg.nu:
             continue
         rows, _, supply, demand, _ = solvers._scaled(cost, marg)
-        m, n = len(supply), len(demand)
         if simplex._matching_start(rows, supply, demand) is None:
             starts["least_cost"] += 1
-            start = simplex._least_cost_start(rows, supply, demand, _big(rows, m, n))
+            start = simplex._least_cost_start(rows, supply, demand, simplex._big(rows, len(demand)))
             starts["inf_connector"] += _crosses_on_inf(start, rows)
             starts["one_arc_row"] += any(len(row) == 1 for row in rows)
         else:
@@ -855,7 +848,7 @@ def test_both_starts_are_strongly_feasible():
             supply = [rng.randint(1, 4) for _ in range(m)]
             weights = [rng.randint(1, 4) for _ in range(n)]
             supply, demand = [x * sum(weights) for x in supply], [x * sum(supply) for x in weights]
-        least_cost = simplex._least_cost_start(arcs, supply, demand, _big(arcs, m, n))
+        least_cost = simplex._least_cost_start(arcs, supply, demand, simplex._big(arcs, n))
         trees = [(least_cost, 0)]
         starts["least_cost"] += 1
         starts["one_arc_row"] += any(len(row) == 1 for row in arcs)
