@@ -174,19 +174,19 @@ def _least_cost_start(cost, supply, demand, big):
     """The regret-ordered least-cost tree, rooted at row 0 (Vogel's rule:
     Reinfeld and Vogel, 1958).  The arcs are taken cheapest first, ties
     by the row's regret (its second-cheapest cell cost less its
-    cheapest, an INF cell costing big), larger first, then row-major;
-    each carries min(remaining supply, remaining demand).  What remains
-    goes north-west over the rows and columns left, all of whose cells
-    are INF.  Each positive-flow component other than row 0's then hangs
-    by one zero-flow cell, its row below a column of the tree.  The tree
-    grows breadth-first from row 0's component: its columns are taken in
-    the order the components join, each component's in index order, and
-    each column hangs, on a finite arc, every row outside the tree that
-    has one there, in index order.  When no finite arc reaches the tree,
-    the lowest row outside it hangs on an INF cell below the first column
-    of the tree.  Every mass is positive, so each component holds a row
-    and a column and the tree spans.  Returns the flow on the tree's
-    cells."""
+    cheapest, an INF or missing second cell costing big), larger first,
+    then row-major; each carries min(remaining supply, remaining
+    demand).  What remains goes north-west over the rows and columns
+    left, all of whose cells are INF.  Each positive-flow component
+    other than row 0's then hangs by one zero-flow cell, its row below a
+    column of the tree.  The tree grows breadth-first from row 0's
+    component: its columns are taken in the order the components join,
+    each component's in index order, and each column hangs, on a finite
+    arc, every row outside the tree that has one there, in index order.
+    When no finite arc reaches the tree, the lowest row outside it hangs
+    on an INF cell below the first column of the tree.  Every mass is
+    positive, so each component holds a row and a column and the tree
+    spans.  Returns the flow on the tree's cells."""
     m, n = len(supply), len(demand)
     rem_s = list(supply)
     rem_d = list(demand)

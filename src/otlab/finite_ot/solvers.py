@@ -173,9 +173,18 @@ def _decoder(scale):
 
 
 def _plan(cost: CostMatrix, flow, value, dc, dm) -> TransportPlan:
+    """The int flows over dm and their value over dc*dm as a plan."""
     as_mass = _decoder(dm)
     cells = {cell: as_mass(f) for cell, f in flow.items()}
     return TransportPlan.from_cells(cost.n_rows, cost.n_cols, cells, Fraction(value, dc * dm))
+
+
+def _dual(phi, psi, value, dc, dm) -> DualPair:
+    """The int potentials over dc and their value over dc*dm as a pair."""
+    as_potential = _decoder(dc)
+    return DualPair(
+        [as_potential(x) for x in phi], [as_potential(x) for x in psi], Fraction(value, dc * dm)
+    )
 
 
 def solve_primal(cost: CostMatrix, marg: Marginals) -> TransportPlan:
@@ -196,11 +205,7 @@ def solve_certified(cost: CostMatrix, marg: Marginals):
     """
     rows, dc, mu, nu, dm = _scaled(cost, marg)
     flow, value, phi, psi = _certified(rows, mu, nu)
-    as_potential = _decoder(dc)
-    pair = DualPair(
-        [as_potential(x) for x in phi], [as_potential(x) for x in psi], Fraction(value, dc * dm)
-    )
-    return _plan(cost, flow, value, dc, dm), pair
+    return _plan(cost, flow, value, dc, dm), _dual(phi, psi, value, dc, dm)
 
 
 def solve_dual(cost: CostMatrix, marg: Marginals) -> DualPair:
@@ -344,10 +349,7 @@ def solve_relaxed_dual(
         on_support[i][j] = c
     _, a_lo, phi, psi = _certified(on_support, mu, nu)
     if eps == 0:
-        as_potential = _decoder(dc)
-        return DualPair(
-            [as_potential(x) for x in phi], [as_potential(x) for x in psi], Fraction(a_lo, scale)
-        )
+        return _dual(phi, psi, a_lo, dc, dm)
 
     # From here on, potentials (and K) are on the dc scale, and A, B and
     # the budget on the dc*dm scale.
